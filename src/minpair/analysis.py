@@ -179,13 +179,16 @@ def _stronger_restraint_bound(restraints: Mapping[int, int], position: int) -> i
     return max((v for q, v in restraints.items() if q < position), default=0)
 
 
-def check_structural(trace: Trace, suite: FunctionalSuite | None = None) -> VerificationReport:
+def check_structural(
+    trace: Trace, suite: FunctionalSuite | None = None, rep: ReplayedRun | None = None
+) -> VerificationReport:
     """Verify every structural invariant of a run against its full trace.
 
     With a suite, witness discipline additionally confirms each witness was
     converged and its class held no converged member at the action stage.
+    Pass rep, the replay of the trace, to share one replay between checks.
     """
-    rep = replay(trace)
+    rep = replay(trace) if rep is None else rep
     T = rep.horizon
     checks: list[CheckResult] = []
 
@@ -375,7 +378,12 @@ def check_structural(trace: Trace, suite: FunctionalSuite | None = None) -> Veri
 
 
 def check_capture(
-    trace: Trace, suite: FunctionalSuite, e: int, side: int, horizon: int
+    trace: Trace,
+    suite: FunctionalSuite,
+    e: int,
+    side: int,
+    horizon: int,
+    rep: ReplayedRun | None = None,
 ) -> VerificationReport:
     """Finite form of the capture guarantee for requirement (e, side).
 
@@ -386,57 +394,40 @@ def check_capture(
     visibility) is what the stage rule actually guarantees: a witness first
     converging at the final stage leaves no stage to act on it.  Without
     such a stage the verdict is inconclusive, not a failure.
+
+    Once the stronger pairs are quiet their restraint bound is frozen, so
+    the first such stage is the least settle stage of a class member above
+    the bound (or the first quiet stage, if later).
     """
-    rep = replay(trace)
+    rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
     position = 2 * e + side
     action_stages = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
     last_stronger = max((u for u, q in action_stages if q < position), default=-1)
-    for s in range(max(position, last_stronger) + 1, horizon):
-        bound = _stronger_restraint_bound(rep.restraints_entering[s], position)
-        eligible = [
-            n
-            for n in class_members(e, s)
-            if n > bound and suite.query(e, n, s) is not None
-        ]
-        if not eligible:
-            continue
-        captured = sorted(
-            m
-            for m in rep.entering[horizon][side]
-            if class_index(m) == e and suite.query(e, m, horizon) is not None
-        )
-        if captured:
-            return _report(
-                [
-                    CheckResult.of(
-                        "capture", "pass", witness=captured[0], actionable_stage=s
-                    )
-                ],
-                e=e,
-                side=side,
-                horizon=horizon,
-            )
-        return _report(
-            [
-                CheckResult.of(
-                    "capture",
-                    "fail",
-                    actionable_stage=s,
-                    eligible=tuple(eligible),
-                )
-            ],
-            e=e,
-            side=side,
-            horizon=horizon,
-        )
-    return _report(
-        [CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")],
-        e=e,
-        side=side,
-        horizon=horizon,
+    start = max(position, last_stronger) + 1
+    settled: list[tuple[int, int]] = []  # (n, settle stage) below the horizon
+    if start < horizon:
+        bound = _stronger_restraint_bound(rep.restraints_entering[start], position)
+        for n in class_members(e, horizon):
+            hit = suite.settle(e, n, horizon - 1) if n > bound else None
+            if hit is not None:
+                settled.append((n, hit[1]))
+    if not settled:
+        check = CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")
+        return _report([check], e=e, side=side, horizon=horizon)
+    s = max(start, min(stage for _, stage in settled))
+    captured = sorted(
+        m
+        for m in rep.entering[horizon][side]
+        if class_index(m) == e and suite.query(e, m, horizon) is not None
     )
+    if captured:
+        check = CheckResult.of("capture", "pass", witness=captured[0], actionable_stage=s)
+    else:
+        eligible = tuple(n for n, stage in settled if stage <= s)
+        check = CheckResult.of("capture", "fail", actionable_stage=s, eligible=eligible)
+    return _report([check], e=e, side=side, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +450,12 @@ def _joint_by_stage(
 
 
 def check_preservation(
-    trace: Trace, operators: OperatorSuite, e0: int, e1: int, horizon: int
+    trace: Trace,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    rep: ReplayedRun | None = None,
 ) -> VerificationReport:
     """Every output jointly enumerated at some stage stays enumerated on at
     least one side from its protection stage through the horizon.
@@ -468,7 +464,7 @@ def check_preservation(
     pair acting at any stage >= s (the window opens just after it); if no
     pair acts again the window opens at s itself.
     """
-    rep = replay(trace)
+    rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
     w0, w1 = operators.get(e0), operators.get(e1)
@@ -534,7 +530,12 @@ class JointTable:
 
 
 def synthesize_joint(
-    trace: Trace, operators: OperatorSuite, e0: int, e1: int, horizon: int
+    trace: Trace,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    rep: ReplayedRun | None = None,
 ) -> JointTable:
     """Search stages for codes enumerated by both sides at once.
 
@@ -542,7 +543,7 @@ def synthesize_joint(
     first stage the smaller bit is kept (any fixed choice is sound because
     preservation makes every jointly enumerated bit correct).
     """
-    rep = replay(trace)
+    rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
     joint = _joint_by_stage(rep, operators.get(e0), operators.get(e1), horizon)
@@ -611,12 +612,13 @@ def check_end_to_end(
     bound: int,
     target_bits: Sequence[int],
     threshold: Fraction,
+    rep: ReplayedRun | None = None,
 ) -> VerificationReport:
     """Every defined joint-table bit matches the target, and the table's
     domain below the bound is at least as dense as the threshold."""
     if len(target_bits) < bound:
         raise ValueError(f"target bits shorter than bound {bound}")
-    table = synthesize_joint(trace, operators, e0, e1, horizon)
+    table = synthesize_joint(trace, operators, e0, e1, horizon, rep)
     defined = [n for n in table.entries if n < bound]
     mismatches = sorted(
         (n, table.entries[n][0], target_bits[n])

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import engine
+from . import analysis, engine
 from .analysis import (
     CheckResult,
     TraceFormatError,
@@ -33,22 +35,17 @@ from .engine import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary, 
 from .suites import (
     FunctionalSuite,
     OperatorSuite,
-    ProbeGrid,
     SpecError,
     SuiteValidationError,
+    _is_nat,
     build_suite,
     compile_functional,
     compile_operator,
-    default_probe,
 )
 
 
 class ConfigError(ValueError):
     """The config file violates the documented schema."""
-
-
-def _is_nat(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +76,6 @@ class RunConfig:
     seed: int = 0
     functionals: list = field(default_factory=list)
     operators: list = field(default_factory=list)
-    probe: tuple[int, int] | None = None  # (points, stages)
     capture_checks: list = field(default_factory=list)  # [(e, side)]
     preservation_checks: list = field(default_factory=list)  # [(e0, e1)]
     end_to_end_checks: list = field(default_factory=list)  # [EndToEndSpec]
@@ -91,8 +87,6 @@ class RunConfig:
             "seed": self.seed,
             "suite": {"functionals": self.functionals, "operators": self.operators},
         }
-        if self.probe is not None:
-            obj["probe"] = {"points": self.probe[0], "stages": self.probe[1]}
         checks: dict = {}
         if self.capture_checks:
             checks["capture"] = [{"e": e, "side": side} for e, side in self.capture_checks]
@@ -181,18 +175,18 @@ def parse_config(text: str) -> RunConfig:
             compile_functional(spec, seed)
         except SpecError as err:
             raise ConfigError(f"config.suite.functionals[{i}]: {err}") from None
+        except SuiteValidationError as err:
+            raise SuiteValidationError(f"config.suite.functionals[{i}]: {err}") from None
     for i, spec in enumerate(operators):
         try:
             compile_operator(spec, 4)  # shape check only; real bound set at build
         except SpecError as err:
             raise ConfigError(f"config.suite.operators[{i}]: {err}") from None
 
-    probe = None
-    if "probe" in raw:
+    if "probe" in raw:  # accepted and ignored: stability holds by construction
         _expect_fields(raw["probe"], "config.probe", {"points", "stages"}, set())
         if not _is_nat(raw["probe"]["points"]) or not _is_nat(raw["probe"]["stages"]):
             raise ConfigError("config.probe: points and stages must be naturals")
-        probe = (raw["probe"]["points"], raw["probe"]["stages"])
 
     capture_checks: list = []
     preservation_checks: list = []
@@ -237,7 +231,6 @@ def parse_config(text: str) -> RunConfig:
         seed=seed,
         functionals=functionals,
         operators=operators,
-        probe=probe,
         capture_checks=capture_checks,
         preservation_checks=preservation_checks,
         end_to_end_checks=end_to_end_checks,
@@ -253,17 +246,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def build_suites(config: RunConfig) -> tuple[FunctionalSuite, OperatorSuite]:
-    probe = (
-        ProbeGrid(points=config.probe[0], stages=config.probe[1])
-        if config.probe is not None
-        else default_probe(config.horizon)
-    )
     return build_suite(
-        config.functionals,
-        config.operators,
-        config.horizon,
-        probe=probe,
-        default_seed=config.seed,
+        config.functionals, config.operators, config.horizon, default_seed=config.seed
     )
 
 
@@ -324,8 +308,22 @@ def trace_lines(trace: Trace) -> list[str]:
     return lines
 
 
+@contextmanager
+def _atomic_writer(path: str | Path):
+    """Text file handle whose content replaces `path` only on success."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text("\n".join(trace_lines(trace)) + "\n", encoding="utf-8")
+    with _atomic_writer(path) as fh:
+        fh.write("\n".join(trace_lines(trace)) + "\n")
 
 
 def _decode_action(raw, where: str) -> Action | None:
@@ -449,7 +447,7 @@ KNOWN_CHECKS = ("structural", "oracle", "capture", "preservation", "end_to_end")
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     fsuite, _ = build_suites(config)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_writer(args.out) as fh:
         trace = engine.run(
             fsuite,
             config.horizon,
@@ -460,13 +458,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _load_matching(args) -> tuple[RunConfig, Trace]:
+    """The config and the trace, which must share one horizon."""
     config = load_config(args.config)
     trace = read_trace(args.trace)
     if trace.summary.horizon != config.horizon:
         raise ConfigError(
             f"trace horizon {trace.summary.horizon} does not match config horizon {config.horizon}"
         )
+    return config, trace
+
+
+def _cmd_verify(args) -> int:
+    config, trace = _load_matching(args)
     fsuite, osuite = build_suites(config)
     if args.checks is None:
         selected = {"structural", "oracle"}
@@ -483,8 +487,9 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"unknown check '{sorted(unknown)[0]}'")
         selected.add("structural")
 
+    rep = analysis.replay(trace)
     results: list[CheckResult] = []
-    structural = check_structural(trace, fsuite)
+    structural = check_structural(trace, fsuite, rep)
     results.extend(
         CheckResult(f"structural:{c.name}", c.verdict, c.detail) for c in structural.checks
     )
@@ -498,7 +503,7 @@ def _cmd_verify(args) -> int:
         if not config.capture_checks:
             raise ConfigError("capture selected but config.checks.capture is empty")
         for e, side in config.capture_checks:
-            sub = check_capture(trace, fsuite, e, side, config.horizon)
+            sub = check_capture(trace, fsuite, e, side, config.horizon, rep)
             results.extend(
                 CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
                 for c in sub.checks
@@ -507,7 +512,7 @@ def _cmd_verify(args) -> int:
         if not config.preservation_checks:
             raise ConfigError("preservation selected but config.checks.preservation is empty")
         for e0, e1 in config.preservation_checks:
-            sub = check_preservation(trace, osuite, e0, e1, config.horizon)
+            sub = check_preservation(trace, osuite, e0, e1, config.horizon, rep)
             results.extend(
                 CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
                 for c in sub.checks
@@ -525,6 +530,7 @@ def _cmd_verify(args) -> int:
                 spec.bound,
                 spec.target_bits(),
                 spec.threshold,
+                rep,
             )
             results.extend(
                 CheckResult(
@@ -539,15 +545,17 @@ def _cmd_verify(args) -> int:
     )
     text = serialize_report(report)
     if args.report is not None:
-        Path(args.report).write_text(text, encoding="utf-8")
+        with _atomic_writer(args.report) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1
 
 
 def _cmd_psi(args) -> int:
-    config = load_config(args.config)
-    trace = read_trace(args.trace)
+    if args.bound < 1:
+        raise ConfigError(f"--bound must be >= 1, got {args.bound}")
+    config, trace = _load_matching(args)
     _, osuite = build_suites(config)
     table = synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)
     for n, k, s in table.rows():

@@ -1,14 +1,15 @@
 """Stage-by-stage finite-injury construction of the two membership sets.
 
 At stage s the engine scans requirement pairs (e, side) in priority order
-(position 2e + side, positions below s only) and lets the least eligible
-pair act.  A pair is eligible when its valuation class meets the candidate
-functional's stage-s domain nowhere inside the pair's current side, and the
-class contains a witness, converged by stage s, exceeding every stronger
-pair's restraint.  Acting inserts the least such witness into the pair's
-side, removes every weaker insertion from the opposite side, and raises the
-pair's restraint to s.  One action per stage, exactly; a stage with no
-eligible pair records an empty event.
+(position 2e + side, positions below s and below 2 * (max index + 1) only)
+and lets the least eligible pair act.  A pair is eligible when its
+valuation class meets the candidate functional's stage-s domain nowhere
+inside the pair's current side, and the class contains a witness,
+converged by stage s, exceeding every stronger pair's restraint.  Acting
+inserts the least such witness into the pair's side, removes every weaker
+insertion from the opposite side, and raises the pair's restraint to s.
+One action per stage, exactly; a stage with no eligible pair records an
+empty event.
 
 Membership indexing convention: the state entering stage s reflects all
 actions of stages < s; a snapshot taken at stage s shows the state after
@@ -22,9 +23,10 @@ only.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
-from .arith import class_members
+from .arith import class_index
 from .graphs import CofiniteOnes
 from .suites import FunctionalSuite
 
@@ -129,12 +131,23 @@ class SideState:
 
 
 class ConstructionState:
-    """Stage counter, both sides, and the restraint table."""
+    """Stage counter, both sides, the restraint table, and the witness index.
 
-    def __init__(self) -> None:
+    The index files each point under its class once it has converged, in
+    ascending order.  A point is settled once, at stage n + 1, with the
+    horizon as the limit; without a known horizon (stepping by hand) the
+    limit is twice the stage, and a point still unsettled there is settled
+    again once the run passes it.
+    """
+
+    def __init__(self, horizon: int | None = None) -> None:
         self.stage = 0
         self.sides = (SideState(), SideState())
         self.restraints: dict[int, int] = {}
+        self.horizon = horizon
+        self.settled: dict[int, list[int]] = {}  # class e -> converged points
+        self.arrivals: dict[int, list[tuple[int, int]]] = {}  # settle stage -> (e, n)
+        self.unsettled: dict[int, list[tuple[int, int]]] = {}  # stage to settle again -> (e, n)
 
     def restraint(self, position: int) -> int:
         return self.restraints.get(position, 0)
@@ -145,25 +158,44 @@ def current_description(state: ConstructionState, side: int) -> CofiniteOnes:
     return CofiniteOnes.of(state.sides[side].current)
 
 
-def _find_actor(
-    state: ConstructionState, suite: FunctionalSuite, mutation: str | None
-) -> tuple[int, int, int, int] | None:
-    """Least eligible (position, e, side, witness) at the current stage."""
+def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> None:
+    """File every point that converges at the current stage under its class."""
     s = state.stage
+    todo = state.unsettled.pop(s, [])
+    n = s - 1  # the newest point: it can first converge now
+    if n > 0 and class_index(n) < classes:
+        todo.append((class_index(n), n))
+    limit = 2 * s if state.horizon is None else state.horizon
+    for e, n in todo:
+        hit = suite.settle(e, n, limit)
+        if hit is not None:
+            state.arrivals.setdefault(hit[1], []).append((e, n))
+        elif state.horizon is None:
+            state.unsettled.setdefault(limit + 1, []).append((e, n))
+    for e, n in state.arrivals.pop(s, ()):
+        insort(state.settled.setdefault(e, []), n)
+
+
+def _find_actor(
+    state: ConstructionState, classes: int, use_restraints: bool
+) -> tuple[int, int, int, int] | None:
+    """Least eligible (position, e, side, witness) at the current stage.
+
+    Positions of absent functionals never act.  A class is held when the
+    side holds any member of it: only its own pair inserts into it, always
+    a converged witness, and convergence is stable.
+    """
     strongest = 0  # running max of restraints over positions already scanned
-    for position in range(s):
+    for position in range(min(state.stage, 2 * classes)):
         e, side = divmod(position, 2)
-        bound = 0 if mutation == "skip_restraints" else strongest
+        bound = strongest if use_restraints else 0
         strongest = max(strongest, state.restraint(position))
-        # the class already holds a member inside the candidate's domain
-        held = state.sides[side].by_class.get(e, ())
-        if any(suite.query(e, m, s) is not None for m in held):
+        if state.sides[side].by_class.get(e):
             continue
-        for n in class_members(e, s):
-            if n <= bound:
-                continue
-            if suite.query(e, n, s) is not None:
-                return position, e, side, n
+        points = state.settled.get(e, ())
+        i = bisect_right(points, bound)
+        if i < len(points):
+            return position, e, side, points[i]
     return None
 
 
@@ -177,7 +209,9 @@ def step(
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation '{mutation}'")
     s = state.stage
-    actor = _find_actor(state, suite, mutation)
+    classes = max(suite.indices(), default=-1) + 1
+    _admit(state, suite, classes)
+    actor = _find_actor(state, classes, mutation != "skip_restraints")
     action = None
     removals: list[Removal] = []
     if actor is not None:
@@ -216,7 +250,7 @@ def run(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    state = ConstructionState()
+    state = ConstructionState(horizon)
     events = []
     for s in range(horizon):
         snap = snapshot_every > 0 and s % snapshot_every == 0

@@ -2,12 +2,14 @@
 
 Functional entries answer stage-bounded queries query(n, s) -> bit or None
 under two hard conventions: nothing converges unless n < s, and convergence
-is stable (once converged, the same bit at every later stage).  Entries are
-written in a small synthetic description language (tagged records, parsed
-from config files) or as register-machine programs run with a step budget
-equal to the stage.  build_suite compiles a whole family and validates the
-conventions on a probe grid; operators are additionally checked for the
-use-within-stage bound.  Absent indices behave as everywhere divergent.
+is stable (once converged, the same bit at every later stage).  Each entry
+gives the first stage at which a point converges (its settle stage) in
+closed form, and queries are derived from it, so both conventions hold by
+construction.  Entries are written in a small synthetic description
+language (tagged records, parsed from config files) or as register-machine
+programs run with a step budget equal to the stage.  build_suite compiles a
+whole family; operators are checked for the use-within-stage bound.  Absent
+indices behave as everywhere divergent.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class SpecError(ValueError):
 
 
 class SuiteValidationError(ValueError):
-    """A compiled entry violates a suite convention on the probe grid."""
+    """An entry violates a suite convention."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +118,15 @@ def _is_bit(x) -> bool:
 
 
 class StagedFunctional:
-    """Base: gates every query on n < s, then asks the kind for the bit."""
+    """Base: a kind's closed form for the first stage at which n converges.
 
-    def query(self, n: int, s: int) -> int | None:
-        if n < 0 or s < 0:
-            raise ValueError(f"query arguments must be naturals, got ({n}, {s})")
-        if n >= s:
-            return None
-        return self._bit_at(n, s)
+    settle(n, limit) returns (bit, stage) under the kind's own rule, or None
+    when n never converges.  Only machines read the limit: they run for at
+    most `limit` steps, so their None means "not by stage limit".  The stage
+    bound n < s is added by FunctionalSuite.settle, in one place.
+    """
 
-    def _bit_at(self, n: int, s: int) -> int | None:
+    def settle(self, n: int, limit: int) -> tuple[int, int] | None:
         raise NotImplementedError
 
 
@@ -133,8 +134,8 @@ class TotalConst(StagedFunctional):
     def __init__(self, value: int):
         self.value = value
 
-    def _bit_at(self, n, s):
-        return self.value
+    def settle(self, n, limit):
+        return self.value, 0
 
 
 class TotalFn(StagedFunctional):
@@ -148,12 +149,10 @@ class TotalFn(StagedFunctional):
         self.table = table
         self.fill = fill
 
-    def _bit_at(self, n, s):
-        if n < len(self.table):
-            return self.table[n]
-        if self.fill == "cycle":
-            return self.table[n % len(self.table)]
-        return 0 if self.fill == "zero" else 1
+    def settle(self, n, limit):
+        if n < len(self.table) or self.fill == "cycle":
+            return self.table[n % len(self.table)], 0
+        return (0 if self.fill == "zero" else 1), 0
 
 
 class UndefinedOnClass(StagedFunctional):
@@ -163,8 +162,8 @@ class UndefinedOnClass(StagedFunctional):
         self.e = e
         self.value = value
 
-    def _bit_at(self, n, s):
-        return None if class_index(n) == self.e else self.value
+    def settle(self, n, limit):
+        return None if class_index(n) == self.e else (self.value, 0)
 
 
 class Delayed(StagedFunctional):
@@ -175,10 +174,9 @@ class Delayed(StagedFunctional):
         self.a = a
         self.b = b
 
-    def _bit_at(self, n, s):
-        if s <= self.a * n + self.b:
-            return None
-        return self.inner.query(n, s)
+    def settle(self, n, limit):
+        hit = self.inner.settle(n, limit)
+        return None if hit is None else (hit[0], max(self.a * n + self.b + 1, hit[1]))
 
 
 class RandomPartial(StagedFunctional):
@@ -192,26 +190,17 @@ class RandomPartial(StagedFunctional):
         self.density = density
         self.rule = rule
         self.seed = seed
-        self._cache: dict[int, int | None] = {}
 
-    def _bit_at(self, n, s):
-        if n not in self._cache:
-            rng = random.Random(f"rp:{self.seed}:{n}")
-            if rng.random() >= self.density:
-                self._cache[n] = None
-            elif self.rule == "zero":
-                self._cache[n] = 0
-            elif self.rule == "one":
-                self._cache[n] = 1
-            elif self.rule == "parity":
-                self._cache[n] = n & 1
-            else:
-                self._cache[n] = rng.getrandbits(1)
-        return self._cache[n]
+    def settle(self, n, limit):
+        rng = random.Random(f"rp:{self.seed}:{n}")
+        if rng.random() >= self.density:
+            return None
+        bit = {"zero": 0, "one": 1, "parity": n & 1}.get(self.rule)
+        return (rng.getrandbits(1) if bit is None else bit), 0
 
 
 class EmptyFunctional(StagedFunctional):
-    def _bit_at(self, n, s):
+    def settle(self, n, limit):
         return None
 
 
@@ -221,46 +210,20 @@ class TablePartial(StagedFunctional):
     def __init__(self, entries: dict[int, tuple[int, int]]):
         self.entries = dict(entries)
 
-    def _bit_at(self, n, s):
-        hit = self.entries.get(n)
-        if hit is None:
-            return None
-        bit, visible_from = hit
-        return bit if s >= visible_from else None
-
-
-class UnstableProbe(StagedFunctional):
-    """Converges at exactly one stage, then withdraws.
-
-    Deliberately violates stability; exists so the build validation has a
-    concrete offender to flag.
-    """
-
-    def __init__(self, point: int, at_stage: int, value: int = 0):
-        self.point = point
-        self.at_stage = at_stage
-        self.value = value
-
-    def _bit_at(self, n, s):
-        return self.value if n == self.point and s == self.at_stage else None
+    def settle(self, n, limit):
+        return self.entries.get(n)
 
 
 class MachineFunctional(StagedFunctional):
-    """Runs a register machine with step budget s; output bit is r0 mod 2."""
+    """Register machine with step budget s: n converges once the machine
+    halts on it, at the stage equal to its step count; the bit is r0 mod 2."""
 
     def __init__(self, program: tuple[Instruction, ...]):
         self.program = program
-        self._cache: dict[int, tuple[int, int | None, int]] = {}
 
-    def _bit_at(self, n, s):
-        tried, halt_steps, out = self._cache.get(n, (-1, None, 0))
-        if halt_steps is None and s > tried:
-            halted, steps, out = run_machine(self.program, n, s)
-            halt_steps = steps if halted else None
-            self._cache[n] = (s, halt_steps, out)
-        if halt_steps is not None and halt_steps <= s:
-            return out
-        return None
+    def settle(self, n, limit):
+        halted, steps, out = run_machine(self.program, n, limit)
+        return (out, steps) if halted else None
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +310,13 @@ def compile_functional(spec, default_seed: int = 0) -> StagedFunctional:
     if kind == "unstable_probe":
         if not _is_nat(spec.get("point")) or not _is_nat(spec.get("stage")):
             raise SpecError("unstable_probe needs point and stage")
-        value = spec.get("value", 0)
-        if not _is_bit(value):
+        if not _is_bit(spec.get("value", 0)):
             raise SpecError("unstable_probe value must be a bit")
-        return UnstableProbe(spec["point"], spec["stage"], value)
+        # converges at one stage only, so no settle stage exists: never stable
+        raise SuiteValidationError(
+            f"monotone-stability violated: point {spec['point']} converges "
+            f"at stage {spec['stage']} only"
+        )
     # machine
     return MachineFunctional(parse_program(spec.get("program")))
 
@@ -443,19 +409,43 @@ def compile_operator(spec, stage_bound: int) -> EnumOperator:
 
 
 class FunctionalSuite:
-    """Indexed family of staged functionals; absent indices diverge."""
+    """Indexed family of staged functionals; absent indices diverge.
 
-    def __init__(self, entries: dict[int, StagedFunctional]):
+    settle is the one primitive and query is derived from it, so the stage
+    bound (nothing converges unless n < s) and stability (once converged,
+    the same bit at every later stage) hold by construction.  Settles are
+    cached per (e, n); horizon is the least limit query settles with.
+    """
+
+    def __init__(self, entries: dict[int, StagedFunctional], horizon: int = 0):
         for e in entries:
             if not _is_nat(e):
                 raise ValueError(f"functional index must be a natural, got {e}")
         self._entries = dict(entries)
+        self.horizon = horizon
+        # (e, n) -> (bit, stage), or (None, limit) when unsettled by that limit
+        self._settled: dict[tuple[int, int], tuple] = {}
 
-    def query(self, e: int | None, n: int, s: int) -> int | None:
-        if e is None:
-            return None
-        fn = self._entries.get(e)
-        return None if fn is None else fn.query(n, s)
+    def settle(self, e: int, n: int, limit: int) -> tuple[int, int] | None:
+        """(bit, stage) for the first stage at which entry e converges on n,
+        or None when that stage does not come by the limit."""
+        got = self._settled.get((e, n))
+        if got is None or got[0] is None and got[1] < limit:
+            fn = self._entries.get(e)
+            hit = None if fn is None else fn.settle(n, limit)
+            got = (None, limit) if hit is None else (hit[0], max(hit[1], n + 1))
+            self._settled[e, n] = got
+        return got if got[0] is not None and got[1] <= limit else None
+
+    def query(self, e: int, n: int, s: int) -> int | None:
+        """Entry e's bit on n from its settle stage on; None before it."""
+        if n < 0 or s < 0:
+            raise ValueError(f"query arguments must be naturals, got ({n}, {s})")
+        got = self._settled.get((e, n))
+        if got is None or got[0] is None and got[1] < s:
+            self.settle(e, n, max(s, self.horizon))
+            got = self._settled[e, n]
+        return got[0] if got[1] <= s else None
 
     def domain(self, e: int, s: int) -> list[int]:
         """All n < s on which entry e has converged by stage s."""
@@ -481,61 +471,23 @@ class OperatorSuite:
         return sorted(self._entries)
 
 
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Validation grid: entry indices are taken from the suite itself."""
-
-    points: int
-    stages: int
-
-
-def default_probe(horizon: int) -> ProbeGrid:
-    return ProbeGrid(points=32, stages=max(4, min(horizon, 64)))
-
-
-def validate_functionals(suite: FunctionalSuite, probe: ProbeGrid) -> None:
-    """Sweep the probe grid asserting stage-bound and monotone stability."""
-    for e in suite.indices():
-        for n in range(probe.points):
-            settled: int | None = None
-            settled_at = 0
-            for s in range(probe.stages + 1):
-                got = suite.query(e, n, s)
-                if got is not None and n >= s:
-                    raise SuiteValidationError(
-                        f"stage bound violated: entry {e} converged on {n} at stage {s}"
-                    )
-                if settled is None:
-                    if got is not None:
-                        settled, settled_at = got, s
-                elif got != settled:
-                    raise SuiteValidationError(
-                        "monotone-stability violated: entry "
-                        f"{e} point {n} was {settled} at stage {settled_at} "
-                        f"but {got} at stage {s}"
-                    )
-
-
 def build_suite(
     functional_specs: list,
     operator_specs: list,
     horizon: int,
-    probe: ProbeGrid | None = None,
     default_seed: int = 0,
 ) -> tuple[FunctionalSuite, OperatorSuite]:
-    """Compile and validate a whole family from tagged records."""
-    probe = probe or default_probe(horizon)
+    """Compile a whole family from tagged records."""
     functionals: dict[int, StagedFunctional] = {}
     for e, spec in enumerate(functional_specs):
         try:
             functionals[e] = compile_functional(spec, default_seed)
-        except SpecError as err:
-            raise SpecError(f"functionals[{e}]: {err}") from None
-    stage_bound = max(horizon, probe.stages)
+        except (SpecError, SuiteValidationError) as err:
+            raise type(err)(f"functionals[{e}]: {err}") from None
     ops: dict[int, EnumOperator] = {}
     for e, spec in enumerate(operator_specs):
         try:
-            op = compile_operator(spec, stage_bound)
+            op = compile_operator(spec, horizon)
         except SpecError as err:
             raise SpecError(f"operators[{e}]: {err}") from None
         try:
@@ -543,6 +495,4 @@ def build_suite(
         except OperatorValidationError as err:
             raise SuiteValidationError(f"operators[{e}]: {err}") from None
         ops[e] = op
-    fsuite = FunctionalSuite(functionals)
-    validate_functionals(fsuite, probe)
-    return fsuite, OperatorSuite(ops)
+    return FunctionalSuite(functionals, horizon), OperatorSuite(ops)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from config_gen import SCENARIO_CONFIG, random_config
+from minpair import engine
 from minpair.analysis import TraceFormatError
 from minpair.cli import (
     ConfigError,
@@ -86,6 +87,13 @@ def test_parse_checks_sections():
         parse_config(json.dumps({**raw, "checks": {"capture": [{"e": 1}]}}))
 
 
+def test_probe_field_is_accepted_and_ignored():
+    with_probe = dict(SCENARIO_CONFIG, probe={"points": 8, "stages": 6})
+    assert parse_config(json.dumps(with_probe)) == parse_config(json.dumps(SCENARIO_CONFIG))
+    with pytest.raises(ConfigError):
+        parse_config(json.dumps(dict(SCENARIO_CONFIG, probe={"points": -1, "stages": 6})))
+
+
 def test_config_round_trip():
     for raw in [SCENARIO_CONFIG, random_config(7)]:
         cfg = parse_config(json.dumps(raw))
@@ -164,6 +172,25 @@ def test_run_unwritable_output_exits_2(scenario_config_path, capsys):
     rc = main(["run", "--config", scenario_config_path, "--out", "/nonexistent/dir/x.trace"])
     assert rc == 2
     assert "minpair:" in capsys.readouterr().err
+
+
+def test_interrupted_run_leaves_no_trace(tmp_path, scenario_config_path, monkeypatch):
+    real_run = engine.run
+
+    def interrupted_run(suite, horizon, snapshot_every=0, mutation=None, on_event=None):
+        def write_then_fail(ev):
+            on_event(ev)
+            if ev.stage == 2:
+                raise RuntimeError("interrupted")
+
+        return real_run(suite, horizon, snapshot_every, mutation, write_then_fail)
+
+    monkeypatch.setattr(engine, "run", interrupted_run)
+    out = tmp_path / "out.trace"
+    with pytest.raises(RuntimeError):
+        main(["run", "--config", scenario_config_path, "--out", str(out)])
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 def test_run_invalid_config_exits_2(tmp_path, capsys):
@@ -339,3 +366,28 @@ def test_psi_prints_joint_rows(tmp_path, capsys):
         {"k": 0, "n": 4, "stage": 8},
         {"k": 1, "n": 5, "stage": 8},
     ]
+
+
+def psi_argv(trace, config, bound="6"):
+    return ["psi", "--trace", str(trace), "--config", config, "--e0", "0", "--e1", "1", "--bound", bound]
+
+
+def test_psi_horizon_mismatch_exits_2(tmp_path, capsys):
+    out = tmp_path / "parity.trace"
+    assert main(["run", "--config", "configs/parity_demo.json", "--out", str(out)]) == 0
+    with open("configs/parity_demo.json", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    longer = write_config(tmp_path / "longer.json", dict(raw, horizon=raw["horizon"] + 5))
+    capsys.readouterr()
+    assert main(psi_argv(out, longer)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "horizon" in captured.err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_psi_bound_below_one_exits_2(tmp_path, capsys, bound):
+    out = tmp_path / "parity.trace"
+    assert main(["run", "--config", "configs/parity_demo.json", "--out", str(out)]) == 0
+    assert main(psi_argv(out, "configs/parity_demo.json", bound)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bound" in captured.err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from conftest import make_suites
@@ -180,3 +182,33 @@ def test_trace_is_plain_data():
         assert ev.stage >= 0
         if ev.action is None:
             assert ev.removals == ()
+
+
+def test_run_settles_each_point_at_most_once():
+    from config_gen import random_config
+
+    raw = random_config(2, horizon=4000)  # machine, random_partial, delayed, ...
+    fsuite, _ = make_suites(raw)
+    calls = Counter()
+    settle = fsuite.settle
+
+    def counting_settle(e, n, limit):
+        calls[e, n] += 1
+        return settle(e, n, limit)
+
+    fsuite.settle = counting_settle
+    trace = run(fsuite, 4000)
+    assert any(ev.action for ev in trace.events)
+    assert len(calls) <= 4000 and max(calls.values()) == 1
+
+
+def test_stepping_without_a_horizon_matches_run():
+    from config_gen import random_config
+
+    for seed in (0, 2, 4, 5):  # each has a machine functional
+        raw = random_config(seed, horizon=300)
+        fsuite, _ = make_suites(raw)
+        state = ConstructionState()
+        stepped = [step(state, fsuite) for _ in range(300)]
+        fsuite, _ = make_suites(raw)
+        assert stepped == run(fsuite, 300).events

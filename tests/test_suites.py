@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from config_gen import random_functional
+from minpair.cli import parse_config
 from minpair.operators import Axiom
 from minpair.suites import (
     FunctionalSuite,
-    ProbeGrid,
     RandomPartial,
     SpecError,
     SuiteValidationError,
@@ -30,8 +34,8 @@ ACCEPT_CODE_2 = [
 ]
 
 
-def suite_of(*specs, horizon=20, probe=None):
-    fsuite, _ = build_suite(list(specs), [], horizon, probe=probe)
+def suite_of(*specs, horizon=20):
+    fsuite, _ = build_suite(list(specs), [], horizon)
     return fsuite
 
 
@@ -122,13 +126,16 @@ def test_validation_flags_unstable_functional():
     assert "point 3" in str(err.value)
 
 
-def test_validation_respects_probe_grid():
-    # the offending stage sits outside the probe, so the sweep cannot see it
-    fsuite = suite_of(
-        {"kind": "unstable_probe", "point": 3, "stage": 10},
-        probe=ProbeGrid(points=8, stages=6),
-    )
-    assert fsuite.query(0, 3, 10) == 0
+def test_unstable_probe_rejected_whatever_the_probe():
+    # the offending stage lies outside this probe grid, which has no effect
+    raw = {
+        "horizon": 20,
+        "probe": {"points": 8, "stages": 6},
+        "suite": {"functionals": [{"kind": "unstable_probe", "point": 3, "stage": 10}]},
+    }
+    with pytest.raises(SuiteValidationError) as err:
+        parse_config(json.dumps(raw))
+    assert "monotone-stability" in str(err.value) and "point 3" in str(err.value)
 
 
 def test_unknown_kind_rejected():
@@ -149,7 +156,7 @@ def test_random_partial_density_close_to_target():
     for target in (0.3, 0.7):
         for seed in range(10):
             fn = RandomPartial(target, "one", seed)
-            realized = sum(1 for n in range(10_000) if fn.query(n, 10_001) is not None)
+            realized = sum(1 for n in range(10_000) if fn.settle(n, 10_001) is not None)
             assert abs(realized / 10_000 - target) < 0.02
 
 
@@ -176,7 +183,7 @@ def test_stability_sweep_on_random_suites():
 
     for seed in (0, 1, 2):
         raw = random_config(seed, horizon=60)["suite"]["functionals"]
-        fsuite, _ = build_suite(raw, [], 60, probe=ProbeGrid(points=40, stages=60), default_seed=seed)
+        fsuite, _ = build_suite(raw, [], 60, default_seed=seed)
         for e in fsuite.indices():
             for n in range(40):
                 settled = None
@@ -191,3 +198,20 @@ def test_stability_sweep_on_random_suites():
 def test_functional_suite_rejects_bad_indices():
     with pytest.raises(ValueError):
         FunctionalSuite({-1: None})  # type: ignore[dict-item]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), horizon=st.integers(0, 120))
+def test_query_is_derived_from_settle(seed, horizon):
+    spec = random_functional(random.Random(seed))
+    fsuite, _ = build_suite([spec], [], horizon)
+    # horizon 0: each query settles with its own stage as the limit
+    stepwise, _ = build_suite([spec], [], 0)
+    for n in range(40):
+        hit = fsuite.settle(0, n, horizon)
+        stage = horizon + 1 if hit is None else hit[1]
+        assert hit is None or n + 1 <= stage <= horizon
+        for s in range(horizon + 1):
+            want = None if s < stage else hit[0]
+            assert fsuite.query(0, n, s) == want
+            assert stepwise.query(0, n, s) == want
