@@ -6,10 +6,11 @@ invariants the construction promises (class bounds, single entry, witness
 and removal discipline, the opposite-side preservation lemma, quiescent
 finite action), the capture and preservation checks confirm the two
 behavioural guarantees at a finite horizon, and the joint table and
-diagonal set are computed exactly as the run defines them.  reference_run
-is a deliberately naive re-transcription of the stage rule that recomputes
-every set from scratch at every stage; it exists purely to cross-validate
-the engine trace for trace.
+diagonal set are computed exactly as the run defines them, evaluating each
+side's enumerated set only where it can change.  reference_run is a
+deliberately naive, quadratic re-transcription of the stage rule that
+recomputes memberships and restraints from the event history at every
+stage; it exists purely to cross-validate the engine trace for trace.
 
 Indexing convention, shared with the engine: memberships entering stage s
 reflect all actions of stages < s; entering[horizon] is the final state.
@@ -21,6 +22,7 @@ and its restraint then shields the restored premise.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -65,9 +67,6 @@ class ReplayedRun:
     restraints_entering: list[dict[int, int]]
     insert_counts: dict[tuple[int, int], int]
     facts: list[EventFacts]
-
-    def members(self, stage: int, side: int) -> frozenset[int]:
-        return self.entering[stage][side]
 
     def final(self) -> tuple[frozenset[int], frozenset[int]]:
         return self.entering[self.horizon]
@@ -434,19 +433,49 @@ def check_capture(
 # preservation check (a jointly enumerated output survives on one side)
 
 
-def _side_graphs(rep: ReplayedRun) -> tuple[list[CofiniteOnes], list[CofiniteOnes]]:
-    g0 = [CofiniteOnes.of(rep.entering[s][0]) for s in range(rep.horizon + 1)]
-    g1 = [CofiniteOnes.of(rep.entering[s][1]) for s in range(rep.horizon + 1)]
-    return g0, g1
+Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
 
 
-def _joint_by_stage(
-    rep: ReplayedRun, w0: EnumOperator, w1: EnumOperator, horizon: int
-) -> list[frozenset[int]]:
-    g0, g1 = _side_graphs(rep)
-    return [
-        evaluate(w0, g0[s], s) & evaluate(w1, g1[s], s) for s in range(horizon + 1)
-    ]
+def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
+    """Each change point up to the horizon, stage 0 first, with the set
+    evaluate(op, the side's description graph, stage) from it on.
+
+    The set can only change where the side's membership changes or one of
+    op's axioms becomes visible, so evaluate runs only there and at stage 0.
+    """
+    visible = {stage for stage, _ in op.staged_axioms}
+    changes = []
+    for s in range(horizon + 1):
+        now = rep.entering[s][side]
+        if s == 0 or s in visible or now != rep.entering[s - 1][side]:
+            changes.append((s, evaluate(op, CofiniteOnes.of(now), s)))
+    return changes
+
+
+def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | None:
+    """First stage in [start, horizon] whose enumerated set lacks x, or None."""
+    if start > horizon:
+        return None
+    i = bisect_right(changes, start, key=lambda change: change[0]) - 1
+    return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
+
+
+def _joint_changes(
+    rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
+) -> tuple[tuple[Changes, Changes], Changes]:
+    """Both sides' enumerations, and the jointly enumerated set at each
+    change point of either."""
+    sides = (
+        enumeration(rep, operators.get(e0), 0, horizon),
+        enumeration(rep, operators.get(e1), 1, horizon),
+    )
+    by_stage = [dict(changes) for changes in sides]
+    now: list[frozenset[int]] = [frozenset(), frozenset()]
+    joint: Changes = []
+    for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
+        now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
+        joint.append((s, now[0] & now[1]))
+    return sides, joint
 
 
 def check_preservation(
@@ -467,30 +496,23 @@ def check_preservation(
     rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    w0, w1 = operators.get(e0), operators.get(e1)
-    g0, g1 = _side_graphs(rep)
-    joint = [evaluate(w0, g0[s], s) & evaluate(w1, g1[s], s) for s in range(horizon + 1)]
+    sides, joint = _joint_changes(rep, operators, e0, e1, horizon)
     found: dict[int, int] = {}
-    for s in range(horizon + 1):
-        for x in joint[s]:
+    for s, outputs in joint:
+        for x in outputs:
             found.setdefault(x, s)
-    action_stages = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
+    actions = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
+    # protector[i]: the least (position, stage) among the actions from the i-th on
+    protector = [None]
+    for u, q in reversed(actions):
+        protector.append(min((q, u), protector[-1] or (q, u)))
+    protector.reverse()
     for x in sorted(found):
         s = found[x]
-        acting = [(q, u) for u, q in action_stages if u >= s]
-        if acting:
-            q_min = min(q for q, _ in acting)
-            t_protect = min(u for q, u in acting if q == q_min)
-            start = t_protect + 1
-        else:
-            start = s
-        first_bad: list[int | None] = [None, None]
-        for j, (w, g) in enumerate(((w0, g0), (w1, g1))):
-            for u in range(start, horizon + 1):
-                if x not in evaluate(w, g[u], u):
-                    first_bad[j] = u
-                    break
-        if first_bad[0] is not None and first_bad[1] is not None:
+        protect = protector[bisect_left(actions, s, key=lambda action: action[0])]
+        start = s if protect is None else protect[1] + 1
+        first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
+        if None not in first_bad:
             return _report(
                 [
                     CheckResult.of(
@@ -498,7 +520,7 @@ def check_preservation(
                         "fail",
                         output=x,
                         found_at=s,
-                        violated_at=max(first_bad[0], first_bad[1]),
+                        violated_at=max(first_bad),
                         window_start=start,
                     )
                 ],
@@ -546,11 +568,11 @@ def synthesize_joint(
     rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    joint = _joint_by_stage(rep, operators.get(e0), operators.get(e1), horizon)
+    _, joint = _joint_changes(rep, operators, e0, e1, horizon)
     entries: dict[int, tuple[int, int]] = {}
-    for s in range(horizon + 1):
+    for s, outputs in joint:
         best_here: dict[int, int] = {}
-        for code in joint[s]:
+        for code in outputs:
             n, k = unpair(code)
             if k <= 1 and (n not in best_here or k < best_here[n]):
                 best_here[n] = k
@@ -670,22 +692,27 @@ def reference_run(
     """Direct, unoptimized transcription of the stage rule.
 
     Recomputes memberships, provenance, and restraints from the event
-    history at every stage instead of carrying state; quadratic and proud
-    of it.  Must produce a trace identical to the engine's.
+    history at every stage instead of carrying state, so it is quadratic in
+    the horizon.  Its only shortcuts: it scans just the positions of present
+    functionals (absent ones diverge, so never act or hold a restraint), and
+    keeps the stronger-restraint bound as a running max over that scan.
+    Must produce a trace identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    positions = [2 * e + side for e in suite.indices() for side in (0, 1)]
     events: list[TraceEvent] = []
     for s in range(horizon):
         sides = (_members_from_events(events, 0), _members_from_events(events, 1))
-        restraint_map: dict[int, int] = {}
-        for ev in events:
-            if ev.action is not None:
-                restraint_map[ev.action.position] = ev.action.restraint
+        restraint_map = {ev.action.position: ev.action.restraint for ev in events if ev.action}
         chosen = None
-        for position in range(s):
+        strongest = 0  # max restraint over the positions scanned so far
+        for position in positions:
+            if position >= s:
+                break
             e, side = divmod(position, 2)
-            bound = max((restraint_map.get(q, 0) for q in range(position)), default=0)
+            bound = strongest
+            strongest = max(strongest, restraint_map.get(position, 0))
             satisfied = False
             for m in sides[side]:
                 if class_index(m) == e and suite.query(e, m, s) is not None:
@@ -719,10 +746,7 @@ def reference_run(
             snapshot = Snapshot(tuple(sorted(post[0])), tuple(sorted(post[1])))
         events.append(TraceEvent(s, action, tuple(removals), snapshot))
     final = (_members_from_events(events, 0), _members_from_events(events, 1))
-    restraint_map = {}
-    for ev in events:
-        if ev.action is not None:
-            restraint_map[ev.action.position] = ev.action.restraint
+    restraint_map = {ev.action.position: ev.action.restraint for ev in events if ev.action}
     summary = TraceSummary(
         schema=TRACE_SCHEMA,
         horizon=horizon,

@@ -3,16 +3,15 @@
 An operator is a finite table of axioms, each a finite premise set of pair
 codes together with an output number, tagged with the stage at which it
 first appears.  Evaluating on a graph at a stage returns every output whose
-premise codes all lie on the graph; the use of an output is the least bound
-strictly above every premise code of some witnessing axiom.  Evaluation is
-monotone both in the stage (axiom tables only grow) and in the oracle
-(larger graphs satisfy more premises).
+premise codes all lie on the graph; the use of an axiom is the least bound
+strictly above every premise code.  Evaluation is monotone both in the
+stage (axiom tables only grow) and in the oracle (larger graphs satisfy
+more premises).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import PartialGraph, contains
 
@@ -66,9 +65,6 @@ class EnumOperator:
         )
         return cls(tuple(canonical))
 
-    def axioms_at(self, stage: int) -> tuple[Axiom, ...]:
-        return tuple(a for s, a in self.staged_axioms if s <= stage)
-
 
 EMPTY_OPERATOR = EnumOperator(())
 
@@ -88,32 +84,11 @@ def validate_use_bound(op: EnumOperator) -> None:
             )
 
 
-@lru_cache(maxsize=4096)
-def _satisfied(op: EnumOperator, graph: PartialGraph, stage: int):
-    return tuple(
-        a for a in op.axioms_at(stage) if all(contains(graph, c) for c in a.premise)
-    )
-
-
 def evaluate(op: EnumOperator, graph: PartialGraph, stage: int) -> frozenset[int]:
     """Outputs of every axiom visible at the stage whose premise lies on the
     graph."""
-    return frozenset(a.output for a in _satisfied(op, graph, stage))
-
-
-def use_of(op: EnumOperator, graph: PartialGraph, stage: int, output: int) -> int | None:
-    """Least use over the satisfied axioms producing the output, or None if
-    the output is not enumerated."""
-    uses = [a.use for a in _satisfied(op, graph, stage) if a.output == output]
-    return min(uses) if uses else None
-
-
-def enumerate_outputs(
-    op: EnumOperator, graph: PartialGraph, stage: int
-) -> tuple[tuple[int, int], ...]:
-    """All (output, use) pairs at the stage, sorted by output."""
-    best: dict[int, int] = {}
-    for a in _satisfied(op, graph, stage):
-        if a.output not in best or a.use < best[a.output]:
-            best[a.output] = a.use
-    return tuple(sorted(best.items()))
+    return frozenset(
+        a.output
+        for s, a in op.staged_axioms
+        if s <= stage and all(contains(graph, c) for c in a.premise)
+    )

@@ -1,27 +1,33 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_suites
-from minpair import engine
+from config_gen import random_config
+from conftest import guarded_operators, make_suites, operators
+from minpair import analysis, engine
 from minpair.analysis import (
     TraceFormatError,
+    _first_without,
     check_capture,
     check_end_to_end,
     check_preservation,
     check_structural,
     derive_diagonal,
+    enumeration,
     reference_run,
     replay,
     synthesize_joint,
 )
-from minpair.arith import pair
+from minpair.arith import pair, unpair
 from minpair.cli import trace_lines
-from minpair.operators import evaluate
+from minpair.operators import Axiom, EnumOperator, evaluate
 from minpair.engine import Action, Removal, Trace, TraceEvent, TraceSummary
 from minpair.graphs import CofiniteOnes, check_description
+from minpair.suites import OperatorSuite
 
 
 def const_suite(value=0, horizon=5):
@@ -315,6 +321,138 @@ def test_preservation_requires_trace_to_reach_horizon(scenario_trace):
         check_preservation(scenario_trace, osuite, 0, 1, 9)
 
 
+# -- change-point evaluation ------------------------------------------------------
+
+
+def per_stage_preservation(trace, w0, w1, horizon):
+    """check_preservation's verdict and detail, evaluating both operators at
+    every stage and rebuilding the acting pairs for every output."""
+    rep = replay(trace)
+
+    def enumerated(w, side, s):
+        return evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s)
+
+    found = {}
+    for s in range(horizon + 1):
+        for x in enumerated(w0, 0, s) & enumerated(w1, 1, s):
+            found.setdefault(x, s)
+    actions = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
+    for x in sorted(found):
+        s = found[x]
+        acting = [(q, u) for u, q in actions if u >= s]
+        start = min(acting)[1] + 1 if acting else s
+        first_bad = [
+            next((u for u in range(start, horizon + 1) if x not in enumerated(w, side, u)), None)
+            for side, w in ((0, w0), (1, w1))
+        ]
+        if None not in first_bad:
+            return "fail", {
+                "output": x,
+                "found_at": s,
+                "violated_at": max(first_bad),
+                "window_start": start,
+            }
+    return "pass", {"outputs": len(found)}
+
+
+def per_stage_joint(trace, w0, w1, horizon):
+    """synthesize_joint's entries, evaluating both operators at every stage."""
+    rep = replay(trace)
+    entries = {}
+    for s in range(horizon + 1):
+        joint = evaluate(w0, CofiniteOnes.of(rep.entering[s][0]), s) & evaluate(
+            w1, CofiniteOnes.of(rep.entering[s][1]), s
+        )
+        for n, k in sorted(unpair(code) for code in joint):
+            if k <= 1:
+                entries.setdefault(n, (k, s))
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 59),
+    st.integers(0, 40),
+    st.sampled_from((None,) + engine.MUTATIONS),
+    st.one_of(operators, guarded_operators),
+    st.one_of(operators, guarded_operators),
+    st.integers(0, 40),
+)
+def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0, w1, cut):
+    fsuite, _ = make_suites(random_config(seed, horizon))
+    trace = engine.run(fsuite, horizon, mutation=mutation)
+    rep = replay(trace)
+    for side, w in ((0, w0), (1, w1)):
+        changes = enumeration(rep, w, side, horizon)
+        sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
+        at_change = dict(changes)
+        assert [s for s, _ in changes] == sorted(at_change) and changes[0][0] == 0
+        rebuilt = []
+        for s in range(horizon + 1):
+            rebuilt.append(at_change.get(s, rebuilt[-1] if rebuilt else None))
+        assert rebuilt == sets
+        for x in set().union(*sets):
+            for start in range(horizon + 2):
+                lacking = (u for u in range(start, horizon + 1) if x not in sets[u])
+                assert _first_without(changes, x, start, horizon) == next(lacking, None)
+    osuite = OperatorSuite({0: w0, 1: w1})
+    for h in (horizon, min(cut, horizon)):
+        check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
+        assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, w0, w1, h)
+        assert synthesize_joint(trace, osuite, 0, 1, h).entries == per_stage_joint(trace, w0, w1, h)
+
+
+def test_preservation_window_opens_after_strongest_later_action():
+    # both operators enumerate 7 while 3 stays out of side 0 and 5 out of side 1
+    osuite = OperatorSuite(
+        {
+            0: EnumOperator.from_staged([(0, Axiom.of([pair(3, 1)], 7))]),
+            1: EnumOperator.from_staged([(0, Axiom.of([pair(5, 1)], 7))]),
+        }
+    )
+    early = empty_events(range(8))
+    early[0] = TraceEvent(0, Action(0, 0, 1, 0), ())  # strongest, at the found stage
+    early[2] = TraceEvent(2, Action(0, 1, 9, 2), ())
+    early[5] = TraceEvent(5, Action(1, 0, 3, 5), ())
+    early[6] = TraceEvent(6, Action(1, 1, 5, 6), ())
+    check = check_preservation(forged(early), osuite, 0, 1, 8).find("preservation")
+    assert check.verdict == "fail"
+    assert dict(check.detail) == {"output": 7, "found_at": 0, "violated_at": 7, "window_start": 1}
+    late = empty_events(range(8))
+    late[2] = TraceEvent(2, Action(1, 0, 3, 2), ())
+    late[3] = TraceEvent(3, Action(1, 1, 5, 3), ())
+    late[5] = TraceEvent(5, Action(0, 1, 9, 5), ())
+    late[7] = TraceEvent(7, Action(0, 0, 1, 7), ())  # strongest, last
+    check = check_preservation(forged(late), osuite, 0, 1, 8).find("preservation")
+    assert dict(check.detail) == {"output": 7, "found_at": 0, "violated_at": 8, "window_start": 8}
+    # cut at stage 7 the window opens past the horizon, so nothing can violate it
+    check = check_preservation(forged(late), osuite, 0, 1, 7).find("preservation")
+    assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})
+
+
+def test_preservation_evaluates_only_at_change_points(monkeypatch):
+    with open("configs/parity_demo.json", encoding="utf-8") as fh:
+        raw = dict(json.load(fh), horizon=800)
+    fsuite, osuite = make_suites(raw)
+    trace = engine.run(fsuite, 800)
+    w0, w1 = osuite.get(0), osuite.get(1)
+    calls = {0: 0, 1: 0}
+    real = analysis.evaluate
+
+    def counting(op, graph, stage):
+        calls[0 if op is w0 else 1] += 1
+        return real(op, graph, stage)
+
+    monkeypatch.setattr(analysis, "evaluate", counting)
+    check = check_preservation(trace, osuite, 0, 1, 800).find("preservation")
+    assert check.verdict == "pass"
+    rep = replay(trace)
+    for side, w in ((0, w0), (1, w1)):
+        changes = {s for s in range(1, 801) if rep.entering[s][side] != rep.entering[s - 1][side]}
+        changes |= {stage for stage, _ in w.staged_axioms if 0 < stage <= 800}
+        assert 1 <= calls[side] <= len(changes) + 1
+
+
 # -- joint table ---------------------------------------------------------------
 
 
@@ -492,3 +630,12 @@ def test_reference_matches_engine_with_snapshots(scenario_suite):
     a = engine.run(scenario_suite, 5, snapshot_every=2)
     b = reference_run(scenario_suite, 5, snapshot_every=2)
     assert trace_lines(a) == trace_lines(b)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reference_matches_engine_at_horizon_800(seed):
+    raw = random_config(seed, 800)
+    fsuite, _ = make_suites(raw)
+    fast = engine.run(fsuite, 800, raw["snapshot_every"])
+    naive = reference_run(fsuite, 800, raw["snapshot_every"])
+    assert trace_lines(fast) == trace_lines(naive)

@@ -9,6 +9,7 @@ from minpair import engine
 from minpair.analysis import TraceFormatError
 from minpair.cli import (
     ConfigError,
+    build_suites,
     main,
     parse_config,
     read_trace,
@@ -337,6 +338,26 @@ def test_verify_injury_config_all_checks(tmp_path):
     assert verdicts["preservation[e0=0,e1=1]"] == "pass"
     assert verdicts["capture[e=0,side=0]"] == "pass"
     assert verdicts["capture[e=1,side=0]"] == "inconclusive"
+
+
+@pytest.mark.parametrize("mutation", engine.MUTATIONS)
+def test_verify_oracle_catches_engine_mutation(tmp_path, mutation):
+    with open("configs/injury.json", encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    fsuite, _ = build_suites(config)
+    honest = engine.run(fsuite, config.horizon, config.snapshot_every)
+    mutated = engine.run(fsuite, config.horizon, config.snapshot_every, mutation=mutation)
+    assert trace_lines(mutated) != trace_lines(honest)
+    path = tmp_path / "mutated.trace"
+    write_trace(mutated, path)
+    report_path = tmp_path / "r.json"
+    rc = main(
+        ["verify", "--trace", str(path), "--config", "configs/injury.json", "--report", str(report_path)]
+    )
+    assert rc == 1
+    report = json.loads(report_path.read_text())
+    verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
+    assert verdicts["oracle_equivalence"] == "fail"
 
 
 def test_psi_prints_joint_rows(tmp_path, capsys):

@@ -3,15 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import operators
 from minpair.arith import pair
-from minpair.graphs import CofiniteOnes, ExplicitGraph, contains, extends
+from minpair.graphs import CofiniteOnes, ExplicitGraph, extends
 from minpair.operators import (
     Axiom,
     EnumOperator,
     OperatorValidationError,
-    enumerate_outputs,
     evaluate,
-    use_of,
     validate_use_bound,
 )
 
@@ -45,27 +44,6 @@ def test_stage_gating():
     assert evaluate(w, CofiniteOnes.of(set()), 5) == {7}
 
 
-def test_use_of_examples():
-    w = op_of((0, Axiom.of([], 4)))
-    assert use_of(w, CofiniteOnes.of(set()), 0, 4) == 0
-    w2 = op_of((12, Axiom.of([pair(3, 1)], 9)))
-    # pair(3,1) = 11 under the Cantor coding, so the least bound is 12
-    assert use_of(w2, CofiniteOnes.of(set()), 12, 9) == 12
-    assert use_of(w2, CofiniteOnes.of(set()), 12, 7) is None
-
-
-def test_use_of_takes_least_witnessing_axiom():
-    w = op_of((0, Axiom.of([], 5)), (0, Axiom.of([pair(0, 1)], 5)))
-    assert use_of(w, CofiniteOnes.of(set()), 0, 5) == 0
-
-
-def test_enumerate_outputs():
-    assert enumerate_outputs(op_of((0, Axiom.of([], 4))), CofiniteOnes.of(set()), 0) == ((4, 0),)
-    w2 = op_of((12, Axiom.of([pair(3, 1)], 9)))
-    assert enumerate_outputs(w2, ExplicitGraph.from_map({3: 1}), 12) == ((9, 12),)
-    assert enumerate_outputs(op_of(), CofiniteOnes.of(set()), 50) == ()
-
-
 def test_axioms_deduplicate_keeping_first_stage():
     w = op_of((7, Axiom.of([], 1)), (3, Axiom.of([], 1)))
     assert w.staged_axioms == ((3, Axiom.of([], 1)),)
@@ -87,13 +65,6 @@ def test_use_bound_validation():
 
 # -- randomized structural properties ---------------------------------------
 
-codes = st.integers(0, 60)
-axioms = st.builds(
-    Axiom.of, st.frozensets(codes, max_size=4), st.integers(0, 20)
-)
-operators = st.lists(st.tuples(st.integers(0, 12), axioms), max_size=8).map(
-    EnumOperator.from_staged
-)
 cofinite_graphs = st.frozensets(st.integers(0, 10), max_size=6).map(CofiniteOnes.of)
 
 
@@ -110,28 +81,3 @@ def test_oracle_monotonicity(w, g, extra, s):
 def test_stage_monotonicity(w, g, s1, s2):
     lo, hi = min(s1, s2), max(s1, s2)
     assert evaluate(w, g, lo) <= evaluate(w, g, hi)
-
-
-@settings(max_examples=200)
-@given(operators, cofinite_graphs, st.integers(0, 12), st.integers(0, 80))
-def test_use_soundness(w, g, s, flip):
-    """Changing the oracle at points whose codes sit at or above the use
-    cannot withdraw the enumeration."""
-    for k in sorted(evaluate(w, g, s)):
-        u = use_of(w, g, s, k)
-        assert u is not None
-        if pair(flip, 0) >= u and pair(flip, 1) >= u:
-            mutated = set(g.exceptions) ^ {flip}
-            assert k in evaluate(w, CofiniteOnes.of(mutated), s)
-
-
-@settings(max_examples=150)
-@given(operators, cofinite_graphs, st.integers(0, 12))
-def test_use_covers_some_witnessing_axiom(w, g, s):
-    for k, u in enumerate_outputs(w, g, s):
-        witnesses = [
-            a
-            for a in w.axioms_at(s)
-            if a.output == k and all(contains(g, c) for c in a.premise)
-        ]
-        assert u == min(a.use for a in witnesses)
