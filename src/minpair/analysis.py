@@ -23,17 +23,17 @@ and its restraint then shields the restored premise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .arith import class_index, class_members, partial_density, unpair
+from .arith import class_index, class_members, partial_density, position, unpair
 from .engine import (
     Action,
     Removal,
     Snapshot,
     Trace,
     TraceEvent,
+    TraceFormatError,
     TraceSummary,
     TRACE_SCHEMA,
 )
@@ -42,16 +42,11 @@ from .operators import EnumOperator, evaluate
 from .suites import FunctionalSuite, OperatorSuite
 
 
-class TraceFormatError(ValueError):
-    """The trace does not have the shape of a construction run."""
-
-
 # ---------------------------------------------------------------------------
 # replay
 
 
-@dataclass(frozen=True)
-class EventFacts:
+class EventFacts(NamedTuple):
     """Observations recorded while applying one event."""
 
     witness_was_member: bool
@@ -60,8 +55,7 @@ class EventFacts:
     expected_removals: tuple[int, ...]
 
 
-@dataclass
-class ReplayedRun:
+class ReplayedRun(NamedTuple):
     horizon: int
     entering: list[tuple[frozenset[int], frozenset[int]]]
     restraints_entering: list[dict[int, int]]
@@ -114,7 +108,7 @@ def replay(trace: Trace) -> ReplayedRun:
                 sorted(
                     n
                     for n, (e, side, _) in opposite.items()
-                    if 2 * e + side > act.position
+                    if position(e, side) > act.position
                 )
             )
         was_member = []
@@ -137,8 +131,7 @@ def replay(trace: Trace) -> ReplayedRun:
 # verification reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     verdict: str  # "pass" | "fail" | "inconclusive"
     detail: tuple[tuple[str, object], ...] = ()
@@ -148,8 +141,7 @@ class CheckResult:
         return cls(name, verdict, tuple(sorted(detail.items())))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     meta: tuple[tuple[str, object], ...] = ()
 
@@ -174,8 +166,8 @@ def _report(checks: list[CheckResult], **meta) -> VerificationReport:
 # structural checks
 
 
-def _stronger_restraint_bound(restraints: Mapping[int, int], position: int) -> int:
-    return max((v for q, v in restraints.items() if q < position), default=0)
+def _stronger_restraint_bound(restraints: Mapping[int, int], p: int) -> int:
+    return max((v for q, v in restraints.items() if q < p), default=0)
 
 
 def check_structural(
@@ -401,13 +393,13 @@ def check_capture(
     rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    position = 2 * e + side
+    p = position(e, side)
     action_stages = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
-    last_stronger = max((u for u, q in action_stages if q < position), default=-1)
-    start = max(position, last_stronger) + 1
+    last_stronger = max((u for u, q in action_stages if q < p), default=-1)
+    start = max(p, last_stronger) + 1
     settled: list[tuple[int, int]] = []  # (n, settle stage) below the horizon
     if start < horizon:
-        bound = _stronger_restraint_bound(rep.restraints_entering[start], position)
+        bound = _stronger_restraint_bound(rep.restraints_entering[start], p)
         for n in class_members(e, horizon):
             hit = suite.settle(e, n, horizon - 1) if n > bound else None
             if hit is not None:
@@ -460,11 +452,25 @@ def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | 
     return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
 
 
+SharedJoint = dict  # (e0, e1) -> _joint_changes of one trace, operator suite and horizon
+
+
 def _joint_changes(
-    rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
+    rep: ReplayedRun,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    shared: SharedJoint | None = None,
 ) -> tuple[tuple[Changes, Changes], Changes]:
     """Both sides' enumerations, and the jointly enumerated set at each
-    change point of either."""
+    change point of either.
+
+    shared, when given, keeps the result per (e0, e1): checks of one trace
+    that pass the same dict compute each pair's enumerations once.
+    """
+    if shared is not None and (e0, e1) in shared:
+        return shared[e0, e1]
     sides = (
         enumeration(rep, operators.get(e0), 0, horizon),
         enumeration(rep, operators.get(e1), 1, horizon),
@@ -475,6 +481,8 @@ def _joint_changes(
     for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
         now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
         joint.append((s, now[0] & now[1]))
+    if shared is not None:
+        shared[e0, e1] = sides, joint
     return sides, joint
 
 
@@ -485,18 +493,20 @@ def check_preservation(
     e1: int,
     horizon: int,
     rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
 ) -> VerificationReport:
     """Every output jointly enumerated at some stage stays enumerated on at
     least one side from its protection stage through the horizon.
 
     The protection stage is the first action stage >= s of the strongest
     pair acting at any stage >= s (the window opens just after it); if no
-    pair acts again the window opens at s itself.
+    pair acts again the window opens at s itself.  Pass shared to reuse the
+    enumerations of (e0, e1) between checks of the same trace.
     """
     rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    sides, joint = _joint_changes(rep, operators, e0, e1, horizon)
+    sides, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
     found: dict[int, int] = {}
     for s, outputs in joint:
         for x in outputs:
@@ -540,8 +550,7 @@ def check_preservation(
 # joint description table
 
 
-@dataclass
-class JointTable:
+class JointTable(NamedTuple):
     e0: int
     e1: int
     horizon: int
@@ -558,6 +567,7 @@ def synthesize_joint(
     e1: int,
     horizon: int,
     rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
 ) -> JointTable:
     """Search stages for codes enumerated by both sides at once.
 
@@ -568,7 +578,7 @@ def synthesize_joint(
     rep = replay(trace) if rep is None else rep
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    _, joint = _joint_changes(rep, operators, e0, e1, horizon)
+    _, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
     entries: dict[int, tuple[int, int]] = {}
     for s, outputs in joint:
         best_here: dict[int, int] = {}
@@ -585,8 +595,7 @@ def synthesize_joint(
 # diagonal set
 
 
-@dataclass(frozen=True)
-class DiagonalSet:
+class DiagonalSet(NamedTuple):
     side: int
     horizon: int
     bound: int
@@ -635,12 +644,13 @@ def check_end_to_end(
     target_bits: Sequence[int],
     threshold: Fraction,
     rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
 ) -> VerificationReport:
     """Every defined joint-table bit matches the target, and the table's
     domain below the bound is at least as dense as the threshold."""
     if len(target_bits) < bound:
         raise ValueError(f"target bits shorter than bound {bound}")
-    table = synthesize_joint(trace, operators, e0, e1, horizon, rep)
+    table = synthesize_joint(trace, operators, e0, e1, horizon, rep, shared)
     defined = [n for n in table.entries if n < bound]
     mismatches = sorted(
         (n, table.entries[n][0], target_bits[n])
@@ -700,19 +710,18 @@ def reference_run(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    positions = [2 * e + side for e in suite.indices() for side in (0, 1)]
+    requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
     events: list[TraceEvent] = []
     for s in range(horizon):
         sides = (_members_from_events(events, 0), _members_from_events(events, 1))
         restraint_map = {ev.action.position: ev.action.restraint for ev in events if ev.action}
         chosen = None
         strongest = 0  # max restraint over the positions scanned so far
-        for position in positions:
-            if position >= s:
+        for p, e, side in requirements:
+            if p >= s:
                 break
-            e, side = divmod(position, 2)
             bound = strongest
-            strongest = max(strongest, restraint_map.get(position, 0))
+            strongest = max(strongest, restraint_map.get(p, 0))
             satisfied = False
             for m in sides[side]:
                 if class_index(m) == e and suite.query(e, m, s) is not None:
@@ -722,19 +731,19 @@ def reference_run(
                 continue
             for n in class_members(e, s):
                 if n > bound and suite.query(e, n, s) is not None:
-                    chosen = (position, e, side, n)
+                    chosen = (p, e, side, n)
                     break
             if chosen:
                 break
         action = None
         removals: list[Removal] = []
         if chosen:
-            position, e, side, witness = chosen
+            p, e, side, witness = chosen
             action = Action(e, side, witness, s)
             opposite = sides[1 - side]
             for n in sorted(opposite):
                 by_e, by_side, inserted_at = opposite[n]
-                if 2 * by_e + by_side > position:
+                if position(by_e, by_side) > p:
                     removals.append(Removal(n, 1 - side, by_e, by_side, inserted_at))
         snapshot = None
         if snapshot_every > 0 and s % snapshot_every == 0:

@@ -5,13 +5,20 @@ positive naturals split into disjoint classes by 2-adic valuation (class e
 holds the n divisible by 2^e but not 2^(e+1)); class e has density
 2^-(e+1), so the classes partition the positive naturals with geometric
 weight.  Densities of finite initial segments are exact rationals.
+Requirements (e, side) are ordered by their position 2e + side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import Iterable
+
+
+def position(e: int, side: int) -> int:
+    """Priority position 2e + side of requirement (e, side); smaller is
+    stronger."""
+    return 2 * e + side
 
 
 def pair(x: int, y: int) -> int:
@@ -53,21 +60,3 @@ def partial_density(points: Iterable[int], bound: int) -> Fraction:
         raise ValueError(f"density bound must be >= 1, got {bound}")
     hits = len({p for p in points if 0 <= p < bound})
     return Fraction(hits, bound)
-
-
-class PriorityIndex(NamedTuple):
-    """A requirement, identified by candidate index e and side, ordered by
-    position 2e + side (tuple order coincides with position order)."""
-
-    e: int
-    side: int
-
-    @property
-    def position(self) -> int:
-        return 2 * self.e + self.side
-
-    @classmethod
-    def from_position(cls, position: int) -> "PriorityIndex":
-        if position < 0:
-            raise ValueError(f"position must be a natural, got {position}")
-        return cls(position // 2, position % 2)

@@ -15,23 +15,21 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import analysis, engine
-from .analysis import (
-    CheckResult,
+from . import engine
+from .engine import (
+    Action,
+    Removal,
+    Snapshot,
+    Trace,
+    TraceEvent,
     TraceFormatError,
-    VerificationReport,
-    check_capture,
-    check_end_to_end,
-    check_preservation,
-    check_structural,
-    reference_run,
-    synthesize_joint,
+    TraceSummary,
+    TRACE_SCHEMA,
 )
-from .engine import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary, TRACE_SCHEMA
 from .suites import (
     FunctionalSuite,
     OperatorSuite,
@@ -43,6 +41,9 @@ from .suites import (
     compile_operator,
 )
 
+if TYPE_CHECKING:
+    from .analysis import CheckResult, VerificationReport
+
 
 class ConfigError(ValueError):
     """The config file violates the documented schema."""
@@ -52,8 +53,7 @@ class ConfigError(ValueError):
 # config schema
 
 
-@dataclass(frozen=True)
-class EndToEndSpec:
+class EndToEndSpec(NamedTuple):
     e0: int
     e1: int
     bound: int
@@ -69,16 +69,15 @@ class EndToEndSpec:
         return list(spec["values"])[: self.bound]  # type: ignore[arg-type]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     horizon: int
     snapshot_every: int = 0
     seed: int = 0
-    functionals: list = field(default_factory=list)
-    operators: list = field(default_factory=list)
-    capture_checks: list = field(default_factory=list)  # [(e, side)]
-    preservation_checks: list = field(default_factory=list)  # [(e0, e1)]
-    end_to_end_checks: list = field(default_factory=list)  # [EndToEndSpec]
+    functionals: Sequence = ()
+    operators: Sequence = ()
+    capture_checks: Sequence = ()  # [(e, side)]
+    preservation_checks: Sequence = ()  # [(e0, e1)]
+    end_to_end_checks: Sequence = ()  # [EndToEndSpec]
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -470,6 +469,8 @@ def _load_matching(args) -> tuple[RunConfig, Trace]:
 
 
 def _cmd_verify(args) -> int:
+    from . import analysis  # only verify and psi pay for loading the checks
+
     config, trace = _load_matching(args)
     fsuite, osuite = build_suites(config)
     if args.checks is None:
@@ -489,39 +490,41 @@ def _cmd_verify(args) -> int:
 
     rep = analysis.replay(trace)
     results: list[CheckResult] = []
-    structural = check_structural(trace, fsuite, rep)
+    structural = analysis.check_structural(trace, fsuite, rep)
     results.extend(
-        CheckResult(f"structural:{c.name}", c.verdict, c.detail) for c in structural.checks
+        analysis.CheckResult(f"structural:{c.name}", c.verdict, c.detail)
+        for c in structural.checks
     )
     if "oracle" in selected:
-        ref = reference_run(fsuite, config.horizon, config.snapshot_every)
+        ref = analysis.reference_run(fsuite, config.horizon, config.snapshot_every)
         same = trace_lines(ref) == trace_lines(trace)
         results.append(
-            CheckResult.of("oracle_equivalence", "pass" if same else "fail")
+            analysis.CheckResult.of("oracle_equivalence", "pass" if same else "fail")
         )
     if "capture" in selected:
         if not config.capture_checks:
             raise ConfigError("capture selected but config.checks.capture is empty")
         for e, side in config.capture_checks:
-            sub = check_capture(trace, fsuite, e, side, config.horizon, rep)
+            sub = analysis.check_capture(trace, fsuite, e, side, config.horizon, rep)
             results.extend(
-                CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
+                analysis.CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
                 for c in sub.checks
             )
+    shared: dict = {}  # each (e0, e1)'s enumerations, shared by preservation and end_to_end
     if "preservation" in selected:
         if not config.preservation_checks:
             raise ConfigError("preservation selected but config.checks.preservation is empty")
         for e0, e1 in config.preservation_checks:
-            sub = check_preservation(trace, osuite, e0, e1, config.horizon, rep)
+            sub = analysis.check_preservation(trace, osuite, e0, e1, config.horizon, rep, shared)
             results.extend(
-                CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
+                analysis.CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
                 for c in sub.checks
             )
     if "end_to_end" in selected:
         if not config.end_to_end_checks:
             raise ConfigError("end_to_end selected but config.checks.end_to_end is empty")
         for spec in config.end_to_end_checks:
-            sub = check_end_to_end(
+            sub = analysis.check_end_to_end(
                 trace,
                 osuite,
                 spec.e0,
@@ -531,15 +534,16 @@ def _cmd_verify(args) -> int:
                 spec.target_bits(),
                 spec.threshold,
                 rep,
+                shared,
             )
             results.extend(
-                CheckResult(
+                analysis.CheckResult(
                     f"end_to_end[e0={spec.e0},e1={spec.e1}]:{c.name}", c.verdict, c.detail
                 )
                 for c in sub.checks
             )
 
-    report = VerificationReport(
+    report = analysis.VerificationReport(
         tuple(sorted(results, key=lambda c: c.name)),
         (("config", str(args.config)), ("horizon", config.horizon), ("trace", str(args.trace))),
     )
@@ -553,11 +557,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from . import analysis
+
     if args.bound < 1:
         raise ConfigError(f"--bound must be >= 1, got {args.bound}")
     config, trace = _load_matching(args)
     _, osuite = build_suites(config)
-    table = synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)
+    table = analysis.synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)
     for n, k, s in table.rows():
         if n < args.bound:
             sys.stdout.write(_canon({"k": k, "n": n, "stage": s}) + "\n")

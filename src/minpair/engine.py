@@ -24,17 +24,15 @@ only.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import class_index
-from .graphs import CofiniteOnes
+from .arith import class_index, position
 from .suites import FunctionalSuite
 
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     e: int
     side: int
     witness: int
@@ -42,11 +40,10 @@ class Action:
 
     @property
     def position(self) -> int:
-        return 2 * self.e + self.side
+        return position(self.e, self.side)
 
 
-@dataclass(frozen=True)
-class Removal:
+class Removal(NamedTuple):
     n: int
     side: int
     by_e: int
@@ -55,25 +52,22 @@ class Removal:
 
     @property
     def by_position(self) -> int:
-        return 2 * self.by_e + self.by_side
+        return position(self.by_e, self.by_side)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     side0: tuple[int, ...]
     side1: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     stage: int
     action: Action | None
     removals: tuple[Removal, ...]
     snapshot: Snapshot | None = None
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(NamedTuple):
     schema: int
     horizon: int
     side0: tuple[int, ...]
@@ -81,8 +75,7 @@ class TraceSummary:
     restraints: tuple[tuple[int, int], ...]  # (position, value), sorted
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     events: list[TraceEvent]
     summary: TraceSummary
 
@@ -90,17 +83,25 @@ class Trace:
 TRACE_SCHEMA = 1
 
 
-@dataclass
+class TraceFormatError(ValueError):
+    """The trace does not have the shape of a construction run."""
+
+
 class MemberRecord:
-    n: int
-    e: int
-    side: int
-    inserted_at: int
-    removed_at: int | None = None
+    """One insertion into a side; removed_at is set when it is removed."""
+
+    __slots__ = ("n", "e", "side", "inserted_at", "removed_at")
+
+    def __init__(self, n: int, e: int, side: int, inserted_at: int) -> None:
+        self.n = n
+        self.e = e
+        self.side = side
+        self.inserted_at = inserted_at
+        self.removed_at: int | None = None
 
     @property
     def position(self) -> int:
-        return 2 * self.e + self.side
+        return position(self.e, self.side)
 
 
 class SideState:
@@ -153,11 +154,6 @@ class ConstructionState:
         return self.restraints.get(position, 0)
 
 
-def current_description(state: ConstructionState, side: int) -> CofiniteOnes:
-    """The side's description graph: all ones off the current members."""
-    return CofiniteOnes.of(state.sides[side].current)
-
-
 def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> None:
     """File every point that converges at the current stage under its class."""
     s = state.stage
@@ -186,16 +182,19 @@ def _find_actor(
     a converged witness, and convergence is stable.
     """
     strongest = 0  # running max of restraints over positions already scanned
-    for position in range(min(state.stage, 2 * classes)):
-        e, side = divmod(position, 2)
-        bound = strongest if use_restraints else 0
-        strongest = max(strongest, state.restraint(position))
-        if state.sides[side].by_class.get(e):
-            continue
-        points = state.settled.get(e, ())
-        i = bisect_right(points, bound)
-        if i < len(points):
-            return position, e, side, points[i]
+    for e in range(classes):
+        for side in (0, 1):
+            p = position(e, side)
+            if p >= state.stage:
+                return None
+            bound = strongest if use_restraints else 0
+            strongest = max(strongest, state.restraint(p))
+            if state.sides[side].by_class.get(e):
+                continue
+            points = state.settled.get(e, ())
+            i = bisect_right(points, bound)
+            if i < len(points):
+                return p, e, side, points[i]
     return None
 
 
@@ -215,19 +214,19 @@ def step(
     action = None
     removals: list[Removal] = []
     if actor is not None:
-        position, e, side, witness = actor
+        p, e, side, witness = actor
         state.sides[side].insert(witness, e, side, s)
         target = side if mutation == "wrong_removal_side" else 1 - side
         if mutation != "skip_removals":
             victims = sorted(
                 n
                 for n, rec in state.sides[target].current.items()
-                if rec.position > position
+                if rec.position > p
             )
             for n in victims:
                 rec = state.sides[target].remove(n, s)
                 removals.append(Removal(n, target, rec.e, rec.side, rec.inserted_at))
-        state.restraints[position] = s
+        state.restraints[p] = s
         action = Action(e, side, witness, s)
     snapshot = None
     if take_snapshot:

@@ -11,62 +11,85 @@ exception sets sorted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import unpair
 
 
-@dataclass(frozen=True)
 class ExplicitGraph:
     """Finite partial function listed point by point, sorted by point."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("entries", "_map")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
         seen: dict[int, int] = {}
-        for n, v in self.entries:
+        for n, v in entries:
             if n < 0 or v not in (0, 1):
                 raise ValueError(f"bad graph entry {n} -> {v}")
             if n in seen:
                 raise ValueError(f"point {n} mapped twice")
             seen[n] = v
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_map", seen)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExplicitGraph is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ExplicitGraph and other.entries == self.entries
+
+    def __hash__(self) -> int:
+        return hash((ExplicitGraph, self.entries))
+
+    def __repr__(self) -> str:
+        return f"ExplicitGraph(entries={self.entries!r})"
 
     @classmethod
     def from_map(cls, mapping: Mapping[int, int]) -> "ExplicitGraph":
         return cls(tuple(sorted(mapping.items())))
 
     def value_at(self, n: int) -> int | None:
-        return self._map.get(n)  # type: ignore[attr-defined]
+        return self._map.get(n)
 
     def defined_below(self, bound: int) -> int:
         return sum(1 for n, _ in self.entries if n < bound)
 
 
-@dataclass(frozen=True)
 class CofiniteOnes:
     """Value 1 everywhere except a finite set of undefined points."""
 
-    exceptions: tuple[int, ...]
+    __slots__ = ("exceptions", "_exc")
 
-    def __post_init__(self) -> None:
+    def __init__(self, exceptions: tuple[int, ...]) -> None:
         exc = set()
-        for n in self.exceptions:
+        for n in exceptions:
             if n < 0:
                 raise ValueError(f"exception point must be a natural, got {n}")
             exc.add(n)
-        if len(exc) != len(self.exceptions) or list(self.exceptions) != sorted(exc):
+        if len(exc) != len(exceptions) or list(exceptions) != sorted(exc):
             raise ValueError("exception set must be sorted and duplicate-free")
+        object.__setattr__(self, "exceptions", exceptions)
         object.__setattr__(self, "_exc", frozenset(exc))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CofiniteOnes is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CofiniteOnes and other.exceptions == self.exceptions
+
+    def __hash__(self) -> int:
+        return hash((CofiniteOnes, self.exceptions))
+
+    def __repr__(self) -> str:
+        return f"CofiniteOnes(exceptions={self.exceptions!r})"
 
     @classmethod
     def of(cls, exceptions: Iterable[int]) -> "CofiniteOnes":
         return cls(tuple(sorted(set(exceptions))))
 
     def value_at(self, n: int) -> int | None:
-        return None if n in self._exc else 1  # type: ignore[attr-defined]
+        return None if n in self._exc else 1
 
     def defined_below(self, bound: int) -> int:
         missing = sum(1 for n in self.exceptions if n < bound)
@@ -92,8 +115,7 @@ def extends(f: PartialGraph, g: PartialGraph) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class DescriptionReport:
+class DescriptionReport(NamedTuple):
     """Result of checking a partial graph against a total bit sequence."""
 
     checked_bound: int

@@ -11,7 +11,7 @@ more premises).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import PartialGraph, contains
 
@@ -20,20 +20,24 @@ class OperatorValidationError(ValueError):
     """An axiom is visible before its premise could have been observed."""
 
 
-@dataclass(frozen=True)
-class Axiom:
-    """Finite premise of codes (sorted, duplicate-free) and an output."""
-
+class _AxiomFields(NamedTuple):
     premise: tuple[int, ...]
     output: int
 
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.premise):
+
+class Axiom(_AxiomFields):
+    """Finite premise of codes (sorted, duplicate-free) and an output."""
+
+    __slots__ = ()
+
+    def __new__(cls, premise: tuple[int, ...], output: int) -> "Axiom":
+        if any(c < 0 for c in premise):
             raise ValueError("premise codes must be naturals")
-        if list(self.premise) != sorted(set(self.premise)):
+        if list(premise) != sorted(set(premise)):
             raise ValueError("premise must be sorted and duplicate-free")
-        if self.output < 0:
+        if output < 0:
             raise ValueError("output must be a natural")
+        return super().__new__(cls, premise, output)
 
     @classmethod
     def of(cls, premise, output: int) -> "Axiom":
@@ -45,8 +49,7 @@ class Axiom:
         return self.premise[-1] + 1 if self.premise else 0
 
 
-@dataclass(frozen=True)
-class EnumOperator:
+class EnumOperator(NamedTuple):
     """Axioms with their stages of first appearance, deduplicated."""
 
     staged_axioms: tuple[tuple[int, Axiom], ...]

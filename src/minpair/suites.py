@@ -15,7 +15,7 @@ indices behave as everywhere divergent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import class_index, pair, unpair
 from .operators import (
@@ -39,8 +39,7 @@ class SuiteValidationError(ValueError):
 # register machine
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: str  # "inc" | "decjz" | "halt"
     reg: int = 0
     target: int = 0
@@ -446,10 +445,6 @@ class FunctionalSuite:
             self.settle(e, n, max(s, self.horizon))
             got = self._settled[e, n]
         return got[0] if got[1] <= s else None
-
-    def domain(self, e: int, s: int) -> list[int]:
-        """All n < s on which entry e has converged by stage s."""
-        return [n for n in range(s) if self.query(e, n, s) is not None]
 
     def indices(self) -> list[int]:
         return sorted(self._entries)

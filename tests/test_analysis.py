@@ -23,7 +23,7 @@ from minpair.analysis import (
     synthesize_joint,
 )
 from minpair.arith import pair, unpair
-from minpair.cli import trace_lines
+from minpair.cli import main, trace_lines, write_trace
 from minpair.operators import Axiom, EnumOperator, evaluate
 from minpair.engine import Action, Removal, Trace, TraceEvent, TraceSummary
 from minpair.graphs import CofiniteOnes, check_description
@@ -430,27 +430,42 @@ def test_preservation_window_opens_after_strongest_later_action():
     assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})
 
 
-def test_preservation_evaluates_only_at_change_points(monkeypatch):
+def test_preservation_evaluates_only_at_change_points(tmp_path, monkeypatch):
     with open("configs/parity_demo.json", encoding="utf-8") as fh:
         raw = dict(json.load(fh), horizon=800)
+    raw["checks"]["preservation"] = [{"e0": 0, "e1": 1}]
     fsuite, osuite = make_suites(raw)
     trace = engine.run(fsuite, 800)
     w0, w1 = osuite.get(0), osuite.get(1)
+    assert w0 != w1
     calls = {0: 0, 1: 0}
     real = analysis.evaluate
 
     def counting(op, graph, stage):
-        calls[0 if op is w0 else 1] += 1
+        calls[0 if op == w0 else 1] += 1
         return real(op, graph, stage)
 
     monkeypatch.setattr(analysis, "evaluate", counting)
-    check = check_preservation(trace, osuite, 0, 1, 800).find("preservation")
-    assert check.verdict == "pass"
     rep = replay(trace)
+    bounds = {}
     for side, w in ((0, w0), (1, w1)):
         changes = {s for s in range(1, 801) if rep.entering[s][side] != rep.entering[s - 1][side]}
         changes |= {stage for stage, _ in w.staged_axioms if 0 < stage <= 800}
-        assert 1 <= calls[side] <= len(changes) + 1
+        bounds[side] = len(changes) + 1
+
+    check = check_preservation(trace, osuite, 0, 1, 800).find("preservation")
+    assert check.verdict == "pass"
+    assert all(1 <= calls[side] <= bounds[side] for side in (0, 1))
+
+    # one verify shares the enumerations between preservation and end_to_end
+    calls.update({0: 0, 1: 0})
+    config = tmp_path / "parity.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    write_trace(trace, tmp_path / "parity.trace")
+    argv = ["verify", "--trace", str(tmp_path / "parity.trace"), "--config", str(config)]
+    argv += ["--checks", "preservation,end_to_end", "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert all(1 <= calls[side] <= bounds[side] for side in (0, 1))
 
 
 # -- joint table ---------------------------------------------------------------

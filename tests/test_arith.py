@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from minpair.arith import (
-    PriorityIndex,
     class_index,
     class_members,
     pair,
     partial_density,
+    position,
     unpair,
 )
 
@@ -100,9 +100,7 @@ def test_partial_density_rejects_zero_bound():
         partial_density([1], 0)
 
 
-def test_priority_index_round_trip_and_order():
-    pairs = [PriorityIndex.from_position(p) for p in range(12)]
-    assert [pi.position for pi in pairs] == list(range(12))
-    assert pairs == sorted(pairs)  # tuple order is position order
-    assert PriorityIndex(3, 1).position == 7
-    assert PriorityIndex.from_position(7) == PriorityIndex(3, 1)
+def test_position_enumerates_requirements_in_priority_order():
+    # (0, 0), (0, 1), (1, 0), ... take the positions 0, 1, 2, ... in turn
+    assert [position(e, side) for e in range(6) for side in (0, 1)] == list(range(12))
+    assert position(3, 1) == 7

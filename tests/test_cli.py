@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from config_gen import SCENARIO_CONFIG, random_config
 from minpair import engine
@@ -412,3 +419,80 @@ def test_psi_bound_below_one_exits_2(tmp_path, capsys, bound):
     assert main(psi_argv(out, "configs/parity_demo.json", bound)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--bound" in captured.err
+
+
+# -- start-up cost ------------------------------------------------------------
+
+
+def test_run_loads_neither_dataclasses_nor_the_checks(tmp_path):
+    """Importing the CLI and running a construction, in a fresh interpreter
+    without site packages, loads neither `dataclasses` nor the analysis
+    module: `run` pays only for the code it runs."""
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        "import minpair.cli\n"
+        "imported = sorted({'dataclasses', 'minpair.analysis'} & set(sys.modules))\n"
+        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([imported, code, 'minpair.analysis' in sys.modules]))\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
+    argv.append(str(tmp_path / "scenario.trace"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 0, False]
+
+
+# -- corrupted traces -----------------------------------------------------------
+
+DROP = object()  # corruption that deletes the field instead of replacing it
+field_values = st.one_of(
+    st.just(DROP),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 60),
+    st.floats(-2, 60),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.sampled_from(["e", "n", "side"]), st.integers(0, 3), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def injury_run(tmp_path_factory):
+    """A directory holding the injury config's trace, and its lines."""
+    root = tmp_path_factory.mktemp("injury")
+    trace = root / "injury.trace"
+    assert main(["run", "--config", "configs/injury.json", "--out", str(trace)]) == 0
+    return root, trace.read_text(encoding="utf-8").splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_trace_ends_in_an_exit_code(injury_run, data):
+    """One field anywhere in the trace replaced or dropped: verify exits with
+    0, 1, 2 or 3 and never raises, and exits 0 only for unchanged content."""
+    root, lines = injury_run
+    records = [json.loads(line) for line in lines]
+    node = records[data.draw(st.integers(0, len(records) - 1))]
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+        else:
+            break
+    value = data.draw(field_values)
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    corrupted = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+    (root / "corrupted.trace").write_text("\n".join(corrupted) + "\n", encoding="utf-8")
+    argv = ["verify", "--trace", str(root / "corrupted.trace"), "--config", "configs/injury.json"]
+    argv += ["--report", str(root / "report.json")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert corrupted == lines

@@ -10,11 +10,9 @@ from minpair.engine import (
     ConstructionState,
     Removal,
     Trace,
-    current_description,
     run,
     step,
 )
-from minpair.graphs import CofiniteOnes
 
 
 def scenario_suite(value=0):
@@ -45,7 +43,7 @@ def test_step_by_step_walkthrough():
     ev2 = step(state, fsuite)
     assert ev2.action == Action(e=0, side=0, witness=1, restraint=2)
     assert ev2.removals == ()
-    assert current_description(state, 0) == CofiniteOnes.of({1})
+    assert state.sides[0].members() == (1,)
 
     ev3 = step(state, fsuite)
     assert ev3.action is None
@@ -86,15 +84,6 @@ def test_everywhere_divergent_never_acts():
     )
     trace = run(fsuite, 30)
     assert all(ev.action is None for ev in trace.events)
-
-
-def test_current_description_shapes():
-    state = ConstructionState()
-    assert current_description(state, 0) == CofiniteOnes.of(set())
-    state.sides[1].insert(6, 1, 1, 3)
-    assert current_description(state, 1) == CofiniteOnes.of({6})
-    state.sides[1].remove(6, 9)
-    assert current_description(state, 1) == CofiniteOnes.of(set())
 
 
 def injury_suite():
