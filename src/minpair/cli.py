@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import engine
 from .engine import (
+    FIELD_CHECKS,
     Action,
     Removal,
     Snapshot,
@@ -35,6 +36,7 @@ from .suites import (
     OperatorSuite,
     SpecError,
     SuiteValidationError,
+    _is_bit,
     _is_nat,
     build_suite,
     compile_functional,
@@ -129,15 +131,13 @@ def _parse_target(raw, path: str) -> tuple[tuple[str, object], ...]:
         return (("kind", "parity"),)
     if kind == "const":
         _expect_fields(raw, path, {"kind", "value"}, set())
-        if raw["value"] not in (0, 1) or isinstance(raw["value"], bool):
+        if not _is_bit(raw["value"]):
             raise ConfigError(f"{path}.value: must be a bit")
         return (("kind", "const"), ("value", raw["value"]))
     if kind == "bits":
         _expect_fields(raw, path, {"kind", "values"}, set())
         values = raw["values"]
-        if not isinstance(values, list) or not all(
-            v in (0, 1) and not isinstance(v, bool) for v in values
-        ):
+        if not isinstance(values, list) or not all(_is_bit(v) for v in values):
             raise ConfigError(f"{path}.values: must be a list of bits")
         return (("kind", "bits"), ("values", tuple(values)))
     raise ConfigError(f"{path}: unknown kind '{kind}'")
@@ -197,7 +197,7 @@ def parse_config(text: str) -> RunConfig:
         for i, entry in enumerate(raw["checks"].get("capture", [])):
             path = f"config.checks.capture[{i}]"
             _expect_fields(entry, path, {"e", "side"}, set())
-            if not _is_nat(entry["e"]) or entry["side"] not in (0, 1):
+            if not _is_nat(entry["e"]) or not _is_bit(entry["side"]):
                 raise ConfigError(f"{path}: e must be a natural and side a bit")
             capture_checks.append((entry["e"], entry["side"]))
         for i, entry in enumerate(raw["checks"].get("preservation", [])):
@@ -258,53 +258,26 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _event_record(ev: TraceEvent) -> dict:
-    action = None
-    if ev.action is not None:
-        action = {
-            "e": ev.action.e,
-            "side": ev.action.side,
-            "witness": ev.action.witness,
-            "restraint": ev.action.restraint,
-        }
-    snapshot = None
-    if ev.snapshot is not None:
-        snapshot = {"side0": list(ev.snapshot.side0), "side1": list(ev.snapshot.side1)}
-    return {
-        "stage": ev.stage,
-        "action": action,
-        "removals": [
-            {
-                "n": rm.n,
-                "side": rm.side,
-                "by_e": rm.by_e,
-                "by_side": rm.by_side,
-                "inserted_at": rm.inserted_at,
-            }
-            for rm in ev.removals
-        ],
-        "snapshot": snapshot,
-    }
-
-
-def _summary_line(summary: TraceSummary) -> str:
+def _event_line(ev: TraceEvent) -> str:
+    """The event as one line, each nested record an object too (JSON would
+    otherwise write a record as a list)."""
+    stage, action, removals, snapshot = ev
     return _canon(
-        {
-            "summary": {
-                "schema": summary.schema,
-                "horizon": summary.horizon,
-                "side0": list(summary.side0),
-                "side1": list(summary.side1),
-                "restraints": [[p, v] for p, v in summary.restraints],
-            }
-        }
+        TraceEvent(
+            stage,
+            None if action is None else action._asdict(),
+            [rm._asdict() for rm in removals],
+            None if snapshot is None else snapshot._asdict(),
+        )._asdict()
     )
 
 
+def _summary_line(summary: TraceSummary) -> str:
+    return _canon({"summary": summary._asdict()})
+
+
 def trace_lines(trace: Trace) -> list[str]:
-    lines = [_canon(_event_record(ev)) for ev in trace.events]
-    lines.append(_summary_line(trace.summary))
-    return lines
+    return [_event_line(ev) for ev in trace.events] + [_summary_line(trace.summary)]
 
 
 @contextmanager
@@ -325,45 +298,30 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         fh.write("\n".join(trace_lines(trace)) + "\n")
 
 
-def _decode_action(raw, where: str) -> Action | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or set(raw) != {"e", "side", "witness", "restraint"}:
-        raise TraceFormatError(f"{where}: malformed action record")
-    if not all(_is_nat(raw[k]) for k in ("e", "witness", "restraint")) or raw["side"] not in (0, 1):
-        raise TraceFormatError(f"{where}: malformed action fields")
-    return Action(raw["e"], raw["side"], raw["witness"], raw["restraint"])
+def _values(cls, raw, where: str) -> list:
+    """The values of `raw` in the field order of `cls`; its keys must be exactly those fields."""
+    # With as many keys as fields, finding every field rules out any other key.
+    if isinstance(raw, dict) and len(raw) == len(cls._fields):
+        try:
+            return [raw[key] for key in cls._fields]
+        except KeyError:
+            pass
+    raise TraceFormatError(f"{where}: malformed {cls.__name__} record")
 
 
-def _decode_event(raw, where: str) -> TraceEvent:
-    if not isinstance(raw, dict) or set(raw) != {"stage", "action", "removals", "snapshot"}:
-        raise TraceFormatError(f"{where}: malformed event record")
-    if not _is_nat(raw["stage"]):
-        raise TraceFormatError(f"{where}: stage must be a natural")
-    action = _decode_action(raw["action"], where)
-    if not isinstance(raw["removals"], list):
-        raise TraceFormatError(f"{where}: removals must be a list")
-    removals = []
-    for rm in raw["removals"]:
-        if not isinstance(rm, dict) or set(rm) != {"n", "side", "by_e", "by_side", "inserted_at"}:
-            raise TraceFormatError(f"{where}: malformed removal record")
-        if (
-            not all(_is_nat(rm[k]) for k in ("n", "by_e", "inserted_at"))
-            or rm["side"] not in (0, 1)
-            or rm["by_side"] not in (0, 1)
-        ):
-            raise TraceFormatError(f"{where}: malformed removal fields")
-        removals.append(Removal(rm["n"], rm["side"], rm["by_e"], rm["by_side"], rm["inserted_at"]))
-    snapshot = None
-    if raw["snapshot"] is not None:
-        snap = raw["snapshot"]
-        if not isinstance(snap, dict) or set(snap) != {"side0", "side1"}:
-            raise TraceFormatError(f"{where}: malformed snapshot record")
-        for key in ("side0", "side1"):
-            if not isinstance(snap[key], list) or not all(_is_nat(n) for n in snap[key]):
-                raise TraceFormatError(f"{where}: malformed snapshot members")
-        snapshot = Snapshot(tuple(snap["side0"]), tuple(snap["side1"]))
-    return TraceEvent(raw["stage"], action, tuple(removals), snapshot)
+def _frozen(value):
+    """JSON lists as the tuples that the record types hold."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _record(cls, raw, where: str):
+    """The `cls` record that `raw` spells, each field checked by its entry in
+    `engine.FIELD_CHECKS` or else as a natural."""
+    values = _values(cls, raw, where)
+    for key, value in zip(cls._fields, values):
+        if not FIELD_CHECKS.get(key, _is_nat)(value):
+            raise TraceFormatError(f"{where}: malformed {cls.__name__}.{key}")
+    return cls._make(map(_frozen, values))
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -381,34 +339,23 @@ def read_trace(path: str | Path) -> Trace:
         if summary is not None:
             raise TraceFormatError(f"{where}: records after the summary line")
         if isinstance(raw, dict) and "summary" in raw:
-            if set(raw) != {"summary"}:
+            if raw.keys() != {"summary"}:
                 raise TraceFormatError(f"{where}: malformed summary record")
-            body = raw["summary"]
-            want = {"schema", "horizon", "side0", "side1", "restraints"}
-            if not isinstance(body, dict) or set(body) != want:
-                raise TraceFormatError(f"{where}: malformed summary record")
-            if body["schema"] != TRACE_SCHEMA:
-                raise TraceFormatError(f"{where}: unsupported schema {body['schema']}")
-            if not _is_nat(body["horizon"]):
-                raise TraceFormatError(f"{where}: malformed horizon")
-            for key in ("side0", "side1"):
-                if not isinstance(body[key], list) or not all(_is_nat(n) for n in body[key]):
-                    raise TraceFormatError(f"{where}: malformed summary members")
-            restraints = body["restraints"]
-            if not isinstance(restraints, list) or not all(
-                isinstance(rv, list) and len(rv) == 2 and _is_nat(rv[0]) and _is_nat(rv[1])
-                for rv in restraints
-            ):
-                raise TraceFormatError(f"{where}: malformed restraints")
-            summary = TraceSummary(
-                schema=body["schema"],
-                horizon=body["horizon"],
-                side0=tuple(body["side0"]),
-                side1=tuple(body["side1"]),
-                restraints=tuple((p, v) for p, v in restraints),
-            )
+            summary = _record(TraceSummary, raw["summary"], where)
+            if summary.schema != TRACE_SCHEMA:
+                raise TraceFormatError(f"{where}: unsupported schema {summary.schema}")
         else:
-            events.append(_decode_event(raw, where))
+            stage, action, removals, snapshot = _values(TraceEvent, raw, where)
+            if not _is_nat(stage) or not isinstance(removals, list):
+                raise TraceFormatError(f"{where}: malformed TraceEvent record")
+            events.append(
+                TraceEvent(
+                    stage,
+                    None if action is None else _record(Action, action, where),
+                    tuple([_record(Removal, rm, where) for rm in removals]),
+                    None if snapshot is None else _record(Snapshot, snapshot, where),
+                )
+            )
     if summary is None:
         raise TraceFormatError("missing summary line")
     return Trace(events, summary)
@@ -419,17 +366,11 @@ def read_trace(path: str | Path) -> Trace:
 
 
 def report_json_obj(report: VerificationReport) -> dict:
-    def plain(value):
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return value
-
     return {
         "checks": [
-            {"name": c.name, "verdict": c.verdict, "detail": {k: plain(v) for k, v in c.detail}}
-            for c in report.checks
+            {"name": c.name, "verdict": c.verdict, "detail": dict(c.detail)} for c in report.checks
         ],
-        "meta": {k: plain(v) for k, v in report.meta},
+        "meta": dict(report.meta),
     }
 
 
@@ -451,7 +392,7 @@ def _cmd_run(args) -> int:
             fsuite,
             config.horizon,
             config.snapshot_every,
-            on_event=lambda ev: fh.write(_canon(_event_record(ev)) + "\n"),
+            on_event=lambda ev: fh.write(_event_line(ev) + "\n"),
         )
         fh.write(_summary_line(trace.summary) + "\n")
     return 0

@@ -27,7 +27,7 @@ from bisect import bisect_right, insort
 from typing import NamedTuple
 
 from .arith import class_index, position
-from .suites import FunctionalSuite
+from .suites import FunctionalSuite, _is_bit, _is_nat
 
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
 
@@ -87,6 +87,25 @@ class TraceFormatError(ValueError):
     """The trace does not have the shape of a construction run."""
 
 
+def _is_naturals(x) -> bool:
+    return isinstance(x, list) and all(_is_nat(n) for n in x)
+
+
+def _is_pairs(x) -> bool:
+    return isinstance(x, list) and all(_is_naturals(p) and len(p) == 2 for p in x)
+
+
+# A trace writes each record above as a JSON object keyed by its fields.
+# Each field's value is a natural, unless this table gives its check.
+FIELD_CHECKS = {
+    "side": _is_bit,
+    "by_side": _is_bit,
+    "side0": _is_naturals,
+    "side1": _is_naturals,
+    "restraints": _is_pairs,
+}
+
+
 class MemberRecord:
     """One insertion into a side; removed_at is set when it is removed."""
 
@@ -136,19 +155,16 @@ class ConstructionState:
 
     The index files each point under its class once it has converged, in
     ascending order.  A point is settled once, at stage n + 1, with the
-    horizon as the limit; without a known horizon (stepping by hand) the
-    limit is twice the stage, and a point still unsettled there is settled
-    again once the run passes it.
+    horizon as the limit.
     """
 
-    def __init__(self, horizon: int | None = None) -> None:
+    def __init__(self, horizon: int) -> None:
         self.stage = 0
         self.sides = (SideState(), SideState())
         self.restraints: dict[int, int] = {}
         self.horizon = horizon
         self.settled: dict[int, list[int]] = {}  # class e -> converged points
         self.arrivals: dict[int, list[tuple[int, int]]] = {}  # settle stage -> (e, n)
-        self.unsettled: dict[int, list[tuple[int, int]]] = {}  # stage to settle again -> (e, n)
 
     def restraint(self, position: int) -> int:
         return self.restraints.get(position, 0)
@@ -157,17 +173,12 @@ class ConstructionState:
 def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> None:
     """File every point that converges at the current stage under its class."""
     s = state.stage
-    todo = state.unsettled.pop(s, [])
     n = s - 1  # the newest point: it can first converge now
     if n > 0 and class_index(n) < classes:
-        todo.append((class_index(n), n))
-    limit = 2 * s if state.horizon is None else state.horizon
-    for e, n in todo:
-        hit = suite.settle(e, n, limit)
+        e = class_index(n)
+        hit = suite.settle(e, n, state.horizon)
         if hit is not None:
             state.arrivals.setdefault(hit[1], []).append((e, n))
-        elif state.horizon is None:
-            state.unsettled.setdefault(limit + 1, []).append((e, n))
     for e, n in state.arrivals.pop(s, ()):
         insort(state.settled.setdefault(e, []), n)
 

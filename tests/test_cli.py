@@ -95,6 +95,35 @@ def test_parse_checks_sections():
         parse_config(json.dumps({**raw, "checks": {"capture": [{"e": 1}]}}))
 
 
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_capture_side_must_be_an_integer_bit(tmp_path, scenario_config_path, flag):
+    raw = dict(SCENARIO_CONFIG, checks={"capture": [{"e": 0, "side": flag}]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert "capture[0]" in str(err.value)
+    bad = write_config(tmp_path / "bad.json", raw)
+    trace = tmp_path / "t.trace"
+    assert main(["run", "--config", bad, "--out", str(trace)]) == 2
+    assert main(["run", "--config", scenario_config_path, "--out", str(trace)]) == 0
+    assert main(["verify", "--trace", str(trace), "--config", bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {"kind": "const", "value": True},
+        {"kind": "const", "value": False},
+        {"kind": "bits", "values": [0, True, 1, 0]},
+        {"kind": "bits", "values": [False, 1, 1, 0]},
+    ],
+)
+def test_end_to_end_target_bits_must_be_integers(target):
+    check = {"e0": 0, "e1": 1, "bound": 4, "threshold": "1/2", "target": target}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(dict(SCENARIO_CONFIG, checks={"end_to_end": [check]})))
+    assert "target.value" in str(err.value)
+
 def test_probe_field_is_accepted_and_ignored():
     with_probe = dict(SCENARIO_CONFIG, probe={"points": 8, "stages": 6})
     assert parse_config(json.dumps(with_probe)) == parse_config(json.dumps(SCENARIO_CONFIG))
@@ -136,6 +165,16 @@ def test_read_trace_rejects_garbage(tmp_path):
     assert "summary" in str(err.value)
 
 
+
+
+def test_read_trace_rejects_other_schemas(tmp_path, scenario_trace):
+    path = tmp_path / "future.trace"
+    lines = trace_lines(scenario_trace)
+    lines[-1] = lines[-1].replace('"schema":1', '"schema":2')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="unsupported schema 2"):
+        read_trace(path)
+
 def test_read_trace_rejects_unknown_event_fields(tmp_path, scenario_trace):
     path = tmp_path / "bad.trace"
     lines = trace_lines(scenario_trace)
@@ -150,12 +189,18 @@ def test_read_trace_rejects_unknown_event_fields(tmp_path, scenario_trace):
 # -- commands -------------------------------------------------------------------
 
 
-def test_run_writes_expected_trace(tmp_path, scenario_config_path):
-    out = tmp_path / "out.trace"
-    assert main(["run", "--config", scenario_config_path, "--out", str(out)]) == 0
-    trace = read_trace(out)
-    assert [ev.stage for ev in trace.events if ev.action] == [2, 4]
-    assert trace.summary.side0 == (1,)
+def test_run_writes_expected_trace(tmp_path):
+    """The full trace of `configs/scenario.json`, as README "Trace format" shows it."""
+    out = tmp_path / "scenario.trace"
+    assert main(["run", "--config", "configs/scenario.json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b'{"action":null,"removals":[],"snapshot":null,"stage":0}\n'
+        b'{"action":null,"removals":[],"snapshot":null,"stage":1}\n'
+        b'{"action":{"e":0,"restraint":2,"side":0,"witness":1},"removals":[],"snapshot":null,"stage":2}\n'
+        b'{"action":null,"removals":[],"snapshot":null,"stage":3}\n'
+        b'{"action":{"e":0,"restraint":4,"side":1,"witness":3},"removals":[],"snapshot":null,"stage":4}\n'
+        b'{"summary":{"horizon":5,"restraints":[[0,2],[1,4]],"schema":1,"side0":[1],"side1":[3]}}\n'
+    )
 
 
 def test_run_horizon_zero_writes_only_summary(tmp_path):
@@ -277,6 +322,28 @@ def test_verify_schema_invalid_trace_exits_3(tmp_path, scenario_config_path, cap
     assert main(["verify", "--trace", str(path), "--config", scenario_config_path]) == 3
     assert "malformed trace" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "record, field",
+    [("action", "side"), ("removal", "side"), ("removal", "by_side"), ("summary", "schema")],
+)
+def test_verify_rejects_boolean_trace_fields(tmp_path, record, field, flag):
+    """JSON true and false are not the bits 0 and 1, nor the schema 1."""
+    trace = tmp_path / "injury.trace"
+    assert main(["run", "--config", "configs/injury.json", "--out", str(trace)]) == 0
+    lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    if record == "summary":
+        target = lines[-1]["summary"]
+    elif record == "action":
+        target = next(line["action"] for line in lines if line.get("action"))
+    else:
+        target = next(line["removals"][0] for line in lines if line.get("removals"))
+    target[field] = flag
+    trace.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+    argv = ["verify", "--trace", str(trace), "--config", "configs/injury.json", "--checks", "structural"]
+    assert main(argv) == 3
 
 def test_verify_unknown_check_exits_2(tmp_path, scenario_config_path):
     out = tmp_path / "out.trace"

@@ -32,7 +32,7 @@ def test_step_by_step_walkthrough():
     insertion was made by a stronger pair.
     """
     fsuite = scenario_suite()
-    state = ConstructionState()
+    state = ConstructionState(5)
 
     ev0 = step(state, fsuite)
     assert ev0.stage == 0 and ev0.action is None
@@ -190,14 +190,3 @@ def test_run_settles_each_point_at_most_once():
     assert any(ev.action for ev in trace.events)
     assert len(calls) <= 4000 and max(calls.values()) == 1
 
-
-def test_stepping_without_a_horizon_matches_run():
-    from config_gen import random_config
-
-    for seed in (0, 2, 4, 5):  # each has a machine functional
-        raw = random_config(seed, horizon=300)
-        fsuite, _ = make_suites(raw)
-        state = ConstructionState()
-        stepped = [step(state, fsuite) for _ in range(300)]
-        fsuite, _ = make_suites(raw)
-        assert stepped == run(fsuite, 300).events
