@@ -7,10 +7,12 @@ and removal discipline, the opposite-side preservation lemma, quiescent
 finite action), the capture and preservation checks confirm the two
 behavioural guarantees at a finite horizon, and the joint table and
 diagonal set are computed exactly as the run defines them, evaluating each
-side's enumerated set only where it can change.  reference_run is a
-deliberately naive, quadratic re-transcription of the stage rule that
-recomputes memberships and restraints from the event history at every
-stage; it exists purely to cross-validate the engine trace for trace.
+side's enumerated set only where it can change.  reference_run is an
+independent re-transcription of the stage rule that jumps from action to
+action: between two actions the memberships and restraints are frozen, so
+the next actor, its stage and its witness follow from the settle stages
+alone.  It shares no code with the engine's arrival queue, actor scan or
+side state, and exists purely to cross-validate the engine trace for trace.
 
 Indexing convention, shared with the engine: memberships entering stage s
 reflect all actions of stages < s; entering[horizon] is the final state.
@@ -681,86 +683,101 @@ def check_end_to_end(
 
 
 # ---------------------------------------------------------------------------
-# naive reference oracle
+# reference oracle
 
 
-def _members_from_events(events: list[TraceEvent], side: int) -> dict[int, tuple[int, int, int]]:
-    """Replay membership of one side from scratch: n -> (e, side, stage)."""
-    members: dict[int, tuple[int, int, int]] = {}
-    for ev in events:
-        if ev.action is not None and ev.action.side == side:
-            members[ev.action.witness] = (ev.action.e, ev.action.side, ev.stage)
-        for rm in ev.removals:
-            if rm.side == side:
-                members.pop(rm.n, None)
-    return members
+def _points_above(e: int, bound: int, horizon: int) -> range:
+    """Every class-e point above bound and below the horizon, ascending."""
+    return range((1 << e) + ((bound + (1 << e)) >> (e + 1) << (e + 1)), horizon, 2 << e)
+
+
+def _least_settle(
+    suite: FunctionalSuite, e: int, bound: int, horizon: int
+) -> tuple[int, int] | None:
+    """(stage, n): the least settle stage below the horizon of a class-e
+    point above bound, and the least point that settles then; None if no
+    such point settles before the horizon."""
+    best, stop = None, horizon
+    for n in _points_above(e, bound, horizon):
+        if n + 1 >= stop:  # n and every later point settle after stage n
+            break
+        hit = suite.settle(e, n, horizon)
+        if hit is not None and hit[1] < stop:
+            best, stop = (hit[1], n), hit[1]
+    return best
 
 
 def reference_run(
     suite: FunctionalSuite, horizon: int, snapshot_every: int = 0
 ) -> Trace:
-    """Direct, unoptimized transcription of the stage rule.
+    """Independent transcription of the stage rule that jumps from action
+    to action.
 
-    Recomputes memberships, provenance, and restraints from the event
-    history at every stage instead of carrying state, so it is quadratic in
-    the horizon.  Its only shortcuts: it scans just the positions of present
-    functionals (absent ones diverge, so never act or hold a restraint), and
-    keeps the stronger-restraint bound as a running max over that scan.
-    Must produce a trace identical to the engine's.
+    Memberships and restraints change only at actions, so between two
+    actions each requirement's stronger-restraint bound and its held state
+    are frozen.  An unheld requirement p = (e, side) is then first eligible
+    at the largest of: the next stage, p + 1, and the least settle stage of
+    a class-e point above its bound.  The least p with the least such stage
+    acts there, with the least class point above the bound settled by then
+    as its witness; every stage before it is quiet.  Only present
+    functionals are scanned: absent ones diverge, so never act or hold a
+    restraint.  Must produce a trace identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
-    events: list[TraceEvent] = []
-    for s in range(horizon):
-        sides = (_members_from_events(events, 0), _members_from_events(events, 1))
-        restraint_map = {ev.action.position: ev.action.restraint for ev in events if ev.action}
-        chosen = None
+    members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
+    restraints: dict[int, int] = {}
+    # p -> _least_settle above p's bound.  Bounds only rise, so an entry
+    # stays right while its point is above p's bound.
+    least: dict[int, tuple[int, int] | None] = {}
+    acted: dict[int, tuple[Action, tuple[Removal, ...], Snapshot]] = {}  # stage -> event
+    s = 0
+    while True:
+        chosen = None  # (stage, p, e, side, bound)
         strongest = 0  # max restraint over the positions scanned so far
         for p, e, side in requirements:
-            if p >= s:
-                break
             bound = strongest
-            strongest = max(strongest, restraint_map.get(p, 0))
-            satisfied = False
-            for m in sides[side]:
-                if class_index(m) == e and suite.query(e, m, s) is not None:
-                    satisfied = True
-                    break
-            if satisfied:
+            strongest = max(strongest, restraints.get(p, 0))
+            if any(class_index(m) == e for m in members[side]):
                 continue
-            for n in class_members(e, s):
-                if n > bound and suite.query(e, n, s) is not None:
-                    chosen = (p, e, side, n)
-                    break
-            if chosen:
+            if p not in least or least[p] is not None and least[p][1] <= bound:
+                least[p] = _least_settle(suite, e, bound, horizon)
+            if least[p] is None:
+                continue
+            t = max(s, p + 1, least[p][0])
+            if t < (horizon if chosen is None else chosen[0]):
+                chosen = (t, p, e, side, bound)
+        if chosen is None:
+            break
+        t, p, e, side, bound = chosen
+        for witness in _points_above(e, bound, horizon):
+            hit = suite.settle(e, witness, horizon)
+            if hit is not None and hit[1] <= t:
                 break
-        action = None
-        removals: list[Removal] = []
-        if chosen:
-            p, e, side, witness = chosen
-            action = Action(e, side, witness, s)
-            opposite = sides[1 - side]
-            for n in sorted(opposite):
-                by_e, by_side, inserted_at = opposite[n]
-                if position(by_e, by_side) > p:
-                    removals.append(Removal(n, 1 - side, by_e, by_side, inserted_at))
-        snapshot = None
-        if snapshot_every > 0 and s % snapshot_every == 0:
-            post = (dict(sides[0]), dict(sides[1]))
-            if action is not None:
-                post[action.side][action.witness] = (action.e, action.side, s)
-                for rm in removals:
-                    post[rm.side].pop(rm.n, None)
-            snapshot = Snapshot(tuple(sorted(post[0])), tuple(sorted(post[1])))
-        events.append(TraceEvent(s, action, tuple(removals), snapshot))
-    final = (_members_from_events(events, 0), _members_from_events(events, 1))
-    restraint_map = {ev.action.position: ev.action.restraint for ev in events if ev.action}
+        opposite = members[1 - side]
+        removals = []
+        for n in sorted(opposite):
+            by_e, by_side, inserted_at = opposite[n]
+            if position(by_e, by_side) > p:
+                removals.append(Removal(n, 1 - side, by_e, by_side, inserted_at))
+                del opposite[n]
+        members[side][witness] = (e, side, t)
+        restraints[p] = t
+        post = Snapshot(tuple(sorted(members[0])), tuple(sorted(members[1])))
+        acted[t] = (Action(e, side, witness, t), tuple(removals), post)
+        s = t + 1
+    events = []
+    post = Snapshot((), ())
+    for s in range(horizon):
+        action, removals, post = acted.get(s, (None, (), post))
+        snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
+        events.append(TraceEvent(s, action, removals, snapshot))
     summary = TraceSummary(
         schema=TRACE_SCHEMA,
         horizon=horizon,
-        side0=tuple(sorted(final[0])),
-        side1=tuple(sorted(final[1])),
-        restraints=tuple(sorted(restraint_map.items())),
+        side0=post.side0,
+        side1=post.side1,
+        restraints=tuple(sorted(restraints.items())),
     )
     return Trace(events, summary)

@@ -438,9 +438,8 @@ def _cmd_verify(args) -> int:
     )
     if "oracle" in selected:
         ref = analysis.reference_run(fsuite, config.horizon, config.snapshot_every)
-        same = trace_lines(ref) == trace_lines(trace)
         results.append(
-            analysis.CheckResult.of("oracle_equivalence", "pass" if same else "fail")
+            analysis.CheckResult.of("oracle_equivalence", "pass" if ref == trace else "fail")
         )
     if "capture" in selected:
         if not config.capture_checks:

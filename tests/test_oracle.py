@@ -1,0 +1,104 @@
+"""The interval reference oracle against its quadratic specification and the engine."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import naive_oracle
+from config_gen import random_config
+from conftest import make_suites
+from minpair import engine
+from minpair.analysis import reference_run
+from minpair.cli import build_suites, load_config, main, read_trace, write_trace
+from minpair.engine import Removal, Snapshot
+
+TOTAL = {"kind": "total_const", "value": 1}
+
+
+def delayed(a: int, b: int) -> dict:
+    return {"kind": "delayed", "inner": {"kind": "total_const", "value": 0}, "delay": {"a": a, "b": b}}
+
+
+def case(functionals: list, horizon: int, snapshot_every: int = 7) -> dict:
+    return {
+        "horizon": horizon,
+        "snapshot_every": snapshot_every,
+        "suite": {"functionals": functionals, "operators": []},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(random_config, st.integers(0, 59), st.integers(0, 200)))
+# class 0 never settles, so its scan runs to the horizon
+@example(case([{"kind": "empty"}, TOTAL, TOTAL], 200))
+@example(case([{"kind": "undefined_on_class", "e": 0}, TOTAL, delayed(0, 20)], 200))
+# the least settle stage lies far beyond the current stage, or beyond the horizon
+@example(case([delayed(1, 150), TOTAL, delayed(0, 90), delayed(2, 500)], 200))
+@example(case([TOTAL, TOTAL], 0))
+@example(case([TOTAL, TOTAL], 1))
+def test_interval_oracle_matches_naive_oracle_and_engine(raw):
+    horizon, every = raw["horizon"], raw["snapshot_every"]
+    interval = reference_run(make_suites(raw)[0], horizon, every)
+    naive = naive_oracle.reference_run(make_suites(raw)[0], horizon, every)
+    assert interval == naive
+    assert engine.run(make_suites(raw)[0], horizon, every) == interval
+    for mutation in engine.MUTATIONS:
+        mutated = engine.run(make_suites(raw)[0], horizon, every, mutation=mutation)
+        assert (mutated != interval) == (mutated != naive)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reference_matches_engine_at_horizon_3200(seed):
+    raw = random_config(seed, 3200)
+    fsuite, _ = make_suites(raw)
+    assert reference_run(fsuite, 3200, raw["snapshot_every"]) == engine.run(
+        fsuite, 3200, raw["snapshot_every"]
+    )
+
+
+def verify_verdicts(tmp_path, trace_path, config_path) -> dict[str, str]:
+    report_path = tmp_path / "report.json"
+    main(["verify", "--trace", str(trace_path), "--config", str(config_path), "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    return {c["name"]: c["verdict"] for c in report["checks"]}
+
+
+def test_verify_oracle_passes_at_horizon_3200(tmp_path):
+    config_path = tmp_path / "seed0.json"
+    config_path.write_text(json.dumps(random_config(0, 3200)), encoding="utf-8")
+    trace_path = tmp_path / "seed0.trace"
+    assert main(["run", "--config", str(config_path), "--out", str(trace_path)]) == 0
+    assert verify_verdicts(tmp_path, trace_path, config_path)["oracle_equivalence"] == "pass"
+
+
+def forge_snapshot_member(trace):
+    """Stage 10's snapshot holds 4 in place of 2."""
+    ev = trace.events[10]
+    assert ev.snapshot == Snapshot((2,), ())
+    trace.events[10] = ev._replace(snapshot=Snapshot((4,), ()))
+
+
+def forge_inserted_at(trace):
+    """The one removal, at stage 40, says its victim entered a stage early."""
+    ev = trace.events[40]
+    assert ev.removals == (Removal(6, 1, 1, 1, 35),)
+    trace.events[40] = ev._replace(removals=(Removal(6, 1, 1, 1, 34),))
+
+
+@pytest.mark.parametrize(
+    "forge, verdict", [(None, "pass"), (forge_snapshot_member, "fail"), (forge_inserted_at, "fail")]
+)
+def test_verify_oracle_compares_whole_records(tmp_path, forge, verdict):
+    config = load_config("configs/injury.json")
+    honest = engine.run(build_suites(config)[0], config.horizon, config.snapshot_every)
+    path = tmp_path / "injury.trace"
+    write_trace(honest, path)
+    trace = read_trace(path)
+    assert trace == honest
+    if forge is not None:
+        forge(trace)
+        write_trace(trace, path)
+    assert verify_verdicts(tmp_path, path, "configs/injury.json")["oracle_equivalence"] == verdict
