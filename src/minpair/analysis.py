@@ -1,7 +1,8 @@
 """Derived objects and machine checks over construction traces.
 
 Everything here is read-only over a trace: replay reconstructs the
-per-stage memberships and restraints, the checkers verify the structural
+memberships and restraints entering each stage, kept at the stages where
+they change, the checkers verify the structural
 invariants the construction promises (class bounds, single entry, witness
 and removal discipline, the opposite-side preservation lemma, quiescent
 finite action), the capture and preservation checks confirm the two
@@ -25,8 +26,8 @@ and its restraint then shields the restored premise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .arith import class_index, class_members, partial_density, position, unpair
 from .engine import (
@@ -43,6 +44,9 @@ from .graphs import CofiniteOnes
 from .operators import EnumOperator, evaluate
 from .suites import FunctionalSuite, OperatorSuite
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 # ---------------------------------------------------------------------------
 # replay
@@ -57,23 +61,58 @@ class EventFacts(NamedTuple):
     expected_removals: tuple[int, ...]
 
 
+class Stepwise(Sequence):
+    """A value for each stage 0..horizon, kept only where it may change:
+    values[i] holds from stages[i] (stages[0] is 0) up to stages[i + 1].
+    Indexing a stage finds its value by bisection and passes it through
+    `read`, which gives each caller a fresh copy of a mutable value."""
+
+    def __init__(self, stages: list[int], values: list, horizon: int, read=None) -> None:
+        self.stages = stages
+        self.values = values
+        self.horizon = horizon
+        self.read = read
+
+    def __len__(self) -> int:
+        return self.horizon + 1
+
+    def __getitem__(self, s: int):
+        if s < 0:
+            s += self.horizon + 1
+        if not 0 <= s <= self.horizon:
+            raise IndexError(f"stage {s} outside 0..{self.horizon}")
+        value = self.values[bisect_right(self.stages, s) - 1]
+        return value if self.read is None else self.read(value)
+
+    def runs(self, start: int, stop: int):
+        """(first stage, value) for each value in force at a stage in
+        [start, stop), in stage order; the first stage is at least start."""
+        i = bisect_right(self.stages, start) - 1
+        for first, value in zip(self.stages[i:], self.values[i:]):
+            if first >= stop:
+                break
+            yield max(first, start), value
+
+
 class ReplayedRun(NamedTuple):
     horizon: int
-    entering: list[tuple[frozenset[int], frozenset[int]]]
-    restraints_entering: list[dict[int, int]]
+    entering: Stepwise  # stage -> (side 0, side 1) members, as frozensets
+    restraints_entering: Stepwise  # stage -> {position: restraint}
     insert_counts: dict[tuple[int, int], int]
-    facts: list[EventFacts]
+    facts: dict[int, EventFacts]  # stage of each event with an action or removals
+    actions: list[tuple[int, Action]]  # (stage, action), in stage order
 
     def final(self) -> tuple[frozenset[int], frozenset[int]]:
         return self.entering[self.horizon]
 
 
 def replay(trace: Trace) -> ReplayedRun:
-    """Reconstruct per-stage state from the events alone.
+    """Reconstruct the state entering each stage from the events alone.
 
     Permissive on content (forged traces replay too; the checkers judge
     them) but strict on shape: events must cover stages 0..horizon-1 in
-    order.
+    order.  Memberships and restraints change only at events with an action
+    or removals, so the state is kept only after those.
     """
     horizon = trace.summary.horizon
     if len(trace.events) != horizon:
@@ -84,22 +123,25 @@ def replay(trace: Trace) -> ReplayedRun:
         {},
         {},
     )
-    entering = []
-    restraints_entering = []
+    stages = [0]
+    members = [(frozenset(), frozenset())]
+    restraint_tables: list[dict[int, int]] = [{}]
     restraints: dict[int, int] = {}
     insert_counts: dict[tuple[int, int], int] = {}
-    facts = []
+    facts = {}
+    actions = []
     for idx, ev in enumerate(trace.events):
         if ev.stage != idx:
             raise TraceFormatError(f"event {idx} carries stage {ev.stage}")
-        entering.append((frozenset(cur[0]), frozenset(cur[1])))
-        restraints_entering.append(dict(restraints))
+        if ev.action is None and not ev.removals:
+            continue
         witness_was_member = False
         expected: tuple[int, ...] = ()
         if ev.action is not None:
             act = ev.action
             if act.side not in (0, 1) or act.witness < 0 or act.e < 0:
                 raise TraceFormatError(f"event {idx}: malformed action fields")
+            actions.append((idx, act))
             witness_was_member = act.witness in cur[act.side]
             cur[act.side][act.witness] = (act.e, act.side, ev.stage)
             key = (act.side, act.witness)
@@ -121,12 +163,20 @@ def replay(trace: Trace) -> ReplayedRun:
             provenance_ok.append(rec == (rm.by_e, rm.by_side, rm.inserted_at))
             if rec is not None:
                 del cur[rm.side][rm.n]
-        facts.append(
-            EventFacts(witness_was_member, tuple(was_member), tuple(provenance_ok), expected)
+        facts[idx] = EventFacts(
+            witness_was_member, tuple(was_member), tuple(provenance_ok), expected
         )
-    entering.append((frozenset(cur[0]), frozenset(cur[1])))
-    restraints_entering.append(dict(restraints))
-    return ReplayedRun(horizon, entering, restraints_entering, insert_counts, facts)
+        stages.append(idx + 1)
+        members.append((frozenset(cur[0]), frozenset(cur[1])))
+        restraint_tables.append(dict(restraints))
+    return ReplayedRun(
+        horizon,
+        Stepwise(stages, members, horizon),
+        Stepwise(stages, restraint_tables, horizon, dict),
+        insert_counts,
+        facts,
+        actions,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +263,10 @@ def check_structural(
 
     # per-class bound: at most one member of each valuation class per side
     bound_bad = None
-    for s in range(T + 1):
+    for s, sides in rep.entering.runs(0, T + 1):
         for side in (0, 1):
             per_class: dict[int | None, int] = {}
-            for n in rep.entering[s][side]:
+            for n in sides[side]:
                 e = class_index(n)
                 per_class[e] = per_class.get(e, 0) + 1
                 if e is None or per_class[e] > 1:
@@ -245,11 +295,7 @@ def check_structural(
 
     # witness discipline
     witness_bad = None
-    for ev in trace.events:
-        if ev.action is None:
-            continue
-        act = ev.action
-        s = ev.stage
+    for s, act in rep.actions:
         fact = rep.facts[s]
         entering = rep.entering[s]
         bound = _stronger_restraint_bound(rep.restraints_entering[s], act.position)
@@ -278,9 +324,9 @@ def check_structural(
 
     # restraint discipline: set to exactly the acting stage, only by actions
     restraint_bad = None
-    for ev in trace.events:
-        if ev.action is not None and ev.action.restraint != ev.stage:
-            restraint_bad = {"stage": ev.stage, "recorded": ev.action.restraint}
+    for s, act in rep.actions:
+        if act.restraint != s:
+            restraint_bad = {"stage": s, "recorded": act.restraint}
             break
     checks.append(
         CheckResult.of(
@@ -293,33 +339,32 @@ def check_structural(
     # removal discipline: each removal hits a current opposite-side member
     # inserted earlier by a strictly weaker pair, and no victim is missed
     removal_bad = None
-    for ev in trace.events:
+    for s, act in rep.actions:
         if removal_bad:
             break
-        if ev.action is None:
-            continue
-        fact = rep.facts[ev.stage]
-        for i, rm in enumerate(ev.removals):
-            if rm.side != 1 - ev.action.side:
-                removal_bad = {"stage": ev.stage, "n": rm.n, "reason": "wrong side"}
-            elif rm.by_position <= ev.action.position:
-                removal_bad = {"stage": ev.stage, "n": rm.n, "reason": "removed a stronger insertion"}
-            elif rm.inserted_at >= ev.stage:
-                removal_bad = {"stage": ev.stage, "n": rm.n, "reason": "inserted_at not earlier"}
+        removals = trace.events[s].removals
+        fact = rep.facts[s]
+        for i, rm in enumerate(removals):
+            if rm.side != 1 - act.side:
+                removal_bad = {"stage": s, "n": rm.n, "reason": "wrong side"}
+            elif rm.by_position <= act.position:
+                removal_bad = {"stage": s, "n": rm.n, "reason": "removed a stronger insertion"}
+            elif rm.inserted_at >= s:
+                removal_bad = {"stage": s, "n": rm.n, "reason": "inserted_at not earlier"}
             elif not fact.removal_was_member[i]:
-                removal_bad = {"stage": ev.stage, "n": rm.n, "reason": "not a current member"}
+                removal_bad = {"stage": s, "n": rm.n, "reason": "not a current member"}
             elif not fact.removal_provenance_ok[i]:
-                removal_bad = {"stage": ev.stage, "n": rm.n, "reason": "provenance mismatch"}
+                removal_bad = {"stage": s, "n": rm.n, "reason": "provenance mismatch"}
             if removal_bad:
                 break
         if removal_bad:
             break
-        recorded = tuple(rm.n for rm in ev.removals)
+        recorded = tuple(rm.n for rm in removals)
         if recorded != tuple(sorted(recorded)):
-            removal_bad = {"stage": ev.stage, "reason": "removals not in canonical order"}
+            removal_bad = {"stage": s, "reason": "removals not in canonical order"}
         elif recorded != fact.expected_removals:
             removal_bad = {
-                "stage": ev.stage,
+                "stage": s,
                 "reason": "removals disagree with weaker opposite-side members",
             }
     checks.append(
@@ -332,15 +377,15 @@ def check_structural(
     # contained in its state at every stage s <= t back to the last stronger
     # action; equivalently the stage-s description extends to the post-t one
     lemma_bad = None
-    action_stages = [(ev.stage, ev.action.position, ev.action.side) for ev in trace.events if ev.action]
+    action_stages = [(s, act.position, act.side) for s, act in rep.actions]
     for t, p, side in action_stages:
         s_min = 0
         for u, q, _ in action_stages:
             if u <= t and q < p:
                 s_min = max(s_min, u + 1)
         post = rep.entering[t + 1][1 - side]
-        for s in range(s_min, t + 1):
-            if not post <= rep.entering[s][1 - side]:
+        for s, sides in rep.entering.runs(s_min, t + 1):
+            if not post <= sides[1 - side]:
                 lemma_bad = {"stage": t, "since": s, "side": 1 - side}
                 break
         if lemma_bad:
@@ -396,8 +441,7 @@ def check_capture(
     if horizon > rep.horizon:
         raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
     p = position(e, side)
-    action_stages = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
-    last_stronger = max((u for u, q in action_stages if q < p), default=-1)
+    last_stronger = max((u for u, act in rep.actions if act.position < p), default=-1)
     start = max(p, last_stronger) + 1
     settled: list[tuple[int, int]] = []  # (n, settle stage) below the horizon
     if start < horizon:
@@ -438,11 +482,14 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
     op's axioms becomes visible, so evaluate runs only there and at stage 0.
     """
     visible = {stage for stage, _ in op.staged_axioms}
+    runs = dict(rep.entering.runs(0, horizon + 1))
     changes = []
-    for s in range(horizon + 1):
-        now = rep.entering[s][side]
-        if s == 0 or s in visible or now != rep.entering[s - 1][side]:
+    before = None
+    for s in sorted(runs.keys() | {v for v in visible if v <= horizon}):
+        now = runs[s][side] if s in runs else before
+        if s == 0 or s in visible or now != before:
             changes.append((s, evaluate(op, CofiniteOnes.of(now), s)))
+        before = now
     return changes
 
 
@@ -513,7 +560,7 @@ def check_preservation(
     for s, outputs in joint:
         for x in outputs:
             found.setdefault(x, s)
-    actions = [(ev.stage, ev.action.position) for ev in trace.events if ev.action]
+    actions = [(s, act.position) for s, act in rep.actions]
     # protector[i]: the least (position, stage) among the actions from the i-th on
     protector = [None]
     for u, q in reversed(actions):

@@ -10,9 +10,11 @@ Requirements (e, side) are ordered by their position 2e + side.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def position(e: int, side: int) -> int:
@@ -56,6 +58,8 @@ def class_members(e: int, bound: int) -> list[int]:
 
 def partial_density(points: Iterable[int], bound: int) -> Fraction:
     """Exact fraction of [0, bound) covered by the given points; bound >= 1."""
+    from fractions import Fraction  # loaded only by the checks that need it
+
     if bound < 1:
         raise ValueError(f"density bound must be >= 1, got {bound}")
     hits = len({p for p in points if 0 <= p < bound})

@@ -11,11 +11,11 @@ fail), 1 a check failed, 2 config or runtime error, 3 malformed trace.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -44,6 +44,8 @@ from .suites import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .analysis import CheckResult, VerificationReport
 
 
@@ -213,6 +215,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"{path}: e0 and e1 must be naturals")
             if not _is_nat(entry["bound"]) or entry["bound"] < 1:
                 raise ConfigError(f"{path}.bound: must be >= 1")
+            from fractions import Fraction  # only end_to_end checks load it
+
             try:
                 threshold = Fraction(str(entry["threshold"]))
             except (ValueError, ZeroDivisionError):
@@ -258,10 +262,17 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# A quiet stage, one with no action, removal or snapshot, has the canonical
+# line of TraceEvent(stage, None, [], None): this head, the stage, this tail.
+_QUIET_HEAD, _, _QUIET_TAIL = _canon(TraceEvent("", None, [], None)._asdict()).partition('""')
+
+
 def _event_line(ev: TraceEvent) -> str:
     """The event as one line, each nested record an object too (JSON would
     otherwise write a record as a list)."""
     stage, action, removals, snapshot = ev
+    if action is None and not removals and snapshot is None:
+        return f"{_QUIET_HEAD}{stage}{_QUIET_TAIL}"
     return _canon(
         TraceEvent(
             stage,
@@ -324,11 +335,38 @@ def _record(cls, raw, where: str):
     return cls._make(map(_frozen, values))
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector.  Records hold no reference cycles,
+    so collecting while a list of them grows frees nothing, yet each full
+    collection walks the whole list again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_trace(path: str | Path) -> Trace:
     text = Path(path).read_text(encoding="utf-8")
+    with _collector_paused():
+        return _parse_trace(text.splitlines())
+
+
+def _parse_trace(lines: list[str]) -> Trace:
+    """The trace spelled by lines.  A line that is exactly the quiet line of
+    the next stage is taken without parsing, as the record that parsing it
+    would give; any other line goes through `json.loads` and the strict
+    checks."""
     events: list[TraceEvent] = []
     summary: TraceSummary | None = None
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(lines):
+        stage = len(events)
+        if line == f"{_QUIET_HEAD}{stage}{_QUIET_TAIL}" and summary is None:
+            events.append(TraceEvent(stage, None, (), None))
+            continue
         if not line.strip():
             continue
         where = f"line {i + 1}"

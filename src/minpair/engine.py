@@ -11,6 +11,16 @@ insertion from the opposite side, and raises the pair's restraint to s.
 One action per stage, exactly; a stage with no eligible pair records an
 empty event.
 
+The scan is skipped when its answer cannot have changed.  It reads the
+stage (through the positions below it), the memberships and restraints
+(changed only by actions) and the settled points (changed only by
+arrivals).  So a stage needs a scan only if the stage before it acted, if
+a position first comes in range (stages up to 2 * classes), or if a point
+arriving at it lands in a class with an unheld pair and above that pair's
+stronger-restraint bound as the last scan found it: anything at or below
+the bound, or in a class whose pairs are both held, cannot be a witness.
+Otherwise the last scan found nothing, and it would find nothing again.
+
 Membership indexing convention: the state entering stage s reflects all
 actions of stages < s; a snapshot taken at stage s shows the state after
 the stage's action.  Restraints are never lowered or reset.
@@ -88,7 +98,7 @@ class TraceFormatError(ValueError):
 
 
 def _is_naturals(x) -> bool:
-    return isinstance(x, list) and all(_is_nat(n) for n in x)
+    return isinstance(x, list) and all(map(_is_nat, x))
 
 
 def _is_pairs(x) -> bool:
@@ -165,22 +175,33 @@ class ConstructionState:
         self.horizon = horizon
         self.settled: dict[int, list[int]] = {}  # class e -> converged points
         self.arrivals: dict[int, list[tuple[int, int]]] = {}  # settle stage -> (e, n)
+        # class e -> the least stronger-restraint bound of its unheld pairs at
+        # the last scan; a class whose pairs are both held is absent
+        self.watch: dict[int, int] = {}
+        self.acted = False  # whether the last stage acted
 
     def restraint(self, position: int) -> int:
         return self.restraints.get(position, 0)
 
 
-def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> None:
-    """File every point that converges at the current stage under its class."""
+def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> bool:
+    """File every point that converges at the current stage under its class.
+
+    Returns whether any of them lands above the watched bound of its class,
+    so that it could be the witness of an unheld pair.
+    """
     s = state.stage
     n = s - 1  # the newest point: it can first converge now
-    if n > 0 and class_index(n) < classes:
-        e = class_index(n)
+    e = class_index(n) if n > 0 else None
+    if e is not None and e < classes:
         hit = suite.settle(e, n, state.horizon)
         if hit is not None:
             state.arrivals.setdefault(hit[1], []).append((e, n))
+    watched = False
     for e, n in state.arrivals.pop(s, ()):
         insort(state.settled.setdefault(e, []), n)
+        watched = watched or e in state.watch and n > state.watch[e]
+    return watched
 
 
 def _find_actor(
@@ -190,8 +211,10 @@ def _find_actor(
 
     Positions of absent functionals never act.  A class is held when the
     side holds any member of it: only its own pair inserts into it, always
-    a converged witness, and convergence is stable.
+    a converged witness, and convergence is stable.  Records state.watch
+    along the way.
     """
+    state.watch = watch = {}
     strongest = 0  # running max of restraints over positions already scanned
     for e in range(classes):
         for side in (0, 1):
@@ -202,6 +225,7 @@ def _find_actor(
             strongest = max(strongest, state.restraint(p))
             if state.sides[side].by_class.get(e):
                 continue
+            watch.setdefault(e, bound)  # bounds only grow along the scan
             points = state.settled.get(e, ())
             i = bisect_right(points, bound)
             if i < len(points):
@@ -219,9 +243,11 @@ def step(
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation '{mutation}'")
     s = state.stage
-    classes = max(suite.indices(), default=-1) + 1
-    _admit(state, suite, classes)
-    actor = _find_actor(state, classes, mutation != "skip_restraints")
+    classes = suite.classes
+    actor = None
+    if _admit(state, suite, classes) or state.acted or s <= 2 * classes:
+        actor = _find_actor(state, classes, mutation != "skip_restraints")
+    state.acted = actor is not None
     action = None
     removals: list[Removal] = []
     if actor is not None:

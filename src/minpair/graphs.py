@@ -11,10 +11,12 @@ exception sets sorted).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import unpair
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ExplicitGraph:
@@ -137,5 +139,7 @@ def check_description(
         for n in range(bound)
         if f.value_at(n) is not None and f.value_at(n) != bits[n]
     )
+    from fractions import Fraction
+
     density = Fraction(f.defined_below(bound), bound)
     return DescriptionReport(bound, errors, density)

@@ -15,16 +15,12 @@ indices behave as everywhere divergent.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import class_index, pair, unpair
-from .operators import (
-    EMPTY_OPERATOR,
-    Axiom,
-    EnumOperator,
-    OperatorValidationError,
-    validate_use_bound,
-)
+
+if TYPE_CHECKING:
+    from .operators import EnumOperator
 
 
 class SpecError(ValueError):
@@ -361,6 +357,8 @@ def compile_operator(spec, stage_bound: int) -> EnumOperator:
     machine accepting c (halting with output bit 1) within s steps, and the
     premise use within s.  Enumeration is cut off at stage_bound.
     """
+    from .operators import Axiom, EnumOperator  # a config without operators never loads them
+
     if not isinstance(spec, dict):
         raise SpecError("operator spec must be an object")
     kind = spec.get("kind")
@@ -422,6 +420,7 @@ class FunctionalSuite:
                 raise ValueError(f"functional index must be a natural, got {e}")
         self._entries = dict(entries)
         self.horizon = horizon
+        self.classes = max(entries, default=-1) + 1  # the engine scans classes below it
         # (e, n) -> (bit, stage), or (None, limit) when unsettled by that limit
         self._settled: dict[tuple[int, int], tuple] = {}
 
@@ -460,6 +459,8 @@ class OperatorSuite:
         self._entries = dict(entries)
 
     def get(self, e: int) -> EnumOperator:
+        from .operators import EMPTY_OPERATOR
+
         return self._entries.get(e, EMPTY_OPERATOR)
 
     def indices(self) -> list[int]:
@@ -481,6 +482,8 @@ def build_suite(
             raise type(err)(f"functionals[{e}]: {err}") from None
     ops: dict[int, EnumOperator] = {}
     for e, spec in enumerate(operator_specs):
+        from .operators import OperatorValidationError, validate_use_bound
+
         try:
             op = compile_operator(spec, horizon)
         except SpecError as err:

@@ -77,6 +77,71 @@ def test_replay_entering_series(scenario_suite, scenario_trace):
     assert rep.restraints_entering[5] == {0: 2, 1: 4}
 
 
+def dense_states(trace):
+    """(memberships, restraints) entering every stage 0..horizon, rebuilt
+    stage by stage from the events."""
+    members: tuple[dict, dict] = ({}, {})
+    restraints: dict[int, int] = {}
+    states = []
+    for ev in trace.events:
+        states.append(((frozenset(members[0]), frozenset(members[1])), dict(restraints)))
+        if ev.action is not None:
+            members[ev.action.side][ev.action.witness] = ev.stage
+            restraints[ev.action.position] = ev.action.restraint
+        for rm in ev.removals:
+            if rm.side in (0, 1):
+                members[rm.side].pop(rm.n, None)
+    states.append(((frozenset(members[0]), frozenset(members[1])), dict(restraints)))
+    return states
+
+
+# small witnesses and victims, so that forged events meet real members
+forged_actions = st.builds(
+    Action, st.integers(0, 3), st.integers(0, 1), st.integers(0, 8), st.integers(0, 200)
+)
+forged_removals = st.builds(
+    Removal,
+    st.integers(0, 8),
+    st.integers(0, 2),  # side 2 removes nothing
+    st.integers(0, 3),
+    st.integers(0, 1),
+    st.integers(0, 200),
+)
+forged_events = st.tuples(
+    st.integers(0, 199), st.none() | forged_actions, st.lists(forged_removals, max_size=3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 59), st.integers(0, 200), st.lists(forged_events, max_size=6))
+def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
+    """replay keeps state only where it may change; every stage still reads
+    the state that a stage-by-stage rebuild gives, forged traces included."""
+    raw = random_config(seed, horizon)
+    trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
+    for stage, action, removals in forgeries:
+        if stage < horizon:
+            trace.events[stage] = TraceEvent(stage, action, tuple(removals))
+    rep = replay(trace)
+    states = dense_states(trace)
+    assert len(rep.entering) == len(rep.restraints_entering) == horizon + 1
+    for s, (members, restraints) in enumerate(states):
+        assert rep.entering[s] == members
+        assert type(rep.entering[s][0]) is frozenset
+        got = rep.restraints_entering[s]
+        assert type(got) is dict and got == restraints
+        got[0] = -1  # each read is a fresh dict
+        assert rep.restraints_entering[s] == restraints
+    assert rep.entering[-1] == rep.final() == states[-1][0]
+    with pytest.raises(IndexError):
+        rep.entering[horizon + 1]
+    for start in {0, horizon // 3, horizon}:
+        runs = list(rep.entering.runs(start, horizon + 1))
+        ends = [first for first, _ in runs[1:]] + [horizon + 1]
+        spread = [members for (first, members), end in zip(runs, ends) for _ in range(first, end)]
+        assert spread == [members for members, _ in states[start:]]
+
+
 def test_replay_rejects_event_count_mismatch(scenario_trace):
     bad = Trace(scenario_trace.events[:3], scenario_trace.summary)
     with pytest.raises(TraceFormatError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from config_gen import SCENARIO_CONFIG, random_config
-from minpair import engine
+from minpair import cli, engine
 from minpair.analysis import TraceFormatError
 from minpair.cli import (
     ConfigError,
@@ -154,6 +154,15 @@ def test_trace_round_trip(tmp_path, scenario_trace):
     assert trace_lines(back) == trace_lines(scenario_trace)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_trace_round_trip_at_horizon_800(tmp_path, seed):
+    raw = random_config(seed, 800)
+    fsuite, _ = build_suites(parse_config(json.dumps(raw)))
+    trace = engine.run(fsuite, 800, raw["snapshot_every"])
+    write_trace(trace, tmp_path / "t.trace")
+    assert read_trace(tmp_path / "t.trace") == trace
+
+
 def test_read_trace_rejects_garbage(tmp_path):
     path = tmp_path / "bad.trace"
     path.write_text("not json\n", encoding="utf-8")
@@ -165,6 +174,14 @@ def test_read_trace_rejects_garbage(tmp_path):
     assert "summary" in str(err.value)
 
 
+
+
+def test_read_trace_rejects_a_quiet_line_after_the_summary(tmp_path, scenario_trace):
+    path = tmp_path / "late.trace"
+    late = cli._event_line(TraceEvent(5, None, ()))
+    path.write_text("\n".join(trace_lines(scenario_trace) + [late]) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="line 7: records after the summary line"):
+        read_trace(path)
 
 
 def test_read_trace_rejects_other_schemas(tmp_path, scenario_trace):
@@ -511,7 +528,88 @@ def test_run_loads_neither_dataclasses_nor_the_checks(tmp_path):
     assert json.loads(done.stdout) == [[], 0, False]
 
 
+def test_run_loads_neither_fractions_nor_operators(tmp_path):
+    """`run` on a config without operators, in a fresh interpreter without
+    site packages, loads neither `fractions` nor the operator, graph and
+    analysis modules."""
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        "import minpair.cli\n"
+        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "unwanted = {'fractions', 'minpair.operators', 'minpair.graphs', 'minpair.analysis'}\n"
+        "print(json.dumps([code, sorted(unwanted & set(sys.modules))]))\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
+    argv.append(str(tmp_path / "scenario.trace"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, []]
+
+
 # -- corrupted traces -----------------------------------------------------------
+
+# Spellings of a quiet line's stage k other than the canonical one, and
+# whole-line edits; only the exact canonical line is read by template.
+STAGE_SPELLINGS = {
+    "leading_zero": "0{k}",
+    "minus": "-{k}",  # -0 is JSON's 0
+    "float": "{k}.0",
+    "exponent": "{k}e0",
+    "next_stage": "{k_next}",
+}
+QUIET_EDITS = sorted(STAGE_SPELLINGS) + ["spaces", "reordered"]
+
+
+def edit_quiet_line(line: str, stage: int, name: str) -> str:
+    record = json.loads(line)
+    if name == "spaces":
+        return json.dumps(record)
+    if name == "reordered":
+        return json.dumps({"stage": record.pop("stage"), **record}, separators=(",", ":"))
+    value = STAGE_SPELLINGS[name].format(k=stage, k_next=stage + 1)
+    return line.replace(f'"stage":{stage}}}', f'"stage":{value}}}')
+
+
+def same_record(line: str, canonical: str) -> bool:
+    try:
+        return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == canonical
+    except json.JSONDecodeError:
+        return False
+
+
+@pytest.mark.parametrize("name", QUIET_EDITS)
+@pytest.mark.parametrize(
+    "config, stage", [("configs/scenario.json", 0), ("configs/scenario.json", 3), ("configs/injury.json", 17)]
+)
+def test_edited_quiet_line_reads_as_json_reads_it(tmp_path, monkeypatch, config, stage, name):
+    """An edited quiet line gives the records or the error, and the exit
+    code, that reading every line with `json.loads` gives: 0 when it still
+    spells the same record, else 3."""
+    trace = tmp_path / "t.trace"
+    assert main(["run", "--config", config, "--out", str(trace)]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    quiet = lines[stage]
+    assert json.loads(quiet)["snapshot"] is None
+    lines[stage] = edit_quiet_line(quiet, stage, name)
+    assert lines[stage] != quiet
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["verify", "--trace", str(trace), "--config", config, "--report", str(tmp_path / "r.json")]
+
+    def outcome():
+        try:
+            records = read_trace(trace)
+        except TraceFormatError as err:
+            records = str(err)
+        with contextlib.redirect_stderr(io.StringIO()):
+            return records, main(argv)
+
+    by_template = outcome()
+    monkeypatch.setattr(cli, "_QUIET_HEAD", "\n")  # no line holds one: all go to json.loads
+    assert by_template == outcome()
+    assert by_template[1] == (0 if same_record(lines[stage], quiet) else 3)
+
 
 DROP = object()  # corruption that deletes the field instead of replacing it
 field_values = st.one_of(

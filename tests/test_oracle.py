@@ -13,7 +13,7 @@ from conftest import make_suites
 from minpair import engine
 from minpair.analysis import reference_run
 from minpair.cli import build_suites, load_config, main, read_trace, write_trace
-from minpair.engine import Removal, Snapshot
+from minpair.engine import Action, Removal, Snapshot
 
 TOTAL = {"kind": "total_const", "value": 1}
 
@@ -47,6 +47,49 @@ def test_interval_oracle_matches_naive_oracle_and_engine(raw):
     assert engine.run(make_suites(raw)[0], horizon, every) == interval
     for mutation in engine.MUTATIONS:
         mutated = engine.run(make_suites(raw)[0], horizon, every, mutation=mutation)
+        assert (mutated != interval) == (mutated != naive)
+
+
+def table(*entries) -> dict:
+    return {"kind": "table_partial", "entries": [list(entry) for entry in entries]}
+
+
+# Suites on which the engine's skipped scans must still find every actor,
+# each with the action that a wrongly skipped scan would miss.
+GUARD_CASES = {
+    # (0, 0) acts at stage 9, so (1, 0)'s bound is 9.  Point 6, below it,
+    # arrives at stage 300; point 10, exactly one above it, at stage 500.
+    "arrival_at_bound_plus_one": (
+        [table([1, 0, 9]), table([6, 0, 300], [10, 0, 500])],
+        Action(1, 0, 10, 500),
+    ),
+    # Position 4 first comes in range at stage 5, when its witness 4 has
+    # settled, after quiet stages whose scans never reached class 2.
+    "position_first_in_range": (
+        [delayed(0, 100), {"kind": "empty"}, TOTAL],
+        Action(2, 0, 4, 5),
+    ),
+    # (0, 0)'s action at stage 501 removes 6, which (1, 1) took at stage 7,
+    # so class 1 is free again on side 1; point 502 lands above the new bound.
+    "injury_frees_an_old_class": (
+        [delayed(0, 500), TOTAL],
+        Action(1, 1, 502, 503),
+    ),
+}
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 37])
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_skipped_scans_match_both_oracles(name, snapshot_every):
+    functionals, action = GUARD_CASES[name]
+    raw = case(functionals, 800, snapshot_every)
+    trace = engine.run(make_suites(raw)[0], 800, snapshot_every)
+    assert trace.events[action.restraint].action == action
+    interval = reference_run(make_suites(raw)[0], 800, snapshot_every)
+    naive = naive_oracle.reference_run(make_suites(raw)[0], 800, snapshot_every)
+    assert trace == interval == naive
+    for mutation in engine.MUTATIONS:
+        mutated = engine.run(make_suites(raw)[0], 800, snapshot_every, mutation=mutation)
         assert (mutated != interval) == (mutated != naive)
 
 
