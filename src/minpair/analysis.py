@@ -1,51 +1,64 @@
-"""Derived objects and machine checks over construction traces.
+"""Replay of construction traces, the structural checks and capture.
 
 Everything here is read-only over a trace: replay reconstructs the
 memberships and restraints entering each stage, kept at the stages where
-they change, the checkers verify the structural
-invariants the construction promises (class bounds, single entry, witness
-and removal discipline, the opposite-side preservation lemma, quiescent
-finite action), the capture and preservation checks confirm the two
-behavioural guarantees at a finite horizon, and the joint table and
-diagonal set are computed exactly as the run defines them, evaluating each
-side's enumerated set only where it can change.  reference_run is an
-independent re-transcription of the stage rule that jumps from action to
-action: between two actions the memberships and restraints are frozen, so
-the next actor, its stage and its witness follow from the settle stages
-alone.  It shares no code with the engine's arrival queue, actor scan or
-side state, and exists purely to cross-validate the engine trace for trace.
+they change, the structural checks verify the invariants the construction
+promises (class bounds, single entry, witness and removal discipline, the
+opposite-side preservation lemma, quiescent finite action), and the
+capture check confirms its behavioural guarantee at a finite horizon.
+
+The reference oracle (`reference_run`) lives in `oracle` and the operator
+layer (enumerations, preservation, the joint table, the diagonal set and
+the end-to-end check) in `joint`.  Their names, and `operators.evaluate`,
+are attributes of this module too, resolved on first use: a command loads
+the oracle or the operator layer only when one of its checks needs it,
+and callers keep one namespace in which a tracer or a test can replace a
+function for every caller, `joint`'s own calls included.
 
 Indexing convention, shared with the engine: memberships entering stage s
 reflect all actions of stages < s; entering[horizon] is the final state.
-The preservation window for a joint output found at stage s opens just
-after the first action (at a stage >= s) of the strongest pair acting at
-any stage >= s, because that action's removals restore the opposite side
-and its restraint then shields the restored premise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .arith import class_index, class_members, partial_density, position, unpair
-from .engine import (
-    Action,
-    Removal,
-    Snapshot,
-    Trace,
-    TraceEvent,
-    TraceFormatError,
-    TraceSummary,
-    TRACE_SCHEMA,
-)
-from .graphs import CofiniteOnes
-from .operators import EnumOperator, evaluate
-from .suites import FunctionalSuite, OperatorSuite
+from .arith import class_index, class_members, position
+from .records import Action, Trace, TraceFormatError
+from .suites import FunctionalSuite
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+# The home module of each name resolved on first use.
+_LAZY = {
+    "reference_run": "oracle",
+    **dict.fromkeys(
+        (
+            "Changes",
+            "enumeration",
+            "_first_without",
+            "SharedJoint",
+            "check_preservation",
+            "JointTable",
+            "synthesize_joint",
+            "DiagonalSet",
+            "derive_diagonal",
+            "check_end_to_end",
+        ),
+        "joint",
+    ),
+    "evaluate": "operators",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .<home> import <name>`, as a call; unlike importlib.import_module,
+    # it shows in -X importtime
+    value = getattr(__import__(_LAZY[name], globals(), fromlist=[name], level=1), name)
+    globals()[name] = value  # later lookups, and replacements, see a plain attribute
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -465,366 +478,3 @@ def check_capture(
         eligible = tuple(n for n, stage in settled if stage <= s)
         check = CheckResult.of("capture", "fail", actionable_stage=s, eligible=eligible)
     return _report([check], e=e, side=side, horizon=horizon)
-
-
-# ---------------------------------------------------------------------------
-# preservation check (a jointly enumerated output survives on one side)
-
-
-Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
-
-
-def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
-    """Each change point up to the horizon, stage 0 first, with the set
-    evaluate(op, the side's description graph, stage) from it on.
-
-    The set can only change where the side's membership changes or one of
-    op's axioms becomes visible, so evaluate runs only there and at stage 0.
-    """
-    visible = {stage for stage, _ in op.staged_axioms}
-    runs = dict(rep.entering.runs(0, horizon + 1))
-    changes = []
-    before = None
-    for s in sorted(runs.keys() | {v for v in visible if v <= horizon}):
-        now = runs[s][side] if s in runs else before
-        if s == 0 or s in visible or now != before:
-            changes.append((s, evaluate(op, CofiniteOnes.of(now), s)))
-        before = now
-    return changes
-
-
-def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | None:
-    """First stage in [start, horizon] whose enumerated set lacks x, or None."""
-    if start > horizon:
-        return None
-    i = bisect_right(changes, start, key=lambda change: change[0]) - 1
-    return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
-
-
-SharedJoint = dict  # (e0, e1) -> _joint_changes of one trace, operator suite and horizon
-
-
-def _joint_changes(
-    rep: ReplayedRun,
-    operators: OperatorSuite,
-    e0: int,
-    e1: int,
-    horizon: int,
-    shared: SharedJoint | None = None,
-) -> tuple[tuple[Changes, Changes], Changes]:
-    """Both sides' enumerations, and the jointly enumerated set at each
-    change point of either.
-
-    shared, when given, keeps the result per (e0, e1): checks of one trace
-    that pass the same dict compute each pair's enumerations once.
-    """
-    if shared is not None and (e0, e1) in shared:
-        return shared[e0, e1]
-    sides = (
-        enumeration(rep, operators.get(e0), 0, horizon),
-        enumeration(rep, operators.get(e1), 1, horizon),
-    )
-    by_stage = [dict(changes) for changes in sides]
-    now: list[frozenset[int]] = [frozenset(), frozenset()]
-    joint: Changes = []
-    for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
-        now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
-        joint.append((s, now[0] & now[1]))
-    if shared is not None:
-        shared[e0, e1] = sides, joint
-    return sides, joint
-
-
-def check_preservation(
-    trace: Trace,
-    operators: OperatorSuite,
-    e0: int,
-    e1: int,
-    horizon: int,
-    rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
-) -> VerificationReport:
-    """Every output jointly enumerated at some stage stays enumerated on at
-    least one side from its protection stage through the horizon.
-
-    The protection stage is the first action stage >= s of the strongest
-    pair acting at any stage >= s (the window opens just after it); if no
-    pair acts again the window opens at s itself.  Pass shared to reuse the
-    enumerations of (e0, e1) between checks of the same trace.
-    """
-    rep = replay(trace) if rep is None else rep
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    sides, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
-    found: dict[int, int] = {}
-    for s, outputs in joint:
-        for x in outputs:
-            found.setdefault(x, s)
-    actions = [(s, act.position) for s, act in rep.actions]
-    # protector[i]: the least (position, stage) among the actions from the i-th on
-    protector = [None]
-    for u, q in reversed(actions):
-        protector.append(min((q, u), protector[-1] or (q, u)))
-    protector.reverse()
-    for x in sorted(found):
-        s = found[x]
-        protect = protector[bisect_left(actions, s, key=lambda action: action[0])]
-        start = s if protect is None else protect[1] + 1
-        first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
-        if None not in first_bad:
-            return _report(
-                [
-                    CheckResult.of(
-                        "preservation",
-                        "fail",
-                        output=x,
-                        found_at=s,
-                        violated_at=max(first_bad),
-                        window_start=start,
-                    )
-                ],
-                e0=e0,
-                e1=e1,
-                horizon=horizon,
-            )
-    return _report(
-        [CheckResult.of("preservation", "pass", outputs=len(found))],
-        e0=e0,
-        e1=e1,
-        horizon=horizon,
-    )
-
-
-# ---------------------------------------------------------------------------
-# joint description table
-
-
-class JointTable(NamedTuple):
-    e0: int
-    e1: int
-    horizon: int
-    entries: dict[int, tuple[int, int]]  # n -> (bit, found_at_stage)
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        return [(n, k, s) for n, (k, s) in sorted(self.entries.items())]
-
-
-def synthesize_joint(
-    trace: Trace,
-    operators: OperatorSuite,
-    e0: int,
-    e1: int,
-    horizon: int,
-    rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
-) -> JointTable:
-    """Search stages for codes enumerated by both sides at once.
-
-    For each input the first stage wins; if both bits appear at the same
-    first stage the smaller bit is kept (any fixed choice is sound because
-    preservation makes every jointly enumerated bit correct).
-    """
-    rep = replay(trace) if rep is None else rep
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    _, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
-    entries: dict[int, tuple[int, int]] = {}
-    for s, outputs in joint:
-        best_here: dict[int, int] = {}
-        for code in outputs:
-            n, k = unpair(code)
-            if k <= 1 and (n not in best_here or k < best_here[n]):
-                best_here[n] = k
-        for n, k in best_here.items():
-            entries.setdefault(n, (k, s))
-    return JointTable(e0, e1, horizon, entries)
-
-
-# ---------------------------------------------------------------------------
-# diagonal set
-
-
-class DiagonalSet(NamedTuple):
-    side: int
-    horizon: int
-    bound: int
-    bits: tuple[int, ...]
-    disagreements: tuple[tuple[int, int, int], ...]  # (n, candidate bit, own bit)
-
-
-def derive_diagonal(
-    trace: Trace, suite: FunctionalSuite, side: int, horizon: int, bound: int
-) -> DiagonalSet:
-    """Bits disagree with the candidate on captured members, 1 elsewhere.
-
-    Also reports every point below the bound where the point's class
-    candidate has converged to a different bit — the realized evidence that
-    the candidate does not describe this set.
-    """
-    rep = replay(trace)
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
-    members = rep.entering[horizon][side]
-    bits = []
-    disagreements = []
-    for n in range(bound):
-        e = class_index(n)
-        candidate = suite.query(e, n, horizon) if e is not None else None
-        if n in members and candidate is not None:
-            bits.append(1 - candidate)
-        else:
-            bits.append(1)
-        if candidate is not None and candidate != bits[n]:
-            disagreements.append((n, candidate, bits[n]))
-    return DiagonalSet(side, horizon, bound, tuple(bits), tuple(disagreements))
-
-
-# ---------------------------------------------------------------------------
-# end-to-end check
-
-
-def check_end_to_end(
-    trace: Trace,
-    operators: OperatorSuite,
-    e0: int,
-    e1: int,
-    horizon: int,
-    bound: int,
-    target_bits: Sequence[int],
-    threshold: Fraction,
-    rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
-) -> VerificationReport:
-    """Every defined joint-table bit matches the target, and the table's
-    domain below the bound is at least as dense as the threshold."""
-    if len(target_bits) < bound:
-        raise ValueError(f"target bits shorter than bound {bound}")
-    table = synthesize_joint(trace, operators, e0, e1, horizon, rep, shared)
-    defined = [n for n in table.entries if n < bound]
-    mismatches = sorted(
-        (n, table.entries[n][0], target_bits[n])
-        for n in defined
-        if table.entries[n][0] != target_bits[n]
-    )
-    checks = [
-        CheckResult.of(
-            "values_match",
-            "fail" if mismatches else "pass",
-            **(
-                {"n": mismatches[0][0], "got": mismatches[0][1], "want": mismatches[0][2]}
-                if mismatches
-                else {"defined": len(defined)}
-            ),
-        )
-    ]
-    density = partial_density(defined, bound)
-    checks.append(
-        CheckResult.of(
-            "domain_density",
-            "pass" if density >= threshold else "fail",
-            density=str(density),
-            threshold=str(threshold),
-        )
-    )
-    return _report(checks, e0=e0, e1=e1, bound=bound, horizon=horizon)
-
-
-# ---------------------------------------------------------------------------
-# reference oracle
-
-
-def _points_above(e: int, bound: int, horizon: int) -> range:
-    """Every class-e point above bound and below the horizon, ascending."""
-    return range((1 << e) + ((bound + (1 << e)) >> (e + 1) << (e + 1)), horizon, 2 << e)
-
-
-def _least_settle(
-    suite: FunctionalSuite, e: int, bound: int, horizon: int
-) -> tuple[int, int] | None:
-    """(stage, n): the least settle stage below the horizon of a class-e
-    point above bound, and the least point that settles then; None if no
-    such point settles before the horizon."""
-    best, stop = None, horizon
-    for n in _points_above(e, bound, horizon):
-        if n + 1 >= stop:  # n and every later point settle after stage n
-            break
-        hit = suite.settle(e, n, horizon)
-        if hit is not None and hit[1] < stop:
-            best, stop = (hit[1], n), hit[1]
-    return best
-
-
-def reference_run(
-    suite: FunctionalSuite, horizon: int, snapshot_every: int = 0
-) -> Trace:
-    """Independent transcription of the stage rule that jumps from action
-    to action.
-
-    Memberships and restraints change only at actions, so between two
-    actions each requirement's stronger-restraint bound and its held state
-    are frozen.  An unheld requirement p = (e, side) is then first eligible
-    at the largest of: the next stage, p + 1, and the least settle stage of
-    a class-e point above its bound.  The least p with the least such stage
-    acts there, with the least class point above the bound settled by then
-    as its witness; every stage before it is quiet.  Only present
-    functionals are scanned: absent ones diverge, so never act or hold a
-    restraint.  Must produce a trace identical to the engine's.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
-    members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
-    restraints: dict[int, int] = {}
-    # p -> _least_settle above p's bound.  Bounds only rise, so an entry
-    # stays right while its point is above p's bound.
-    least: dict[int, tuple[int, int] | None] = {}
-    acted: dict[int, tuple[Action, tuple[Removal, ...], Snapshot]] = {}  # stage -> event
-    s = 0
-    while True:
-        chosen = None  # (stage, p, e, side, bound)
-        strongest = 0  # max restraint over the positions scanned so far
-        for p, e, side in requirements:
-            bound = strongest
-            strongest = max(strongest, restraints.get(p, 0))
-            if any(class_index(m) == e for m in members[side]):
-                continue
-            if p not in least or least[p] is not None and least[p][1] <= bound:
-                least[p] = _least_settle(suite, e, bound, horizon)
-            if least[p] is None:
-                continue
-            t = max(s, p + 1, least[p][0])
-            if t < (horizon if chosen is None else chosen[0]):
-                chosen = (t, p, e, side, bound)
-        if chosen is None:
-            break
-        t, p, e, side, bound = chosen
-        for witness in _points_above(e, bound, horizon):
-            hit = suite.settle(e, witness, horizon)
-            if hit is not None and hit[1] <= t:
-                break
-        opposite = members[1 - side]
-        removals = []
-        for n in sorted(opposite):
-            by_e, by_side, inserted_at = opposite[n]
-            if position(by_e, by_side) > p:
-                removals.append(Removal(n, 1 - side, by_e, by_side, inserted_at))
-                del opposite[n]
-        members[side][witness] = (e, side, t)
-        restraints[p] = t
-        post = Snapshot(tuple(sorted(members[0])), tuple(sorted(members[1])))
-        acted[t] = (Action(e, side, witness, t), tuple(removals), post)
-        s = t + 1
-    events = []
-    post = Snapshot((), ())
-    for s in range(horizon):
-        action, removals, post = acted.get(s, (None, (), post))
-        snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
-        events.append(TraceEvent(s, action, removals, snapshot))
-    summary = TraceSummary(
-        schema=TRACE_SCHEMA,
-        horizon=horizon,
-        side0=post.side0,
-        side1=post.side1,
-        restraints=tuple(sorted(restraints.items())),
-    )
-    return Trace(events, summary)

@@ -10,17 +10,16 @@ fail), 1 a check failed, 2 config or runtime error, 3 malformed trace.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import engine
-from .engine import (
+from .records import (
     FIELD_CHECKS,
     Action,
     Removal,
@@ -327,7 +326,7 @@ def _frozen(value):
 
 def _record(cls, raw, where: str):
     """The `cls` record that `raw` spells, each field checked by its entry in
-    `engine.FIELD_CHECKS` or else as a natural."""
+    `records.FIELD_CHECKS` or else as a natural."""
     values = _values(cls, raw, where)
     for key, value in zip(cls._fields, values):
         if not FIELD_CHECKS.get(key, _is_nat)(value):
@@ -337,9 +336,10 @@ def _record(cls, raw, where: str):
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector.  Records hold no reference cycles,
-    so collecting while a list of them grows frees nothing, yet each full
-    collection walks the whole list again."""
+    """Pause the cyclic garbage collector.  Trace records and the engine's
+    state hold no reference cycles, so collecting while a list of records
+    grows frees nothing, yet each full collection walks the whole list
+    again."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -421,11 +421,36 @@ def serialize_report(report: VerificationReport) -> str:
 
 KNOWN_CHECKS = ("structural", "oracle", "capture", "preservation", "end_to_end")
 
+# Each command's help line and its flags, as (name, type, required).
+COMMANDS = {
+    "run": (
+        "run a construction and write its trace",
+        (("config", str, True), ("out", str, True)),
+    ),
+    "verify": (
+        "check a trace against its config; CHECKS is a comma-separated\nsubset of "
+        + ",".join(KNOWN_CHECKS),
+        (("trace", str, True), ("config", str, True), ("checks", str, False), ("report", str, False)),
+    ),
+    "psi": (
+        "print the joint description table of a trace",
+        (
+            ("trace", str, True),
+            ("config", str, True),
+            ("e0", int, True),
+            ("e1", int, True),
+            ("bound", int, True),
+        ),
+    ),
+}
+
 
 def _cmd_run(args) -> int:
+    from . import engine  # only run loads the construction
+
     config = load_config(args.config)
     fsuite, _ = build_suites(config)
-    with _atomic_writer(args.out) as fh:
+    with _atomic_writer(args.out) as fh, _collector_paused():
         trace = engine.run(
             fsuite,
             config.horizon,
@@ -548,30 +573,70 @@ def _cmd_psi(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="minpair",
-        description="Run the finite-injury construction and verify its traces.",
+class UsageError(ValueError):
+    """The command line does not match COMMANDS."""
+
+
+def _usage() -> str:
+    lines, helps = [], []
+    for command, (text, flags) in COMMANDS.items():
+        spelled = [
+            f"--{name} {name.upper()}" if required else f"[--{name} {name.upper()}]"
+            for name, _, required in flags
+        ]
+        lines.append(" ".join(["minpair", command, *spelled]))
+        helps.append(f"  {command:<7} " + text.replace("\n", "\n" + " " * 10))
+    return (
+        "usage: " + "\n       ".join(lines) + "\n\n"
+        "Run the finite-injury construction and verify its traces.\n" + "\n".join(helps) + "\n"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run a construction and write its trace")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-    p_verify = sub.add_parser("verify", help="check a trace against its config")
-    p_verify.add_argument("--trace", required=True)
-    p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--checks", default=None, help="comma-separated subset of: " + ",".join(KNOWN_CHECKS))
-    p_verify.add_argument("--report", default=None)
-    p_psi = sub.add_parser("psi", help="print the joint description table of a trace")
-    p_psi.add_argument("--trace", required=True)
-    p_psi.add_argument("--config", required=True)
-    p_psi.add_argument("--e0", type=int, required=True)
-    p_psi.add_argument("--e1", type=int, required=True)
-    p_psi.add_argument("--bound", type=int, required=True)
-    args = parser.parse_args(argv)
+
+
+def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
+    """The command and its flags, as `--flag value` or `--flag=value`; an
+    optional flag that is absent is None, and a repeated flag keeps its last
+    value."""
+    if not argv:
+        raise UsageError("no command given")
+    command, *rest = argv
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command '{command}'")
+    flags = {f"--{name}": (name, kind) for name, kind, _ in COMMANDS[command][1]}
+    values: dict[str, object] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise UsageError(f"unknown argument '{flag}'")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        name, kind = flags[flag]
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise UsageError(f"{flag} must be an integer, got '{value}'") from None
+    for name, _, required in COMMANDS[command][1]:
+        if required and name not in values:
+            raise UsageError(f"--{name} is required")
+        values.setdefault(name, None)
+    return command, SimpleNamespace(**values)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage())
+        return 0
+    try:
+        command, args = parse_args(argv)
+    except UsageError as err:
+        sys.stderr.write(f"{_usage()}minpair: error: {err}\n")
+        return 2
     handlers = {"run": _cmd_run, "verify": _cmd_verify, "psi": _cmd_psi}
     try:
-        return handlers[args.command](args)
+        return handlers[command](args)
     except TraceFormatError as err:
         print(f"minpair: malformed trace: {err}", file=sys.stderr)
         return 3

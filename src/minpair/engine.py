@@ -34,86 +34,20 @@ only.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import NamedTuple
 
 from .arith import class_index, position
-from .suites import FunctionalSuite, _is_bit, _is_nat
+from .records import (
+    Action,
+    Removal,
+    Snapshot,
+    Trace,
+    TraceEvent,
+    TraceSummary,
+    TRACE_SCHEMA,
+)
+from .suites import FunctionalSuite
 
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
-
-
-class Action(NamedTuple):
-    e: int
-    side: int
-    witness: int
-    restraint: int
-
-    @property
-    def position(self) -> int:
-        return position(self.e, self.side)
-
-
-class Removal(NamedTuple):
-    n: int
-    side: int
-    by_e: int
-    by_side: int
-    inserted_at: int
-
-    @property
-    def by_position(self) -> int:
-        return position(self.by_e, self.by_side)
-
-
-class Snapshot(NamedTuple):
-    side0: tuple[int, ...]
-    side1: tuple[int, ...]
-
-
-class TraceEvent(NamedTuple):
-    stage: int
-    action: Action | None
-    removals: tuple[Removal, ...]
-    snapshot: Snapshot | None = None
-
-
-class TraceSummary(NamedTuple):
-    schema: int
-    horizon: int
-    side0: tuple[int, ...]
-    side1: tuple[int, ...]
-    restraints: tuple[tuple[int, int], ...]  # (position, value), sorted
-
-
-class Trace(NamedTuple):
-    events: list[TraceEvent]
-    summary: TraceSummary
-
-
-TRACE_SCHEMA = 1
-
-
-class TraceFormatError(ValueError):
-    """The trace does not have the shape of a construction run."""
-
-
-def _is_naturals(x) -> bool:
-    return isinstance(x, list) and all(map(_is_nat, x))
-
-
-def _is_pairs(x) -> bool:
-    return isinstance(x, list) and all(_is_naturals(p) and len(p) == 2 for p in x)
-
-
-# A trace writes each record above as a JSON object keyed by its fields.
-# Each field's value is a natural, unless this table gives its check.
-FIELD_CHECKS = {
-    "side": _is_bit,
-    "by_side": _is_bit,
-    "side0": _is_naturals,
-    "side1": _is_naturals,
-    "restraints": _is_pairs,
-}
 
 
 class MemberRecord:

@@ -1,0 +1,293 @@
+"""The operator layer: enumerations, preservation, the joint table, the
+diagonal set and the end-to-end check.
+
+Each side evaluates its operator only where its enumerated set can
+change.  The preservation window for a joint output found at stage s opens
+just after the first action (at a stage >= s) of the strongest pair acting
+at any stage >= s, because that action's removals restore the opposite
+side and its restraint then shields the restored premise.
+
+`replay`, `evaluate` and `synthesize_joint` are called through the
+`analysis` module, whose attributes are what a caller that wraps them
+(a tracer, a counting test) replaces.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, NamedTuple
+
+from . import analysis
+from .analysis import CheckResult, ReplayedRun, VerificationReport, _report
+from .arith import class_index, partial_density, unpair
+from .graphs import CofiniteOnes
+from .records import Trace
+from .suites import FunctionalSuite, OperatorSuite
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .operators import EnumOperator
+
+
+# ---------------------------------------------------------------------------
+# preservation check (a jointly enumerated output survives on one side)
+
+
+Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
+
+
+def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
+    """Each change point up to the horizon, stage 0 first, with the set
+    evaluate(op, the side's description graph, stage) from it on.
+
+    The set can only change where the side's membership changes or one of
+    op's axioms becomes visible, so evaluate runs only there and at stage 0.
+    """
+    visible = {stage for stage, _ in op.staged_axioms}
+    runs = dict(rep.entering.runs(0, horizon + 1))
+    changes = []
+    before = None
+    for s in sorted(runs.keys() | {v for v in visible if v <= horizon}):
+        now = runs[s][side] if s in runs else before
+        if s == 0 or s in visible or now != before:
+            changes.append((s, analysis.evaluate(op, CofiniteOnes.of(now), s)))
+        before = now
+    return changes
+
+
+def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | None:
+    """First stage in [start, horizon] whose enumerated set lacks x, or None."""
+    if start > horizon:
+        return None
+    i = bisect_right(changes, start, key=lambda change: change[0]) - 1
+    return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
+
+
+SharedJoint = dict  # (e0, e1) -> _joint_changes of one trace, operator suite and horizon
+
+
+def _joint_changes(
+    rep: ReplayedRun,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    shared: SharedJoint | None = None,
+) -> tuple[tuple[Changes, Changes], Changes]:
+    """Both sides' enumerations, and the jointly enumerated set at each
+    change point of either.
+
+    shared, when given, keeps the result per (e0, e1): checks of one trace
+    that pass the same dict compute each pair's enumerations once.
+    """
+    if shared is not None and (e0, e1) in shared:
+        return shared[e0, e1]
+    sides = (
+        enumeration(rep, operators.get(e0), 0, horizon),
+        enumeration(rep, operators.get(e1), 1, horizon),
+    )
+    by_stage = [dict(changes) for changes in sides]
+    now: list[frozenset[int]] = [frozenset(), frozenset()]
+    joint: Changes = []
+    for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
+        now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
+        joint.append((s, now[0] & now[1]))
+    if shared is not None:
+        shared[e0, e1] = sides, joint
+    return sides, joint
+
+
+def check_preservation(
+    trace: Trace,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
+) -> VerificationReport:
+    """Every output jointly enumerated at some stage stays enumerated on at
+    least one side from its protection stage through the horizon.
+
+    The protection stage is the first action stage >= s of the strongest
+    pair acting at any stage >= s (the window opens just after it); if no
+    pair acts again the window opens at s itself.  Pass shared to reuse the
+    enumerations of (e0, e1) between checks of the same trace.
+    """
+    rep = analysis.replay(trace) if rep is None else rep
+    if horizon > rep.horizon:
+        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    sides, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
+    found: dict[int, int] = {}
+    for s, outputs in joint:
+        for x in outputs:
+            found.setdefault(x, s)
+    actions = [(s, act.position) for s, act in rep.actions]
+    # protector[i]: the least (position, stage) among the actions from the i-th on
+    protector = [None]
+    for u, q in reversed(actions):
+        protector.append(min((q, u), protector[-1] or (q, u)))
+    protector.reverse()
+    for x in sorted(found):
+        s = found[x]
+        protect = protector[bisect_left(actions, s, key=lambda action: action[0])]
+        start = s if protect is None else protect[1] + 1
+        first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
+        if None not in first_bad:
+            return _report(
+                [
+                    CheckResult.of(
+                        "preservation",
+                        "fail",
+                        output=x,
+                        found_at=s,
+                        violated_at=max(first_bad),
+                        window_start=start,
+                    )
+                ],
+                e0=e0,
+                e1=e1,
+                horizon=horizon,
+            )
+    return _report(
+        [CheckResult.of("preservation", "pass", outputs=len(found))],
+        e0=e0,
+        e1=e1,
+        horizon=horizon,
+    )
+
+
+# ---------------------------------------------------------------------------
+# joint description table
+
+
+class JointTable(NamedTuple):
+    e0: int
+    e1: int
+    horizon: int
+    entries: dict[int, tuple[int, int]]  # n -> (bit, found_at_stage)
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        return [(n, k, s) for n, (k, s) in sorted(self.entries.items())]
+
+
+def synthesize_joint(
+    trace: Trace,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
+) -> JointTable:
+    """Search stages for codes enumerated by both sides at once.
+
+    For each input the first stage wins; if both bits appear at the same
+    first stage the smaller bit is kept (any fixed choice is sound because
+    preservation makes every jointly enumerated bit correct).
+    """
+    rep = analysis.replay(trace) if rep is None else rep
+    if horizon > rep.horizon:
+        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    _, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
+    entries: dict[int, tuple[int, int]] = {}
+    for s, outputs in joint:
+        best_here: dict[int, int] = {}
+        for code in outputs:
+            n, k = unpair(code)
+            if k <= 1 and (n not in best_here or k < best_here[n]):
+                best_here[n] = k
+        for n, k in best_here.items():
+            entries.setdefault(n, (k, s))
+    return JointTable(e0, e1, horizon, entries)
+
+
+# ---------------------------------------------------------------------------
+# diagonal set
+
+
+class DiagonalSet(NamedTuple):
+    side: int
+    horizon: int
+    bound: int
+    bits: tuple[int, ...]
+    disagreements: tuple[tuple[int, int, int], ...]  # (n, candidate bit, own bit)
+
+
+def derive_diagonal(
+    trace: Trace, suite: FunctionalSuite, side: int, horizon: int, bound: int
+) -> DiagonalSet:
+    """Bits disagree with the candidate on captured members, 1 elsewhere.
+
+    Also reports every point below the bound where the point's class
+    candidate has converged to a different bit — the realized evidence that
+    the candidate does not describe this set.
+    """
+    rep = analysis.replay(trace)
+    if horizon > rep.horizon:
+        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    members = rep.entering[horizon][side]
+    bits = []
+    disagreements = []
+    for n in range(bound):
+        e = class_index(n)
+        candidate = suite.query(e, n, horizon) if e is not None else None
+        if n in members and candidate is not None:
+            bits.append(1 - candidate)
+        else:
+            bits.append(1)
+        if candidate is not None and candidate != bits[n]:
+            disagreements.append((n, candidate, bits[n]))
+    return DiagonalSet(side, horizon, bound, tuple(bits), tuple(disagreements))
+
+
+# ---------------------------------------------------------------------------
+# end-to-end check
+
+
+def check_end_to_end(
+    trace: Trace,
+    operators: OperatorSuite,
+    e0: int,
+    e1: int,
+    horizon: int,
+    bound: int,
+    target_bits: Sequence[int],
+    threshold: Fraction,
+    rep: ReplayedRun | None = None,
+    shared: SharedJoint | None = None,
+) -> VerificationReport:
+    """Every defined joint-table bit matches the target, and the table's
+    domain below the bound is at least as dense as the threshold."""
+    if len(target_bits) < bound:
+        raise ValueError(f"target bits shorter than bound {bound}")
+    table = analysis.synthesize_joint(trace, operators, e0, e1, horizon, rep, shared)
+    defined = [n for n in table.entries if n < bound]
+    mismatches = sorted(
+        (n, table.entries[n][0], target_bits[n])
+        for n in defined
+        if table.entries[n][0] != target_bits[n]
+    )
+    checks = [
+        CheckResult.of(
+            "values_match",
+            "fail" if mismatches else "pass",
+            **(
+                {"n": mismatches[0][0], "got": mismatches[0][1], "want": mismatches[0][2]}
+                if mismatches
+                else {"defined": len(defined)}
+            ),
+        )
+    ]
+    density = partial_density(defined, bound)
+    checks.append(
+        CheckResult.of(
+            "domain_density",
+            "pass" if density >= threshold else "fail",
+            density=str(density),
+            threshold=str(threshold),
+        )
+    )
+    return _report(checks, e0=e0, e1=e1, bound=bound, horizon=horizon)

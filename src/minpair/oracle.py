@@ -1,0 +1,120 @@
+"""Reference oracle: an independent re-transcription of the stage rule.
+
+It jumps from action to action: between two actions the memberships and
+restraints are frozen, so the next actor, its stage and its witness follow
+from the settle stages alone.  It imports only the trace records and the
+suites, shares no code with the engine's arrival queue, actor scan or side
+state, and exists purely to cross-validate the engine trace for trace
+(`verify --checks oracle`).
+"""
+
+from __future__ import annotations
+
+from .arith import class_index, position
+from .records import (
+    Action,
+    Removal,
+    Snapshot,
+    Trace,
+    TraceEvent,
+    TraceSummary,
+    TRACE_SCHEMA,
+)
+from .suites import FunctionalSuite
+
+
+def _points_above(e: int, bound: int, horizon: int) -> range:
+    """Every class-e point above bound and below the horizon, ascending."""
+    return range((1 << e) + ((bound + (1 << e)) >> (e + 1) << (e + 1)), horizon, 2 << e)
+
+
+def _least_settle(
+    suite: FunctionalSuite, e: int, bound: int, horizon: int
+) -> tuple[int, int] | None:
+    """(stage, n): the least settle stage below the horizon of a class-e
+    point above bound, and the least point that settles then; None if no
+    such point settles before the horizon."""
+    best, stop = None, horizon
+    for n in _points_above(e, bound, horizon):
+        if n + 1 >= stop:  # n and every later point settle after stage n
+            break
+        hit = suite.settle(e, n, horizon)
+        if hit is not None and hit[1] < stop:
+            best, stop = (hit[1], n), hit[1]
+    return best
+
+
+def reference_run(
+    suite: FunctionalSuite, horizon: int, snapshot_every: int = 0
+) -> Trace:
+    """Independent transcription of the stage rule that jumps from action
+    to action.
+
+    Memberships and restraints change only at actions, so between two
+    actions each requirement's stronger-restraint bound and its held state
+    are frozen.  An unheld requirement p = (e, side) is then first eligible
+    at the largest of: the next stage, p + 1, and the least settle stage of
+    a class-e point above its bound.  The least p with the least such stage
+    acts there, with the least class point above the bound settled by then
+    as its witness; every stage before it is quiet.  Only present
+    functionals are scanned: absent ones diverge, so never act or hold a
+    restraint.  Must produce a trace identical to the engine's.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
+    members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
+    restraints: dict[int, int] = {}
+    # p -> _least_settle above p's bound.  Bounds only rise, so an entry
+    # stays right while its point is above p's bound.
+    least: dict[int, tuple[int, int] | None] = {}
+    acted: dict[int, tuple[Action, tuple[Removal, ...], Snapshot]] = {}  # stage -> event
+    s = 0
+    while True:
+        chosen = None  # (stage, p, e, side, bound)
+        strongest = 0  # max restraint over the positions scanned so far
+        for p, e, side in requirements:
+            bound = strongest
+            strongest = max(strongest, restraints.get(p, 0))
+            if any(class_index(m) == e for m in members[side]):
+                continue
+            if p not in least or least[p] is not None and least[p][1] <= bound:
+                least[p] = _least_settle(suite, e, bound, horizon)
+            if least[p] is None:
+                continue
+            t = max(s, p + 1, least[p][0])
+            if t < (horizon if chosen is None else chosen[0]):
+                chosen = (t, p, e, side, bound)
+        if chosen is None:
+            break
+        t, p, e, side, bound = chosen
+        for witness in _points_above(e, bound, horizon):
+            hit = suite.settle(e, witness, horizon)
+            if hit is not None and hit[1] <= t:
+                break
+        opposite = members[1 - side]
+        removals = []
+        for n in sorted(opposite):
+            by_e, by_side, inserted_at = opposite[n]
+            if position(by_e, by_side) > p:
+                removals.append(Removal(n, 1 - side, by_e, by_side, inserted_at))
+                del opposite[n]
+        members[side][witness] = (e, side, t)
+        restraints[p] = t
+        post = Snapshot(tuple(sorted(members[0])), tuple(sorted(members[1])))
+        acted[t] = (Action(e, side, witness, t), tuple(removals), post)
+        s = t + 1
+    events = []
+    post = Snapshot((), ())
+    for s in range(horizon):
+        action, removals, post = acted.get(s, (None, (), post))
+        snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
+        events.append(TraceEvent(s, action, removals, snapshot))
+    summary = TraceSummary(
+        schema=TRACE_SCHEMA,
+        horizon=horizon,
+        side0=post.side0,
+        side1=post.side1,
+        restraints=tuple(sorted(restraints.items())),
+    )
+    return Trace(events, summary)

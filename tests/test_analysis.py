@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 
@@ -63,6 +64,36 @@ def forged(events, side0=(), side1=(), restraints=(), horizon=None):
 
 def empty_events(stages):
     return [TraceEvent(s, None, ()) for s in stages]
+
+
+# -- names resolved on first use ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, home",
+    [
+        ("check_structural", "analysis"),
+        ("reference_run", "oracle"),
+        ("check_capture", "analysis"),
+        ("check_preservation", "joint"),
+        ("check_end_to_end", "joint"),
+        ("synthesize_joint", "joint"),
+        ("replay", "analysis"),
+        ("evaluate", "operators"),
+    ],
+)
+def test_traced_names_are_analysis_attributes(name, home):
+    """Every function a tracer wraps through `analysis` is an attribute of
+    it, and is the object its home module defines."""
+    module = importlib.import_module(f"minpair.{home}")
+    assert getattr(analysis, name) is getattr(module, name)
+    assert getattr(module, name).__module__ == module.__name__
+
+
+def test_unknown_analysis_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_check"):
+        analysis.no_such_check
+    assert not hasattr(analysis, "check_nothing")
 
 
 # -- replay ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import functools
+import gc
 import io
 import json
 import os
@@ -508,44 +510,168 @@ def test_psi_bound_below_one_exits_2(tmp_path, capsys, bound):
 # -- start-up cost ------------------------------------------------------------
 
 
-def test_run_loads_neither_dataclasses_nor_the_checks(tmp_path):
-    """Importing the CLI and running a construction, in a fresh interpreter
-    without site packages, loads neither `dataclasses` nor the analysis
-    module: `run` pays only for the code it runs."""
+# command -> (argv, the minpair modules it must load, the modules it must not)
+LOADS = {
+    "run": (
+        ["run", "--config", "configs/scenario.json", "--out", "{tmp}/new.trace"],
+        {"minpair.engine"},
+        {"dataclasses", "fractions", "minpair.analysis", "minpair.oracle", "minpair.joint",
+         "minpair.operators", "minpair.graphs"},
+    ),
+    "verify-structural,capture": (
+        ["verify", "--trace", "{tmp}/capture.trace", "--config", "{tmp}/capture.json"]
+        + ["--checks", "structural,capture", "--report", "{tmp}/r.json"],
+        {"minpair.analysis"},
+        {"minpair.engine", "minpair.oracle", "minpair.joint", "minpair.graphs", "minpair.operators"},
+    ),
+    "verify": (
+        ["verify", "--trace", "{tmp}/scenario.trace", "--config", "configs/scenario.json"]
+        + ["--report", "{tmp}/r.json"],
+        {"minpair.oracle"},
+        {"minpair.engine", "minpair.joint"},
+    ),
+    "verify-preservation,end_to_end": (
+        ["verify", "--trace", "{tmp}/parity.trace", "--config", "{tmp}/parity.json"]
+        + ["--checks", "preservation,end_to_end", "--report", "{tmp}/r.json"],
+        {"minpair.joint"},
+        {"minpair.engine", "minpair.oracle"},
+    ),
+    "psi": (
+        ["psi", "--trace", "{tmp}/parity.trace", "--config", "configs/parity_demo.json"]
+        + ["--e0", "0", "--e1", "1", "--bound", "100"],
+        {"minpair.joint"},
+        {"minpair.engine", "minpair.oracle"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_command_loads_only_what_it_runs(tmp_path, command):
+    """Each command, in a fresh interpreter without site packages, loads the
+    modules its work needs and none of the others: never `argparse` or
+    `dataclasses`, the engine only for `run`, the oracle only for an oracle
+    check, and the operator layer only for preservation, end_to_end and
+    `psi`."""
     root = Path(__file__).resolve().parent.parent
+    capture = dict(random_config(0, 200), checks={"capture": [{"e": 0, "side": 0}]})
+    parity = json.loads((root / "configs" / "parity_demo.json").read_text(encoding="utf-8"))
+    parity["checks"]["preservation"] = [{"e0": 0, "e1": 1}]
+    write_config(tmp_path / "capture.json", capture)
+    write_config(tmp_path / "parity.json", parity)
+    for trace, config in [
+        ("capture.trace", str(tmp_path / "capture.json")),
+        ("scenario.trace", "configs/scenario.json"),
+        ("parity.trace", "configs/parity_demo.json"),
+    ]:
+        assert main(["run", "--config", config, "--out", str(tmp_path / trace)]) == 0
+    argv, wanted, unwanted = LOADS[command]
     probe = (
         "import json, sys\n"
         "import minpair.cli\n"
-        "imported = sorted({'dataclasses', 'minpair.analysis'} & set(sys.modules))\n"
-        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(json.dumps([imported, code, 'minpair.analysis' in sys.modules]))\n"
+        "code = minpair.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
-    argv.append(str(tmp_path / "scenario.trace"))
+    argv = [sys.executable, "-S", "-c", probe, *(arg.format(tmp=tmp_path) for arg in argv)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(argv, env=env, cwd=root, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], 0, False]
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert wanted <= set(modules)
+    assert sorted((unwanted | {"argparse"}) & set(modules)) == []
 
 
-def test_run_loads_neither_fractions_nor_operators(tmp_path):
-    """`run` on a config without operators, in a fresh interpreter without
-    site packages, loads neither `fractions` nor the operator, graph and
-    analysis modules."""
+def test_run_pauses_the_collector(tmp_path, scenario_config_path, monkeypatch):
+    """`run` writes every event with the cyclic collector paused, and turns
+    it back on afterwards, also when the run fails."""
+    real_run = engine.run
+    seen = []
+
+    def watched_run(suite, horizon, snapshot_every=0, mutation=None, on_event=None, fail=False):
+        def write(ev):
+            seen.append(gc.isenabled())
+            on_event(ev)
+            if fail:
+                raise RuntimeError("interrupted")
+
+        return real_run(suite, horizon, snapshot_every, mutation, write)
+
+    assert gc.isenabled()
+    monkeypatch.setattr(engine, "run", watched_run)
+    assert main(["run", "--config", scenario_config_path, "--out", str(tmp_path / "a")]) == 0
+    assert seen == [False] * 5 and gc.isenabled()
+    monkeypatch.setattr(engine, "run", functools.partial(watched_run, fail=True))
+    with pytest.raises(RuntimeError):
+        main(["run", "--config", scenario_config_path, "--out", str(tmp_path / "b")])
+    assert seen == [False] * 6 and gc.isenabled()
+
+
+# -- command line ---------------------------------------------------------------
+
+PSI_FLAGS = ["--trace", "t", "--config", "c", "--e0", "0", "--e1", "1", "--bound", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["run", "--config", "c", "--out", "o", "--seed", "1"],
+        ["run", "--conf", "c", "--out", "o"],
+        ["run", "--config", "c", "--out", "o", "extra"],
+        ["run", "--config", "c", "--out"],
+        ["run", "--config", "--out", "o"],
+        ["run", "--out", "o"],
+        ["verify", "--config", "c"],
+        ["psi", *PSI_FLAGS, "--e0", "x"],
+        ["psi", *PSI_FLAGS, "--e1=1.5"],
+        ["psi", *PSI_FLAGS, "--bound", ""],
+    ],
+)
+def test_usage_error_exits_2_with_usage(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("minpair: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["psi", "--trace", "t", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and captured.err == ""
+    assert all(f"minpair {command} " in captured.out for command in cli.COMMANDS)
+
+
+def test_flag_equals_value_is_flag_then_value(tmp_path):
+    spaced = ["verify", "--trace", "t", "--config", "c", "--checks", "oracle", "--report", "r"]
+    assert cli.parse_args(["verify", "--trace=t", "--config=c", "--checks=oracle", "--report=r"]) == (
+        cli.parse_args(spaced)
+    )
+    assert cli.parse_args(["psi", *PSI_FLAGS]) == cli.parse_args(
+        ["psi", "--trace=t", "--config=c", "--e0=0", "--e1=1", "--bound=6"]
+    )
+    out1, out2 = tmp_path / "a.trace", tmp_path / "b.trace"
+    assert main(["run", "--config", "configs/injury.json", "--out", str(out1)]) == 0
+    assert main(["run", "--config=configs/injury.json", f"--out={out2}"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_readme_command_lines_parse():
     root = Path(__file__).resolve().parent.parent
-    probe = (
-        "import json, sys\n"
-        "import minpair.cli\n"
-        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "unwanted = {'fractions', 'minpair.operators', 'minpair.graphs', 'minpair.analysis'}\n"
-        "print(json.dumps([code, sorted(unwanted & set(sys.modules))]))\n"
-    )
-    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
-    argv.append(str(tmp_path / "scenario.trace"))
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [0, []]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    lines = [line.split() for line in readme.splitlines() if line.startswith("minpair ")]
+    assert {line[1] for line in lines} == set(cli.COMMANDS)
+    for line in lines:
+        command, args = cli.parse_args([arg.strip("[]") for arg in line[1:]])
+        assert command == line[1] and None not in vars(args).values()
+
+
+def test_psi_bound_zero_is_a_config_error_not_a_usage_error(capsys):
+    assert main(["psi", *PSI_FLAGS[:-1], "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "minpair: --bound must be >= 1, got 0\n"
 
 
 # -- corrupted traces -----------------------------------------------------------
