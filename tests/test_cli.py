@@ -581,6 +581,46 @@ def test_command_loads_only_what_it_runs(tmp_path, command):
     assert sorted((unwanted | {"argparse"}) & set(modules)) == []
 
 
+def test_run_loads_neither_dataclasses_nor_the_checks(tmp_path):
+    """Importing the CLI and running a construction, in a fresh interpreter
+    without site packages, loads neither `dataclasses` nor the analysis
+    module: `run` pays only for the code it runs."""
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        "import minpair.cli\n"
+        "imported = sorted({'dataclasses', 'minpair.analysis'} & set(sys.modules))\n"
+        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([imported, code, 'minpair.analysis' in sys.modules]))\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
+    argv.append(str(tmp_path / "scenario.trace"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 0, False]
+
+
+def test_run_loads_neither_fractions_nor_operators(tmp_path):
+    """`run` on a config without operators, in a fresh interpreter without
+    site packages, loads neither `fractions` nor the operator, graph and
+    analysis modules."""
+    root = Path(__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        "import minpair.cli\n"
+        "code = minpair.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "unwanted = {'fractions', 'minpair.operators', 'minpair.graphs', 'minpair.analysis'}\n"
+        "print(json.dumps([code, sorted(unwanted & set(sys.modules))]))\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, str(root / "configs" / "scenario.json")]
+    argv.append(str(tmp_path / "scenario.trace"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, []]
+
+
 def test_run_pauses_the_collector(tmp_path, scenario_config_path, monkeypatch):
     """`run` writes every event with the cyclic collector paused, and turns
     it back on afterwards, also when the run fails."""
