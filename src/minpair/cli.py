@@ -30,46 +30,18 @@ from .records import (
     TraceSummary,
     TRACE_SCHEMA,
 )
-from .suites import (
-    FunctionalSuite,
-    OperatorSuite,
-    SpecError,
-    SuiteValidationError,
-    _is_bit,
-    _is_nat,
-    build_suite,
-    compile_functional,
-    compile_operator,
-)
+from . import suites
+from .suites import EndToEndSpec, SpecError, SuiteValidationError, _is_nat, build_suite
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .analysis import CheckResult, VerificationReport
 
 
-class ConfigError(ValueError):
-    """The config file violates the documented schema."""
+ConfigError = SpecError  # the config file violates the documented schema
 
 
 # ---------------------------------------------------------------------------
-# config schema
-
-
-class EndToEndSpec(NamedTuple):
-    e0: int
-    e1: int
-    bound: int
-    threshold: Fraction
-    target: tuple[tuple[str, object], ...]  # normalized tagged record
-
-    def target_bits(self) -> list[int]:
-        spec = dict(self.target)
-        if spec["kind"] == "parity":
-            return [n & 1 for n in range(self.bound)]
-        if spec["kind"] == "const":
-            return [spec["value"]] * self.bound  # type: ignore[list-item]
-        return list(spec["values"])[: self.bound]  # type: ignore[arg-type]
+# config schema (the tables live in minpair.suites)
 
 
 class RunConfig(NamedTuple):
@@ -80,68 +52,7 @@ class RunConfig(NamedTuple):
     operators: Sequence = ()
     capture_checks: Sequence = ()  # [(e, side)]
     preservation_checks: Sequence = ()  # [(e0, e1)]
-    end_to_end_checks: Sequence = ()  # [EndToEndSpec]
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "horizon": self.horizon,
-            "snapshot_every": self.snapshot_every,
-            "seed": self.seed,
-            "suite": {"functionals": self.functionals, "operators": self.operators},
-        }
-        checks: dict = {}
-        if self.capture_checks:
-            checks["capture"] = [{"e": e, "side": side} for e, side in self.capture_checks]
-        if self.preservation_checks:
-            checks["preservation"] = [
-                {"e0": e0, "e1": e1} for e0, e1 in self.preservation_checks
-            ]
-        if self.end_to_end_checks:
-            checks["end_to_end"] = [
-                {
-                    "e0": s.e0,
-                    "e1": s.e1,
-                    "bound": s.bound,
-                    "threshold": str(s.threshold),
-                    "target": dict(s.target),
-                }
-                for s in self.end_to_end_checks
-            ]
-        if checks:
-            obj["checks"] = checks
-        return obj
-
-
-def _expect_fields(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: must be an object")
-    unknown = sorted(set(obj) - required - optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown field '{unknown[0]}'")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise ConfigError(f"{path}: missing field '{missing[0]}'")
-
-
-def _parse_target(raw, path: str) -> tuple[tuple[str, object], ...]:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"{path}: target must be a tagged object")
-    kind = raw["kind"]
-    if kind == "parity":
-        _expect_fields(raw, path, {"kind"}, set())
-        return (("kind", "parity"),)
-    if kind == "const":
-        _expect_fields(raw, path, {"kind", "value"}, set())
-        if not _is_bit(raw["value"]):
-            raise ConfigError(f"{path}.value: must be a bit")
-        return (("kind", "const"), ("value", raw["value"]))
-    if kind == "bits":
-        _expect_fields(raw, path, {"kind", "values"}, set())
-        values = raw["values"]
-        if not isinstance(values, list) or not all(_is_bit(v) for v in values):
-            raise ConfigError(f"{path}.values: must be a list of bits")
-        return (("kind", "bits"), ("values", tuple(values)))
-    raise ConfigError(f"{path}: unknown kind '{kind}'")
+    end_to_end_checks: Sequence[EndToEndSpec] = ()
 
 
 def parse_config(text: str) -> RunConfig:
@@ -150,107 +61,45 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
-    _expect_fields(
-        raw, "config", {"horizon", "suite"}, {"snapshot_every", "seed", "probe", "checks"}
-    )
-    if not _is_nat(raw["horizon"]):
-        raise ConfigError("config.horizon: must be >= 0")
-    snapshot_every = raw.get("snapshot_every", 0)
-    if not _is_nat(snapshot_every):
-        raise ConfigError("config.snapshot_every: must be >= 0")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config.seed: must be an integer")
-
-    suite = raw["suite"]
-    _expect_fields(suite, "config.suite", {"functionals"}, {"operators"})
-    functionals = suite["functionals"]
-    operators = suite.get("operators", [])
-    if not isinstance(functionals, list):
-        raise ConfigError("config.suite.functionals: must be a list")
-    if not isinstance(operators, list):
-        raise ConfigError("config.suite.operators: must be a list")
-    for i, spec in enumerate(functionals):
-        try:
-            compile_functional(spec, seed)
-        except SpecError as err:
-            raise ConfigError(f"config.suite.functionals[{i}]: {err}") from None
-        except SuiteValidationError as err:
-            raise SuiteValidationError(f"config.suite.functionals[{i}]: {err}") from None
-    for i, spec in enumerate(operators):
-        try:
-            compile_operator(spec, 4)  # shape check only; real bound set at build
-        except SpecError as err:
-            raise ConfigError(f"config.suite.operators[{i}]: {err}") from None
-
-    if "probe" in raw:  # accepted and ignored: stability holds by construction
-        _expect_fields(raw["probe"], "config.probe", {"points", "stages"}, set())
-        if not _is_nat(raw["probe"]["points"]) or not _is_nat(raw["probe"]["stages"]):
-            raise ConfigError("config.probe: points and stages must be naturals")
-
-    capture_checks: list = []
-    preservation_checks: list = []
-    end_to_end_checks: list = []
-    if "checks" in raw:
-        _expect_fields(
-            raw["checks"], "config.checks", set(), {"capture", "preservation", "end_to_end"}
-        )
-        for i, entry in enumerate(raw["checks"].get("capture", [])):
-            path = f"config.checks.capture[{i}]"
-            _expect_fields(entry, path, {"e", "side"}, set())
-            if not _is_nat(entry["e"]) or not _is_bit(entry["side"]):
-                raise ConfigError(f"{path}: e must be a natural and side a bit")
-            capture_checks.append((entry["e"], entry["side"]))
-        for i, entry in enumerate(raw["checks"].get("preservation", [])):
-            path = f"config.checks.preservation[{i}]"
-            _expect_fields(entry, path, {"e0", "e1"}, set())
-            if not _is_nat(entry["e0"]) or not _is_nat(entry["e1"]):
-                raise ConfigError(f"{path}: e0 and e1 must be naturals")
-            preservation_checks.append((entry["e0"], entry["e1"]))
-        for i, entry in enumerate(raw["checks"].get("end_to_end", [])):
-            path = f"config.checks.end_to_end[{i}]"
-            _expect_fields(entry, path, {"e0", "e1", "bound", "threshold", "target"}, set())
-            if not _is_nat(entry["e0"]) or not _is_nat(entry["e1"]):
-                raise ConfigError(f"{path}: e0 and e1 must be naturals")
-            if not _is_nat(entry["bound"]) or entry["bound"] < 1:
-                raise ConfigError(f"{path}.bound: must be >= 1")
-            from fractions import Fraction  # only end_to_end checks load it
-
-            try:
-                threshold = Fraction(str(entry["threshold"]))
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"{path}.threshold: not a rational") from None
-            target = _parse_target(entry["target"], f"{path}.target")
-            if dict(target)["kind"] == "bits" and len(dict(target)["values"]) < entry["bound"]:
-                raise ConfigError(f"{path}: target bits shorter than bound")
-            end_to_end_checks.append(
-                EndToEndSpec(entry["e0"], entry["e1"], entry["bound"], threshold, target)
-            )
-
-    return RunConfig(
-        horizon=raw["horizon"],
-        snapshot_every=snapshot_every,
-        seed=seed,
-        functionals=functionals,
-        operators=operators,
-        capture_checks=capture_checks,
-        preservation_checks=preservation_checks,
-        end_to_end_checks=end_to_end_checks,
-    )
+    except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
+        raise ConfigError(f"config: {err}") from None
+    try:
+        got = suites.fields(raw, "config", suites.CONFIG)
+        suite, checks = got["suite"], got["checks"]
+        # compiling at stage bound 0 checks every spec and enumerates nothing
+        suites.build_suite(suite["functionals"], suite["operators"], 0, got["seed"])
+    except RecursionError:
+        raise ConfigError("config: nested too deeply") from None
+    # the suite's fields and then the checks', in table order, end RunConfig
+    head = (got["horizon"], got["snapshot_every"], got["seed"])
+    return RunConfig(*head, *suite.values(), *checks.values())
 
 
 def serialize_config(config: RunConfig) -> str:
-    return json.dumps(config.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    """The config as JSON; each check record is keyed by its table's fields."""
+    horizon, snapshot_every, seed, functionals, operators, *rows = config
+    obj = {"horizon": horizon, "snapshot_every": snapshot_every, "seed": seed}
+    obj["suite"] = {"functionals": functionals, "operators": operators}
+    checks = {
+        name: [dict(zip(table, row)) for row in got]
+        for (name, (_, table)), got in zip(suites.CHECK_RECORDS.items(), rows)
+        if got
+    }
+    if checks:
+        obj["checks"] = checks
+    return json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"  # str: thresholds
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 at byte {err.start}") from None
+    return parse_config(text)
 
 
-def build_suites(config: RunConfig) -> tuple[FunctionalSuite, OperatorSuite]:
-    return build_suite(
-        config.functionals, config.operators, config.horizon, default_seed=config.seed
-    )
+def build_suites(config: RunConfig) -> tuple[suites.FunctionalSuite, suites.OperatorSuite]:
+    return build_suite(config.functionals, config.operators, config.horizon, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +199,10 @@ def _collector_paused():
 
 
 def read_trace(path: str | Path) -> Trace:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise TraceFormatError(f"{path}: not UTF-8 at byte {err.start}") from None
     with _collector_paused():
         return _parse_trace(text.splitlines())
 
@@ -374,6 +226,8 @@ def _parse_trace(lines: list[str]) -> Trace:
             raw = json.loads(line)
         except json.JSONDecodeError as err:
             raise TraceFormatError(f"{where}: {err.msg}") from None
+        except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
+            raise TraceFormatError(f"{where}: {err}") from None
         if summary is not None:
             raise TraceFormatError(f"{where}: records after the summary line")
         if isinstance(raw, dict) and "summary" in raw:
@@ -419,7 +273,7 @@ def serialize_report(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-KNOWN_CHECKS = ("structural", "oracle", "capture", "preservation", "end_to_end")
+KNOWN_CHECKS = ("structural", "oracle", *suites.CHECK_RECORDS)
 
 # Each command's help line and its flags, as (name, type, required).
 COMMANDS = {
@@ -477,20 +331,19 @@ def _cmd_verify(args) -> int:
 
     config, trace = _load_matching(args)
     fsuite, osuite = build_suites(config)
+    configured = dict(zip(suites.CHECK_RECORDS, config[5:]))  # check name -> its records
     if args.checks is None:
-        selected = {"structural", "oracle"}
-        if config.capture_checks:
-            selected.add("capture")
-        if config.preservation_checks:
-            selected.add("preservation")
-        if config.end_to_end_checks:
-            selected.add("end_to_end")
+        selected = {"structural", "oracle"} | {name for name, rows in configured.items() if rows}
     else:
         selected = {name.strip() for name in args.checks.split(",") if name.strip()}
         unknown = selected - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown check '{sorted(unknown)[0]}'")
         selected.add("structural")
+    for name in suites.CHECK_RECORDS:
+        if name in selected and not configured[name]:
+            raise ConfigError(f"{name} selected but config.checks.{name} is empty")
+    wanted = {name: rows if name in selected else () for name, rows in configured.items()}
 
     rep = analysis.replay(trace)
     results: list[CheckResult] = []
@@ -504,47 +357,38 @@ def _cmd_verify(args) -> int:
         results.append(
             analysis.CheckResult.of("oracle_equivalence", "pass" if ref == trace else "fail")
         )
-    if "capture" in selected:
-        if not config.capture_checks:
-            raise ConfigError("capture selected but config.checks.capture is empty")
-        for e, side in config.capture_checks:
-            sub = analysis.check_capture(trace, fsuite, e, side, config.horizon, rep)
-            results.extend(
-                analysis.CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
-                for c in sub.checks
-            )
+    for e, side in wanted["capture"]:
+        sub = analysis.check_capture(trace, fsuite, e, side, config.horizon, rep)
+        results.extend(
+            analysis.CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
+            for c in sub.checks
+        )
     shared: dict = {}  # each (e0, e1)'s enumerations, shared by preservation and end_to_end
-    if "preservation" in selected:
-        if not config.preservation_checks:
-            raise ConfigError("preservation selected but config.checks.preservation is empty")
-        for e0, e1 in config.preservation_checks:
-            sub = analysis.check_preservation(trace, osuite, e0, e1, config.horizon, rep, shared)
-            results.extend(
-                analysis.CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
-                for c in sub.checks
+    for e0, e1 in wanted["preservation"]:
+        sub = analysis.check_preservation(trace, osuite, e0, e1, config.horizon, rep, shared)
+        results.extend(
+            analysis.CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
+            for c in sub.checks
+        )
+    for spec in wanted["end_to_end"]:
+        sub = analysis.check_end_to_end(
+            trace,
+            osuite,
+            spec.e0,
+            spec.e1,
+            config.horizon,
+            spec.bound,
+            spec.target_bits(),
+            spec.threshold,
+            rep,
+            shared,
+        )
+        results.extend(
+            analysis.CheckResult(
+                f"end_to_end[e0={spec.e0},e1={spec.e1}]:{c.name}", c.verdict, c.detail
             )
-    if "end_to_end" in selected:
-        if not config.end_to_end_checks:
-            raise ConfigError("end_to_end selected but config.checks.end_to_end is empty")
-        for spec in config.end_to_end_checks:
-            sub = analysis.check_end_to_end(
-                trace,
-                osuite,
-                spec.e0,
-                spec.e1,
-                config.horizon,
-                spec.bound,
-                spec.target_bits(),
-                spec.threshold,
-                rep,
-                shared,
-            )
-            results.extend(
-                analysis.CheckResult(
-                    f"end_to_end[e0={spec.e0},e1={spec.e1}]:{c.name}", c.verdict, c.detail
-                )
-                for c in sub.checks
-            )
+            for c in sub.checks
+        )
 
     report = analysis.VerificationReport(
         tuple(sorted(results, key=lambda c: c.name)),
@@ -640,10 +484,7 @@ def main(argv=None) -> int:
     except TraceFormatError as err:
         print(f"minpair: malformed trace: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, SpecError, SuiteValidationError) as err:
-        print(f"minpair: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SpecError, SuiteValidationError, OSError) as err:
         print(f"minpair: {err}", file=sys.stderr)
         return 2
 

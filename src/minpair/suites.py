@@ -9,7 +9,8 @@ construction.  Entries are written in a small synthetic description
 language (tagged records, parsed from config files) or as register-machine
 programs run with a step budget equal to the stage.  build_suite compiles a
 whole family; operators are checked for the use-within-stage bound.  Absent
-indices behave as everywhere divergent.
+indices behave as everywhere divergent.  The config schema, one field table
+per record, lives here too.
 """
 
 from __future__ import annotations
@@ -20,15 +21,125 @@ from typing import TYPE_CHECKING, NamedTuple
 from .arith import class_index, pair, unpair
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .operators import EnumOperator
 
 
 class SpecError(ValueError):
-    """A synthetic description is malformed."""
+    """A config or a spec breaks the schema at the JSON path that the message names."""
 
 
 class SuiteValidationError(ValueError):
     """An entry violates a suite convention."""
+
+
+# ---------------------------------------------------------------------------
+# schema
+#
+# A table maps each field of a JSON object to (parse,) when it is required or
+# to (parse, default) when it may be absent.  A parser takes the raw value and
+# its JSON path and returns the checked value, or raises SpecError naming the
+# path.  A default is parsed like a given value (so each config gets its own
+# lists), except None, which stands for "absent".
+
+
+def _is_nat(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _is_bit(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
+
+
+def fields(raw, path: str, table: dict) -> dict:
+    """The fields of the JSON object `raw`, each parsed by its entry in `table`."""
+    if not isinstance(raw, dict):
+        raise SpecError(f"{path}: must be an object")
+    for name in raw:
+        if name not in table:
+            raise SpecError(f"{path}.{name}: unknown field")
+    got = {}
+    for name, (parse, *default) in table.items():
+        if name in raw:
+            got[name] = parse(raw[name], f"{path}.{name}")
+        elif not default:
+            raise SpecError(f"{path}.{name}: missing field")
+        else:
+            got[name] = None if default[0] is None else parse(default[0], f"{path}.{name}")
+    return got
+
+
+def _build(build, context: tuple, raw, path: str, table: dict):
+    """build(*context, **fields); a SpecError from build (a check across fields) names path."""
+    got = fields(raw, path, table)
+    try:
+        return build(*context, **got)
+    except SpecError as err:
+        raise SpecError(f"{path}: {err}") from None
+
+
+def _row(**got) -> tuple:
+    return tuple(got.values())
+
+
+def record(build, table: dict):
+    """Parser of a JSON object with the fields of `table`, made into build(**fields)."""
+    return lambda raw, path: _build(build, (), raw, path, table)
+
+
+def tagged(raw, path: str, kinds: dict, *context):
+    """The value of a kind-tagged JSON object: its "kind" picks the (build, table)
+    entry of `kinds`, and its other fields go through table into build."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"{path}.kind: unknown kind '{kind}'")
+    build, table = kinds[kind]
+    return _build(build, context, {k: v for k, v in raw.items() if k != "kind"}, path, table)
+
+
+def _checked(test, what: str):
+    """Parser that keeps a value passing `test`."""
+
+    def parse(raw, path):
+        if not test(raw):
+            raise SpecError(f"{path}: must be {what}")
+        return raw
+
+    return parse
+
+
+natural = _checked(_is_nat, "a natural")
+bit = _checked(_is_bit, "the integer 0 or 1")
+positive = _checked(lambda x: _is_nat(x) and x >= 1, "a natural >= 1")
+integer = _checked(lambda x: type(x) is int, "an integer")
+_json = _checked(lambda x: True, "JSON")
+
+
+def one_of(*choices: str):
+    return _checked(lambda x: isinstance(x, str) and x in choices, f"one of {list(choices)}")
+
+
+def list_of(parse):
+    """Parser of a JSON list, item i parsed by `parse` at path[i]."""
+
+    def parse_list(raw, path):
+        if not isinstance(raw, list):
+            raise SpecError(f"{path}: must be a list")
+        return [parse(item, f"{path}[{i}]") for i, item in enumerate(raw)]
+
+    return parse_list
+
+
+def items(*parses):
+    """Parser of a JSON list of exactly one item per parser, in order."""
+
+    def parse_items(raw, path):
+        if not isinstance(raw, list) or len(raw) != len(parses):
+            raise SpecError(f"{path}: must be a list of {len(parses)} items")
+        return [parse(item, f"{path}[{i}]") for i, (parse, item) in enumerate(zip(parses, raw))]
+
+    return parse_items
 
 
 # ---------------------------------------------------------------------------
@@ -74,38 +185,20 @@ def run_machine(
     return False, steps, 0
 
 
-def parse_program(raw) -> tuple[Instruction, ...]:
+# The instruction table: each opcode's number of operands, all naturals (register, address).
+OPERANDS = {"halt": 0, "inc": 1, "decjz": 2}
+
+
+def _instruction(raw, path: str) -> Instruction:
+    op = raw[0] if isinstance(raw, list) and raw else None
+    if not isinstance(op, str) or op not in OPERANDS:
+        raise SpecError(f"{path}[0]: unknown opcode '{op}'")
+    return Instruction(*items(_json, *[natural] * OPERANDS[op])(raw, path))
+
+
+def parse_program(raw, path: str = "program") -> tuple[Instruction, ...]:
     """Decode ["inc", r] / ["decjz", r, addr] / ["halt"] records."""
-    if not isinstance(raw, list):
-        raise SpecError("program must be a list of instructions")
-    out = []
-    for i, ins in enumerate(raw):
-        if not isinstance(ins, list) or not ins or not isinstance(ins[0], str):
-            raise SpecError(f"instruction {i} must be a tagged list")
-        op = ins[0]
-        if op == "halt":
-            if len(ins) != 1:
-                raise SpecError(f"instruction {i}: halt takes no operands")
-            out.append(Instruction("halt"))
-        elif op == "inc":
-            if len(ins) != 2 or not _is_nat(ins[1]):
-                raise SpecError(f"instruction {i}: inc takes one register")
-            out.append(Instruction("inc", ins[1]))
-        elif op == "decjz":
-            if len(ins) != 3 or not _is_nat(ins[1]) or not _is_nat(ins[2]):
-                raise SpecError(f"instruction {i}: decjz takes register and address")
-            out.append(Instruction("decjz", ins[1], ins[2]))
-        else:
-            raise SpecError(f"instruction {i}: unknown opcode '{op}'")
-    return tuple(out)
-
-
-def _is_nat(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _is_bit(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
+    return tuple(list_of(_instruction)(raw, path))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +217,10 @@ class StagedFunctional:
     def settle(self, n: int, limit: int) -> tuple[int, int] | None:
         raise NotImplementedError
 
+    def seeded(self, seed: int) -> StagedFunctional:
+        """This functional, with `seed` for every random_partial that names none."""
+        return self
+
 
 class TotalConst(StagedFunctional):
     def __init__(self, value: int):
@@ -136,12 +233,10 @@ class TotalConst(StagedFunctional):
 class TotalFn(StagedFunctional):
     """Finite table of bits continued by a fill rule beyond its end."""
 
-    def __init__(self, table: tuple[int, ...], fill: str):
-        if fill not in ("cycle", "zero", "one"):
-            raise SpecError(f"unknown fill rule '{fill}'")
+    def __init__(self, table, fill: str):
         if fill == "cycle" and not table:
             raise SpecError("cycle fill needs a nonempty table")
-        self.table = table
+        self.table = tuple(table)
         self.fill = fill
 
     def settle(self, n, limit):
@@ -164,26 +259,24 @@ class UndefinedOnClass(StagedFunctional):
 class Delayed(StagedFunctional):
     """Postpones an inner functional: nothing converges at stages <= a*n + b."""
 
-    def __init__(self, inner: StagedFunctional, a: int, b: int):
+    def __init__(self, inner: StagedFunctional, delay: tuple[int, int]):
         self.inner = inner
-        self.a = a
-        self.b = b
+        self.a, self.b = delay
 
     def settle(self, n, limit):
         hit = self.inner.settle(n, limit)
         return None if hit is None else (hit[0], max(self.a * n + self.b + 1, hit[1]))
 
+    def seeded(self, seed):
+        return Delayed(self.inner.seeded(seed), (self.a, self.b))
+
 
 class RandomPartial(StagedFunctional):
     """Pseudo-random domain of a target density, deterministic per seed."""
 
-    def __init__(self, density: float, rule: str, seed: int):
-        if not 0.0 <= density <= 1.0:
-            raise SpecError(f"density must lie in [0,1], got {density}")
-        if rule not in ("zero", "one", "parity", "random"):
-            raise SpecError(f"unknown value rule '{rule}'")
+    def __init__(self, density: float, values: str, seed: int | None):
         self.density = density
-        self.rule = rule
+        self.rule = values
         self.seed = seed
 
     def settle(self, n, limit):
@@ -192,6 +285,9 @@ class RandomPartial(StagedFunctional):
             return None
         bit = {"zero": 0, "one": 1, "parity": n & 1}.get(self.rule)
         return (rng.getrandbits(1) if bit is None else bit), 0
+
+    def seeded(self, seed):
+        return self if self.seed is not None else RandomPartial(self.density, self.rule, seed)
 
 
 class EmptyFunctional(StagedFunctional):
@@ -221,172 +317,77 @@ class MachineFunctional(StagedFunctional):
         return (out, steps) if halted else None
 
 
-# ---------------------------------------------------------------------------
-# tagged-record compilation
+def _functional(raw, path: str) -> StagedFunctional:
+    return tagged(raw, path, FUNCTIONAL_KINDS)
 
-_FUNCTIONAL_FIELDS = {
-    "total_const": {"value"},
-    "total_fn": {"table", "fill"},
-    "undefined_on_class": {"e", "value"},
-    "delayed": {"inner", "delay"},
-    "random_partial": {"density", "values", "seed"},
-    "empty": set(),
-    "table_partial": {"entries"},
-    "unstable_probe": {"point", "stage", "value"},
-    "machine": {"program"},
+
+_density = _checked(lambda x: type(x) in (int, float) and 0 <= x <= 1, "a number in [0, 1]")
+DELAY = {"a": (natural,), "b": (natural,)}
+
+
+def _entries(raw, path: str) -> dict[int, tuple[int, int]]:
+    """table_partial rows [n, bit, from_stage], one per point."""
+    rows = list_of(items(natural, bit, natural))(raw, path)
+    table = {n: (value, stage) for n, value, stage in rows}
+    if len(table) < len(rows):
+        raise SpecError(f"{path}: a point is listed twice")
+    return table
+
+
+FUNCTIONAL_KINDS = {
+    "total_const": (TotalConst, {"value": (bit,)}),
+    "total_fn": (
+        TotalFn,
+        {"table": (list_of(bit),), "fill": (one_of("cycle", "zero", "one"), "cycle")},
+    ),
+    "undefined_on_class": (UndefinedOnClass, {"e": (natural,), "value": (bit, 1)}),
+    "delayed": (Delayed, {"inner": (_functional,), "delay": (record(_row, DELAY),)}),
+    "random_partial": (
+        RandomPartial,
+        {
+            "density": (_density,),
+            "values": (one_of("zero", "one", "parity", "random"), "one"),
+            "seed": (integer, None),  # None: the config's seed
+        },
+    ),
+    "empty": (EmptyFunctional, {}),
+    "table_partial": (TablePartial, {"entries": (_entries,)}),
+    "machine": (MachineFunctional, {"program": (parse_program,)}),
 }
 
 
-def compile_functional(spec, default_seed: int = 0) -> StagedFunctional:
+def compile_functional(spec, default_seed: int = 0, path: str = "functional") -> StagedFunctional:
     """Compile one tagged record into a functional."""
-    if not isinstance(spec, dict):
-        raise SpecError("functional spec must be an object")
-    kind = spec.get("kind")
-    if kind not in _FUNCTIONAL_FIELDS:
-        raise SpecError(f"unknown kind '{kind}'")
-    extra = set(spec) - _FUNCTIONAL_FIELDS[kind] - {"kind"}
-    if extra:
-        raise SpecError(f"unknown fields {sorted(extra)} for kind '{kind}'")
-
-    if kind == "total_const":
-        if not _is_bit(spec.get("value")):
-            raise SpecError("total_const needs a bit value")
-        return TotalConst(spec["value"])
-    if kind == "total_fn":
-        table = spec.get("table")
-        if not isinstance(table, list) or not all(_is_bit(b) for b in table):
-            raise SpecError("total_fn needs a list of bits")
-        return TotalFn(tuple(table), spec.get("fill", "cycle"))
-    if kind == "undefined_on_class":
-        if not _is_nat(spec.get("e")):
-            raise SpecError("undefined_on_class needs a natural class index")
-        value = spec.get("value", 1)
-        if not _is_bit(value):
-            raise SpecError("undefined_on_class value must be a bit")
-        return UndefinedOnClass(spec["e"], value)
-    if kind == "delayed":
-        delay = spec.get("delay")
-        if (
-            not isinstance(delay, dict)
-            or set(delay) != {"a", "b"}
-            or not _is_nat(delay["a"])
-            or not _is_nat(delay["b"])
-        ):
-            raise SpecError("delayed needs delay coefficients {a, b}")
-        return Delayed(compile_functional(spec.get("inner"), default_seed), delay["a"], delay["b"])
-    if kind == "random_partial":
-        density = spec.get("density")
-        if not isinstance(density, (int, float)) or isinstance(density, bool):
-            raise SpecError("random_partial needs a numeric density")
-        seed = spec.get("seed", default_seed)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SpecError("random_partial seed must be an integer")
-        return RandomPartial(float(density), spec.get("values", "one"), seed)
-    if kind == "empty":
-        return EmptyFunctional()
-    if kind == "table_partial":
-        entries = spec.get("entries")
-        if not isinstance(entries, list):
-            raise SpecError("table_partial needs a list of [n, bit, from_stage]")
-        table: dict[int, tuple[int, int]] = {}
-        for row in entries:
-            if (
-                not isinstance(row, list)
-                or len(row) != 3
-                or not _is_nat(row[0])
-                or not _is_bit(row[1])
-                or not _is_nat(row[2])
-            ):
-                raise SpecError(f"bad table_partial entry {row}")
-            if row[0] in table:
-                raise SpecError(f"point {row[0]} listed twice")
-            table[row[0]] = (row[1], row[2])
-        return TablePartial(table)
-    if kind == "unstable_probe":
-        if not _is_nat(spec.get("point")) or not _is_nat(spec.get("stage")):
-            raise SpecError("unstable_probe needs point and stage")
-        if not _is_bit(spec.get("value", 0)):
-            raise SpecError("unstable_probe value must be a bit")
-        # converges at one stage only, so no settle stage exists: never stable
-        raise SuiteValidationError(
-            f"monotone-stability violated: point {spec['point']} converges "
-            f"at stage {spec['stage']} only"
-        )
-    # machine
-    return MachineFunctional(parse_program(spec.get("program")))
+    return _functional(spec, path).seeded(default_seed)
 
 
-def _decode_output(raw) -> int:
-    if _is_nat(raw):
-        return raw
-    if isinstance(raw, list) and len(raw) == 2 and all(_is_nat(v) for v in raw):
-        return pair(raw[0], raw[1])
-    raise SpecError(f"output must be a natural or a [x, y] pair, got {raw}")
+# ---------------------------------------------------------------------------
+# operator kinds
 
 
-def _decode_premise(raw) -> tuple[int, ...]:
-    if not isinstance(raw, list):
-        raise SpecError("premise must be a list")
-    codes = []
-    for item in raw:
-        if _is_nat(item):
-            codes.append(item)
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and _is_nat(item[0])
-            and _is_bit(item[1])
-        ):
-            codes.append(pair(item[0], item[1]))
-        else:
-            raise SpecError(f"premise entry must be a code or [point, bit], got {item}")
-    return tuple(codes)
+def _code(second):
+    """Parser of a code: a natural, or [x, y] as pair(x, y) with y parsed by `second`."""
+    xy = items(natural, second)
+    return lambda raw, path: pair(*xy(raw, path)) if isinstance(raw, list) else natural(raw, path)
 
 
-_OPERATOR_FIELDS = {
-    "axioms": {"axioms"},
-    "machine": {"program"},
-}
+AXIOM = {"stage": (natural,), "premise": (list_of(_code(bit)),), "output": (_code(natural),)}
 
 
-def compile_operator(spec, stage_bound: int) -> EnumOperator:
-    """Compile one tagged record into an operator.
-
-    Machine operators enumerate axiom codes by dovetailing: code c (coding
-    premise bitmask and output) enters at the least stage s with c < s, the
-    machine accepting c (halting with output bit 1) within s steps, and the
-    premise use within s.  Enumeration is cut off at stage_bound.
-    """
+def _axioms_operator(stage_bound: int, axioms: list[dict]) -> EnumOperator:
     from .operators import Axiom, EnumOperator  # a config without operators never loads them
 
-    if not isinstance(spec, dict):
-        raise SpecError("operator spec must be an object")
-    kind = spec.get("kind")
-    if kind not in _OPERATOR_FIELDS:
-        raise SpecError(f"unknown kind '{kind}'")
-    extra = set(spec) - _OPERATOR_FIELDS[kind] - {"kind"}
-    if extra:
-        raise SpecError(f"unknown fields {sorted(extra)} for kind '{kind}'")
+    staged = [(a["stage"], Axiom.of(a["premise"], a["output"])) for a in axioms]
+    return EnumOperator.from_staged(staged)
 
-    if kind == "axioms":
-        rows = spec.get("axioms")
-        if not isinstance(rows, list):
-            raise SpecError("axioms must be a list")
-        staged = []
-        for row in rows:
-            if not isinstance(row, dict) or set(row) != {"stage", "premise", "output"}:
-                raise SpecError(f"axiom must have stage/premise/output, got {row}")
-            if not _is_nat(row["stage"]):
-                raise SpecError("axiom stage must be a natural")
-            staged.append(
-                (
-                    row["stage"],
-                    Axiom.of(_decode_premise(row["premise"]), _decode_output(row["output"])),
-                )
-            )
-        return EnumOperator.from_staged(staged)
 
-    program = parse_program(spec.get("program"))
+def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> EnumOperator:
+    """Machine operators enumerate axiom codes by dovetailing: code c (coding
+    premise bitmask and output) enters at the least stage s with c < s, the
+    machine accepting c (halting with output bit 1) within s steps, and the
+    premise use within s.  Enumeration is cut off at stage_bound."""
+    from .operators import Axiom, EnumOperator
+
     staged = []
     for code in range(stage_bound):
         halted, steps, out = run_machine(program, code, stage_bound)
@@ -399,6 +400,92 @@ def compile_operator(spec, stage_bound: int) -> EnumOperator:
         if enters <= stage_bound:
             staged.append((enters, Axiom.of(premise, output)))
     return EnumOperator.from_staged(staged)
+
+
+OPERATOR_KINDS = {
+    "axioms": (_axioms_operator, {"axioms": (list_of(record(dict, AXIOM)),)}),
+    "machine": (_machine_operator, {"program": (parse_program,)}),
+}
+
+
+def compile_operator(spec, stage_bound: int, path: str = "operator") -> EnumOperator:
+    """Compile one tagged record into an operator, enumerated up to stage_bound."""
+    return tagged(spec, path, OPERATOR_KINDS, stage_bound)
+
+
+# ---------------------------------------------------------------------------
+# config records
+
+# Each target kind's bits below a bound.
+TARGET_KINDS = {
+    "parity": (lambda bound: [n & 1 for n in range(bound)], {}),
+    "const": (lambda bound, value: [value] * bound, {"value": (bit,)}),
+    "bits": (lambda bound, values: values[:bound], {"values": (list_of(bit),)}),
+}
+
+
+def _target(raw, path: str) -> dict:
+    """The tagged target record, checked by computing its bits below 0."""
+    tagged(raw, path, TARGET_KINDS, 0)
+    return raw
+
+
+def _rational(raw, path: str) -> Fraction:
+    from fractions import Fraction  # only end_to_end checks load it
+
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"{path}: must be a rational") from None
+
+
+class EndToEndSpec(NamedTuple):
+    e0: int
+    e1: int
+    bound: int
+    threshold: Fraction
+    target: dict  # its tagged JSON record
+
+    def target_bits(self) -> list[int]:
+        return tagged(self.target, "target", TARGET_KINDS, self.bound)
+
+
+def _end_to_end(**got) -> EndToEndSpec:
+    spec = EndToEndSpec(**got)
+    if len(spec.target.get("values", range(spec.bound))) < spec.bound:  # only bits run short
+        raise SpecError("target bits shorter than bound")
+    return spec
+
+
+# Each check record: how it is built, and its table, whose field order is
+# that of the built tuple, so serializing zips the two.
+CHECK_RECORDS = {
+    "capture": (_row, {"e": (natural,), "side": (bit,)}),
+    "preservation": (_row, {"e0": (natural,), "e1": (natural,)}),
+    "end_to_end": (
+        _end_to_end,
+        {
+            "e0": (natural,),
+            "e1": (natural,),
+            "bound": (positive,),
+            "threshold": (_rational,),
+            "target": (_target,),
+        },
+    ),
+}
+
+CHECKS = {name: (list_of(record(*entry)), []) for name, entry in CHECK_RECORDS.items()}
+SUITE = {"functionals": (list_of(_json),), "operators": (list_of(_json), [])}
+
+CONFIG = {
+    "horizon": (natural,),
+    "snapshot_every": (natural, 0),
+    "seed": (integer, 0),
+    "suite": (record(dict, SUITE),),
+    # accepted and ignored: stability holds by construction
+    "probe": (record(dict, {"points": (natural,), "stages": (natural,)}), None),
+    "checks": (record(dict, CHECKS), {}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +559,21 @@ def build_suite(
     operator_specs: list,
     horizon: int,
     default_seed: int = 0,
+    path: str = "config.suite",
 ) -> tuple[FunctionalSuite, OperatorSuite]:
-    """Compile a whole family from tagged records."""
-    functionals: dict[int, StagedFunctional] = {}
-    for e, spec in enumerate(functional_specs):
-        try:
-            functionals[e] = compile_functional(spec, default_seed)
-        except (SpecError, SuiteValidationError) as err:
-            raise type(err)(f"functionals[{e}]: {err}") from None
+    """Compile a whole family from tagged records; errors name `path`.<list>[e]."""
+    functionals = {
+        e: compile_functional(spec, default_seed, f"{path}.functionals[{e}]")
+        for e, spec in enumerate(functional_specs)
+    }
     ops: dict[int, EnumOperator] = {}
     for e, spec in enumerate(operator_specs):
         from .operators import OperatorValidationError, validate_use_bound
 
+        where = f"{path}.operators[{e}]"
+        ops[e] = compile_operator(spec, horizon, where)
         try:
-            op = compile_operator(spec, horizon)
-        except SpecError as err:
-            raise SpecError(f"operators[{e}]: {err}") from None
-        try:
-            validate_use_bound(op)
+            validate_use_bound(ops[e])
         except OperatorValidationError as err:
-            raise SuiteValidationError(f"operators[{e}]: {err}") from None
-        ops[e] = op
+            raise SuiteValidationError(f"{where}: {err}") from None
     return FunctionalSuite(functionals, horizon), OperatorSuite(ops)

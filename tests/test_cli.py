@@ -18,6 +18,7 @@ from minpair import cli, engine
 from minpair.analysis import TraceFormatError
 from minpair.cli import (
     ConfigError,
+    EndToEndSpec,
     build_suites,
     main,
     parse_config,
@@ -50,24 +51,125 @@ def test_parse_scenario_config():
     assert cfg.operators == []
 
 
-def test_parse_rejects_negative_horizon():
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps({"horizon": -1, "suite": {"functionals": []}}))
-    assert "horizon" in str(err.value)
+# A config that fills every record of the schema, so that each can be broken.
+FULL_CONFIG = {
+    "horizon": 5,
+    "snapshot_every": 0,
+    "seed": 0,
+    "suite": {
+        "functionals": [
+            {"kind": "total_const", "value": 0},
+            {"kind": "total_fn", "table": [0, 1], "fill": "zero"},
+            {"kind": "undefined_on_class", "e": 0, "value": 1},
+            {"kind": "delayed", "inner": {"kind": "empty"}, "delay": {"a": 1, "b": 0}},
+            {"kind": "random_partial", "density": 0.5, "values": "parity", "seed": 3},
+            {"kind": "empty"},
+            {"kind": "table_partial", "entries": [[2, 1, 5]]},
+            {"kind": "machine", "program": [["inc", 1], ["decjz", 1, 0], ["halt"]]},
+        ],
+        "operators": [
+            {"kind": "axioms", "axioms": [{"stage": 8, "premise": [[1, 1]], "output": [5, 1]}]},
+            {"kind": "machine", "program": [["halt"]]},
+        ],
+    },
+    "probe": {"points": 8, "stages": 6},
+    "checks": {
+        "capture": [{"e": 0, "side": 0}],
+        "preservation": [{"e0": 0, "e1": 1}],
+        "end_to_end": [
+            {"e0": 0, "e1": 1, "bound": 4, "threshold": "1/2", "target": {"kind": "parity"}},
+            {"e0": 0, "e1": 1, "bound": 4, "threshold": 1, "target": {"kind": "const", "value": 1}},
+            {"e0": 0, "e1": 1, "bound": 4, "threshold": "0", "target": {"kind": "bits", "values": [1, 0, 1, 0]}},
+        ],
+    },
+}
+
+# Each record with a schema table: where it sits in FULL_CONFIG, its JSON
+# path, and a required field with a value of the wrong type for it (None
+# when the record has no required field).
+SCHEMA_RECORDS = [
+    ((), "config", "horizon", -1),
+    (("suite",), "config.suite", "functionals", {}),
+    (("probe",), "config.probe", "points", -1),
+    (("checks",), "config.checks", None, None),
+    (("checks", "capture", 0), "config.checks.capture[0]", "side", 2),
+    (("checks", "preservation", 0), "config.checks.preservation[0]", "e1", "1"),
+    (("checks", "end_to_end", 0), "config.checks.end_to_end[0]", "bound", 0),
+    (("checks", "end_to_end", 0, "target"), "config.checks.end_to_end[0].target", None, None),
+    (("checks", "end_to_end", 1, "target"), "config.checks.end_to_end[1].target", "value", 2),
+    (("checks", "end_to_end", 2, "target"), "config.checks.end_to_end[2].target", "values", [2]),
+    (("suite", "functionals", 0), "config.suite.functionals[0]", "value", True),
+    (("suite", "functionals", 1), "config.suite.functionals[1]", "table", [0, 2]),
+    (("suite", "functionals", 2), "config.suite.functionals[2]", "e", -1),
+    (("suite", "functionals", 3), "config.suite.functionals[3]", "inner", {"kind": 0}),
+    (("suite", "functionals", 4), "config.suite.functionals[4]", "density", 1.5),
+    (("suite", "functionals", 5), "config.suite.functionals[5]", None, None),
+    (("suite", "functionals", 6), "config.suite.functionals[6]", "entries", [[2, 1]]),
+    (("suite", "functionals", 7), "config.suite.functionals[7]", "program", [["jmp", 0]]),
+    (("suite", "operators", 0), "config.suite.operators[0]", "axioms", {}),
+    (("suite", "operators", 1), "config.suite.operators[1]", "program", "halt"),
+    (("suite", "operators", 0, "axioms", 0), "config.suite.operators[0].axioms[0]", "premise", [-1]),
+]
 
 
-def test_parse_rejects_unknown_kind():
-    raw = {"horizon": 3, "suite": {"functionals": [{"kind": "wibble"}]}}
+def broken_configs():
+    """(id, config, substrings its rejection must name) for each record: an
+    unknown field, a missing required field and a value of the wrong type."""
+    for where, path, field, wrong in SCHEMA_RECORDS:
+        yield f"{path}-unknown", where, lambda obj: obj.update(experiment=1), (f"{path}.experiment",)
+        if field is not None:
+            yield f"{path}-missing", where, lambda obj, f=field: obj.pop(f), (f"{path}.{field}",)
+            yield (
+                f"{path}-wrong",
+                where,
+                lambda obj, f=field, v=wrong: obj.update({f: v}),
+                (f"{path}.{field}",),
+            )
+    # an instruction is a list whose first item names the opcode
+    program = ("suite", "functionals", 7, "program")
+    path = "config.suite.functionals[7].program"
+    yield f"{path}[0]-unknown", program, lambda p: p.__setitem__(0, ["jmp"]), (f"{path}[0][0]", "jmp")
+    yield f"{path}[0]-missing", program, lambda p: p.__setitem__(0, ["inc"]), (f"{path}[0]",)
+    yield f"{path}[1]-wrong", program, lambda p: p.__setitem__(1, ["decjz", 1, -1]), (f"{path}[1][2]",)
+    path, where = "config.suite.functionals[0]", ("suite", "functionals", 0)
+    yield f"{path}-kind", where, lambda obj: obj.update(kind="wibble"), (f"{path}.kind", "wibble")
+
+
+def broken(where, edit) -> dict:
+    raw = json.loads(json.dumps(FULL_CONFIG))
+    obj = raw
+    for key in where:
+        obj = obj[key]
+    edit(obj)
+    return raw
+
+
+BROKEN = list(broken_configs())
+
+
+def test_full_config_parses(monkeypatch):
+    cfg = parse_config(json.dumps(FULL_CONFIG))
+    assert len(cfg.functionals) == 8 and len(cfg.end_to_end_checks) == 3
+    assert parse_config(serialize_config(cfg)) == cfg
+    # checking a target builds none of its bits, which may be as many as its bound
+    monkeypatch.setattr(EndToEndSpec, "target_bits", lambda spec: pytest.fail("built target bits"))
+    assert parse_config(json.dumps(FULL_CONFIG)) == cfg
+
+
+@pytest.mark.parametrize("case", BROKEN, ids=[case[0] for case in BROKEN])
+def test_schema_rejects_bad_field(tmp_path, capsys, case):
+    """Every record's unknown, missing or mistyped field raises ConfigError
+    naming its JSON path; the first case of each record also exits 2."""
+    name, where, edit, names = case
+    raw = broken(where, edit)
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(raw))
-    assert "wibble" in str(err.value)
-
-
-def test_parse_rejects_unknown_fields():
-    raw = dict(SCENARIO_CONFIG, experiment="x")
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(raw))
-    assert "experiment" in str(err.value)
+    for part in names:
+        assert part in str(err.value)
+    if name.endswith("-unknown"):
+        cfg = write_config(tmp_path / "c.json", raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert names[0] in capsys.readouterr().err
 
 
 def test_parse_reports_json_position():
@@ -270,6 +372,31 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad, content, code",
+    [
+        ("config", b'{"horizon": 5\xff}', 2),
+        ("trace", b'{"summary"\xff}\n', 3),
+        ("config", b"[" * 200_000, 2),
+        ("trace", b"[" * 200_000 + b"\n", 3),
+        ("config", b'{"horizon": 1' + b"0" * 5000 + b"}", 2),
+        ("trace", b'{"stage": 1' + b"0" * 5000 + b"}\n", 3),
+    ],
+    ids=["config-not-utf8", "trace-not-utf8", "config-deep", "trace-deep", "config-long", "trace-long"],
+)
+def test_malformed_input_exits_without_traceback(tmp_path, scenario_config_path, capsys, bad, content, code):
+    """Input that is not UTF-8, is nested too deeply or holds too long a number
+    is a config error (2) or a malformed trace (3)."""
+    path = tmp_path / bad
+    path.write_bytes(content)
+    trace = tmp_path / "t.trace"
+    assert main(["run", "--config", scenario_config_path, "--out", str(trace)]) == 0
+    config = path if bad == "config" else scenario_config_path
+    assert main(["verify", "--trace", str(path if bad == "trace" else trace), "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("minpair: ")
+
+
 def test_run_unstable_spec_exits_2_with_witness(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",
@@ -280,7 +407,7 @@ def test_run_unstable_spec_exits_2_with_witness(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "monotone-stability" in err and "point 3" in err
+    assert "unknown kind 'unstable_probe'" in err and "functionals[0]" in err
 
 
 def test_verify_genuine_trace_passes(tmp_path, scenario_config_path):

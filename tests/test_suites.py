@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from config_gen import random_functional
-from minpair.cli import parse_config
+from minpair import suites
+from minpair.cli import build_suites, load_config, parse_config
 from minpair.operators import Axiom
 from minpair.suites import (
+    FUNCTIONAL_KINDS,
     FunctionalSuite,
     RandomPartial,
     SpecError,
@@ -116,29 +120,25 @@ def test_operator_axioms_compile_and_respect_use_bound():
     assert "use" in str(err.value)
 
 
-def test_validation_flags_unstable_functional():
-    with pytest.raises(SuiteValidationError) as err:
-        suite_of({"kind": "unstable_probe", "point": 3, "stage": 10})
-    assert "monotone-stability" in str(err.value)
-    assert "point 3" in str(err.value)
-
-
 def test_unstable_probe_rejected_whatever_the_probe():
-    # the offending stage lies outside this probe grid, which has no effect
+    # unstable_probe is an unknown kind, and the probe grid has no effect
     raw = {
         "horizon": 20,
         "probe": {"points": 8, "stages": 6},
         "suite": {"functionals": [{"kind": "unstable_probe", "point": 3, "stage": 10}]},
     }
-    with pytest.raises(SuiteValidationError) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(raw))
-    assert "monotone-stability" in str(err.value) and "point 3" in str(err.value)
+    assert "config.suite.functionals[0].kind: unknown kind 'unstable_probe'" in str(err.value)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(SpecError) as err:
         compile_functional({"kind": "mystery"})
     assert "mystery" in str(err.value)
+    with pytest.raises(SpecError) as err:
+        compile_functional({"kind": "unstable_probe", "point": 3, "stage": 10})
+    assert "unstable_probe" in str(err.value)
     with pytest.raises(SpecError):
         compile_functional({"kind": "total_const", "value": 0, "extra": 1})
     with pytest.raises(SpecError):
@@ -147,6 +147,50 @@ def test_unknown_kind_rejected():
         compile_functional({"kind": "random_partial", "density": 1.5, "values": "one", "seed": 0})
     with pytest.raises(SpecError):
         compile_operator({"kind": "mystery"}, 10)
+    for unhashable in ([], {}):  # an unhashable kind is unknown too
+        with pytest.raises(SpecError):
+            compile_functional({"kind": unhashable})
+        with pytest.raises(SpecError):
+            compile_operator({"kind": unhashable}, 10)
+
+
+def test_readme_functional_kinds_match_the_schema():
+    """README's table of functional kinds lists exactly the kinds and fields
+    of FUNCTIONAL_KINDS, and marks with `?` exactly the fields with a default."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| kind | fields | meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, kind, spelled, _ = row.split("|", 3)
+        names = [re.match(r"\w+\??", chunk).group() for chunk in re.findall(r"`([^`]*)`", spelled)]
+        documented[kind.strip().strip("`")] = {n.rstrip("?"): n.endswith("?") for n in names}
+    schema = {
+        kind: {name: len(entry) == 2 for name, entry in fields.items()}
+        for kind, (_, fields) in FUNCTIONAL_KINDS.items()
+    }
+    assert documented == schema
+
+
+def test_machine_operators_enumerate_once_at_the_horizon(tmp_path, monkeypatch):
+    """Loading a config runs no machine step; building its suites runs each
+    machine operator once per code below the horizon, and nothing else."""
+    raw = {
+        "horizon": 40,
+        "suite": {
+            "functionals": [{"kind": "machine", "program": ACCEPT_CODE_2}],
+            "operators": [{"kind": "machine", "program": ACCEPT_CODE_2}],
+        },
+    }
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    calls = []
+    real = suites.run_machine
+    monkeypatch.setattr(suites, "run_machine", lambda *args: calls.append(args) or real(*args))
+    config = load_config(path)
+    assert calls == []
+    _, osuite = build_suites(config)
+    assert [(value, budget) for _, value, budget in calls] == [(c, 40) for c in range(40)]
+    assert osuite.get(0).staged_axioms == ((5, Axiom.of([], 1)),)
 
 
 def test_random_partial_density_close_to_target():
