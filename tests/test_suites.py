@@ -120,6 +120,14 @@ def test_operator_axioms_compile_and_respect_use_bound():
     assert "use" in str(err.value)
 
 
+def test_validation_flags_unstable_functional():
+    # unstable_probe is no longer a kind: building a suite with it is an
+    # unknown-kind error that names the record's path
+    with pytest.raises(SpecError) as err:
+        suite_of({"kind": "unstable_probe", "point": 3, "stage": 10})
+    assert "config.suite.functionals[0].kind: unknown kind 'unstable_probe'" in str(err.value)
+
+
 def test_unstable_probe_rejected_whatever_the_probe():
     # unstable_probe is an unknown kind, and the probe grid has no effect
     raw = {
@@ -136,9 +144,6 @@ def test_unknown_kind_rejected():
     with pytest.raises(SpecError) as err:
         compile_functional({"kind": "mystery"})
     assert "mystery" in str(err.value)
-    with pytest.raises(SpecError) as err:
-        compile_functional({"kind": "unstable_probe", "point": 3, "stage": 10})
-    assert "unstable_probe" in str(err.value)
     with pytest.raises(SpecError):
         compile_functional({"kind": "total_const", "value": 0, "extra": 1})
     with pytest.raises(SpecError):
