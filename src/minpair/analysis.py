@@ -7,6 +7,11 @@ promises (class bounds, single entry, witness and removal discipline, the
 opposite-side preservation lemma, quiescent finite action), and the
 capture check confirms its behavioural guarantee at a finite horizon.
 
+`STRUCTURAL` names the structural checks in report order.  They run in one
+pass over the run's actions, each keeping its first counterexample, and a
+check fails exactly when it has one, with that counterexample as detail.
+A check's report carries no `meta`; `verify` adds its own.
+
 The reference oracle (`reference_run`) lives in `oracle` and the operator
 layer (enumerations, preservation, the joint table, the diagonal set and
 the end-to-end check) in `joint`.  Their names, and `operators.evaluate`,
@@ -221,18 +226,82 @@ class VerificationReport(NamedTuple):
         raise KeyError(name)
 
 
-def _report(checks: list[CheckResult], **meta) -> VerificationReport:
-    return VerificationReport(
-        tuple(sorted(checks, key=lambda c: c.name)), tuple(sorted(meta.items()))
-    )
+def _report(checks: list[CheckResult]) -> VerificationReport:
+    return VerificationReport(tuple(sorted(checks, key=lambda c: c.name)))
 
 
 # ---------------------------------------------------------------------------
 # structural checks
 
+# The structural checks, in report order.  Each fails with its first
+# counterexample: the earliest in the order that its check walks the run.
+STRUCTURAL = (
+    "class_bound",
+    "dce_single_entry",
+    "event_shape",
+    "finite_action",
+    "key_lemma",
+    "removal_discipline",
+    "replay_summary",
+    "restraint_discipline",
+    "witness_discipline",
+)
+
 
 def _stronger_restraint_bound(restraints: Mapping[int, int], p: int) -> int:
     return max((v for q, v in restraints.items() if q < p), default=0)
+
+
+def _witness_fault(
+    rep: ReplayedRun, suite: FunctionalSuite | None, s: int, act: Action
+) -> str | None:
+    """Why the witness of the action at stage s breaks witness discipline, or None."""
+    if act.position >= s:
+        return "pair position not below stage"
+    if class_index(act.witness) != act.e:
+        return "witness outside its class"
+    if rep.facts[s].witness_was_member:
+        return "witness already a member"
+    if act.witness <= _stronger_restraint_bound(rep.restraints_entering[s], act.position):
+        return "witness under a stronger restraint"
+    if suite is None:
+        return None
+    if suite.query(act.e, act.witness, s) is None:
+        return "witness not converged"
+    if any(
+        class_index(m) == act.e and suite.query(act.e, m, s) is not None
+        for m in rep.entering[s][act.side]
+    ):
+        return "class already satisfied"
+    return None
+
+
+def _removal_fault(rep: ReplayedRun, trace: Trace, s: int, act: Action) -> dict | None:
+    """What breaks removal discipline at the action of stage s, or None: each
+    removal must hit a current opposite-side member inserted earlier by a
+    strictly weaker pair, and no victim may be missed."""
+    removals = trace.events[s].removals
+    fact = rep.facts[s]
+    for i, rm in enumerate(removals):
+        if rm.side != 1 - act.side:
+            reason = "wrong side"
+        elif rm.by_position <= act.position:
+            reason = "removed a stronger insertion"
+        elif rm.inserted_at >= s:
+            reason = "inserted_at not earlier"
+        elif not fact.removal_was_member[i]:
+            reason = "not a current member"
+        elif not fact.removal_provenance_ok[i]:
+            reason = "provenance mismatch"
+        else:
+            continue
+        return {"n": rm.n, "reason": reason}
+    recorded = tuple(rm.n for rm in removals)
+    if recorded != tuple(sorted(recorded)):
+        return {"reason": "removals not in canonical order"}
+    if recorded != fact.expected_removals:
+        return {"reason": "removals disagree with weaker opposite-side members"}
+    return None
 
 
 def check_structural(
@@ -246,182 +315,79 @@ def check_structural(
     """
     rep = replay(trace) if rep is None else rep
     T = rep.horizon
-    checks: list[CheckResult] = []
+    bad: dict[str, dict] = {}  # check name -> its first counterexample
 
     # event shape: removals only ride on actions; snapshots match replay
-    shape_bad = None
     for ev in trace.events:
         if ev.action is None and ev.removals:
-            shape_bad = {"stage": ev.stage, "reason": "removals without action"}
-            break
-        if ev.snapshot is not None:
-            post = rep.entering[ev.stage + 1]
-            if ev.snapshot.side0 != tuple(sorted(post[0])) or ev.snapshot.side1 != tuple(
-                sorted(post[1])
-            ):
-                shape_bad = {"stage": ev.stage, "reason": "snapshot disagrees with replay"}
-                break
-    checks.append(
-        CheckResult.of("event_shape", "fail" if shape_bad else "pass", **(shape_bad or {}))
-    )
+            bad.setdefault("event_shape", {"stage": ev.stage, "reason": "removals without action"})
+        elif ev.snapshot is not None and ev.snapshot != tuple(
+            tuple(sorted(side)) for side in rep.entering[ev.stage + 1]
+        ):
+            bad.setdefault(
+                "event_shape", {"stage": ev.stage, "reason": "snapshot disagrees with replay"}
+            )
 
-    # summary must equal the replayed final state
-    final0, final1 = rep.final()
-    summary_ok = (
-        trace.summary.side0 == tuple(sorted(final0))
-        and trace.summary.side1 == tuple(sorted(final1))
-        and trace.summary.restraints == tuple(sorted(rep.restraints_entering[T].items()))
-    )
-    checks.append(CheckResult.of("replay_summary", "pass" if summary_ok else "fail"))
+    # the summary must equal the replayed final state
+    summary = trace.summary
+    final0, final1 = (tuple(sorted(side)) for side in rep.final())
+    restraints = tuple(sorted(rep.restraints_entering[T].items()))
+    if (summary.side0, summary.side1, summary.restraints) != (final0, final1, restraints):
+        bad["replay_summary"] = {}
 
     # per-class bound: at most one member of each valuation class per side
-    bound_bad = None
     for s, sides in rep.entering.runs(0, T + 1):
-        for side in (0, 1):
-            per_class: dict[int | None, int] = {}
-            for n in sides[side]:
+        for side, members in enumerate(sides):
+            classes = set()
+            for n in members:
                 e = class_index(n)
-                per_class[e] = per_class.get(e, 0) + 1
-                if e is None or per_class[e] > 1:
-                    bound_bad = {"stage": s, "side": side, "class": e}
-                    break
-            if bound_bad:
-                break
-        if bound_bad:
-            break
-    checks.append(
-        CheckResult.of("class_bound", "fail" if bound_bad else "pass", **(bound_bad or {}))
-    )
+                if e is None or e in classes:
+                    bad.setdefault("class_bound", {"stage": s, "side": side, "class": e})
+                classes.add(e)
 
     # single entry: an element enters a given side at most once, so each
     # membership changes at most twice over the run
-    multi = sorted(
-        (side, n) for (side, n), c in rep.insert_counts.items() if c > 1
-    )
-    checks.append(
-        CheckResult.of(
-            "dce_single_entry",
-            "fail" if multi else "pass",
-            **({"side": multi[0][0], "n": multi[0][1]} if multi else {}),
-        )
-    )
+    for side, n in sorted(key for key, count in rep.insert_counts.items() if count > 1):
+        bad.setdefault("dce_single_entry", {"side": side, "n": n})
 
-    # witness discipline
-    witness_bad = None
+    stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
     for s, act in rep.actions:
-        fact = rep.facts[s]
-        entering = rep.entering[s]
-        bound = _stronger_restraint_bound(rep.restraints_entering[s], act.position)
-        if act.position >= s:
-            witness_bad = {"stage": s, "reason": "pair position not below stage"}
-        elif class_index(act.witness) != act.e:
-            witness_bad = {"stage": s, "reason": "witness outside its class"}
-        elif fact.witness_was_member:
-            witness_bad = {"stage": s, "reason": "witness already a member"}
-        elif act.witness <= bound:
-            witness_bad = {"stage": s, "reason": "witness under a stronger restraint"}
-        elif suite is not None and suite.query(act.e, act.witness, s) is None:
-            witness_bad = {"stage": s, "reason": "witness not converged"}
-        elif suite is not None and any(
-            class_index(m) == act.e and suite.query(act.e, m, s) is not None
-            for m in entering[act.side]
-        ):
-            witness_bad = {"stage": s, "reason": "class already satisfied"}
-        if witness_bad:
-            break
-    checks.append(
-        CheckResult.of(
-            "witness_discipline", "fail" if witness_bad else "pass", **(witness_bad or {})
-        )
-    )
-
-    # restraint discipline: set to exactly the acting stage, only by actions
-    restraint_bad = None
-    for s, act in rep.actions:
+        p, other = act.position, 1 - act.side
+        reason = _witness_fault(rep, suite, s, act)
+        if reason:
+            bad.setdefault("witness_discipline", {"stage": s, "reason": reason})
+        # restraint discipline: set to exactly the acting stage, only by actions
         if act.restraint != s:
-            restraint_bad = {"stage": s, "recorded": act.restraint}
-            break
-    checks.append(
-        CheckResult.of(
-            "restraint_discipline",
-            "fail" if restraint_bad else "pass",
-            **(restraint_bad or {}),
-        )
-    )
-
-    # removal discipline: each removal hits a current opposite-side member
-    # inserted earlier by a strictly weaker pair, and no victim is missed
-    removal_bad = None
-    for s, act in rep.actions:
-        if removal_bad:
-            break
-        removals = trace.events[s].removals
-        fact = rep.facts[s]
-        for i, rm in enumerate(removals):
-            if rm.side != 1 - act.side:
-                removal_bad = {"stage": s, "n": rm.n, "reason": "wrong side"}
-            elif rm.by_position <= act.position:
-                removal_bad = {"stage": s, "n": rm.n, "reason": "removed a stronger insertion"}
-            elif rm.inserted_at >= s:
-                removal_bad = {"stage": s, "n": rm.n, "reason": "inserted_at not earlier"}
-            elif not fact.removal_was_member[i]:
-                removal_bad = {"stage": s, "n": rm.n, "reason": "not a current member"}
-            elif not fact.removal_provenance_ok[i]:
-                removal_bad = {"stage": s, "n": rm.n, "reason": "provenance mismatch"}
-            if removal_bad:
+            bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
+        fault = _removal_fault(rep, trace, s, act)
+        if fault:
+            bad.setdefault("removal_discipline", {"stage": s, **fault})
+        # key lemma: after this action the opposite side is contained in its
+        # state at every stage back to the last stronger action; equivalently
+        # each of those stages' descriptions extends to the new one
+        since = 1 + max((at[-1] for q, at in stages_at.items() if q < p), default=-1)
+        post = rep.entering[s + 1][other]
+        for u, sides in rep.entering.runs(since, s + 1):
+            if not post <= sides[other]:
+                bad.setdefault("key_lemma", {"stage": s, "since": u, "side": other})
                 break
-        if removal_bad:
-            break
-        recorded = tuple(rm.n for rm in removals)
-        if recorded != tuple(sorted(recorded)):
-            removal_bad = {"stage": s, "reason": "removals not in canonical order"}
-        elif recorded != fact.expected_removals:
-            removal_bad = {
-                "stage": s,
-                "reason": "removals disagree with weaker opposite-side members",
-            }
-    checks.append(
-        CheckResult.of(
-            "removal_discipline", "fail" if removal_bad else "pass", **(removal_bad or {})
-        )
-    )
-
-    # key lemma: after an action at stage t by pair p, the opposite side is
-    # contained in its state at every stage s <= t back to the last stronger
-    # action; equivalently the stage-s description extends to the post-t one
-    lemma_bad = None
-    action_stages = [(s, act.position, act.side) for s, act in rep.actions]
-    for t, p, side in action_stages:
-        s_min = 0
-        for u, q, _ in action_stages:
-            if u <= t and q < p:
-                s_min = max(s_min, u + 1)
-        post = rep.entering[t + 1][1 - side]
-        for s, sides in rep.entering.runs(s_min, t + 1):
-            if not post <= sides[1 - side]:
-                lemma_bad = {"stage": t, "since": s, "side": 1 - side}
-                break
-        if lemma_bad:
-            break
-    checks.append(
-        CheckResult.of("key_lemma", "fail" if lemma_bad else "pass", **(lemma_bad or {}))
-    )
+        stages_at.setdefault(p, []).append(s)
 
     # finite action: once every stronger pair has stopped, a pair acts at
     # most once more
-    finite_bad = None
-    positions = sorted({p for _, p, _ in action_stages})
-    for p in positions:
-        stronger_last = max((u for u, q, _ in action_stages if q < p), default=-1)
-        late = [u for u, q, _ in action_stages if q == p and u > stronger_last]
+    stronger_last = -1
+    for p, stages in sorted(stages_at.items()):
+        late = tuple(u for u in stages if u > stronger_last)
         if len(late) > 1:
-            finite_bad = {"position": p, "stages": tuple(late)}
-            break
-    checks.append(
-        CheckResult.of("finite_action", "fail" if finite_bad else "pass", **(finite_bad or {}))
-    )
+            bad.setdefault("finite_action", {"position": p, "stages": late})
+        stronger_last = max(stronger_last, stages[-1])
 
-    return _report(checks, horizon=T, kind="structural")
+    return _report(
+        [
+            CheckResult.of(name, "fail" if name in bad else "pass", **bad.get(name, {}))
+            for name in STRUCTURAL
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +431,7 @@ def check_capture(
                 settled.append((n, hit[1]))
     if not settled:
         check = CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")
-        return _report([check], e=e, side=side, horizon=horizon)
+        return _report([check])
     s = max(start, min(stage for _, stage in settled))
     captured = sorted(
         m
@@ -477,4 +443,4 @@ def check_capture(
     else:
         eligible = tuple(n for n, stage in settled if stage <= s)
         check = CheckResult.of("capture", "fail", actionable_stage=s, eligible=eligible)
-    return _report([check], e=e, side=side, horizon=horizon)
+    return _report([check])

@@ -34,7 +34,7 @@ from . import suites
 from .suites import EndToEndSpec, SpecError, SuiteValidationError, _is_nat, build_suite
 
 if TYPE_CHECKING:
-    from .analysis import CheckResult, VerificationReport
+    from .analysis import VerificationReport
 
 
 ConfigError = SpecError  # the config file violates the documented schema
@@ -284,7 +284,8 @@ COMMANDS = {
     "verify": (
         "check a trace against its config; CHECKS is a comma-separated\nsubset of "
         + ",".join(KNOWN_CHECKS),
-        (("trace", str, True), ("config", str, True), ("checks", str, False), ("report", str, False)),
+        (("trace", str, True), ("config", str, True))
+        + (("checks", str, False), ("report", str, False)),
     ),
     "psi": (
         "print the joint description table of a trace",
@@ -346,53 +347,35 @@ def _cmd_verify(args) -> int:
     wanted = {name: rows if name in selected else () for name, rows in configured.items()}
 
     rep = analysis.replay(trace)
-    results: list[CheckResult] = []
-    structural = analysis.check_structural(trace, fsuite, rep)
-    results.extend(
-        analysis.CheckResult(f"structural:{c.name}", c.verdict, c.detail)
-        for c in structural.checks
-    )
-    if "oracle" in selected:
-        ref = analysis.reference_run(fsuite, config.horizon, config.snapshot_every)
-        results.append(
-            analysis.CheckResult.of("oracle_equivalence", "pass" if ref == trace else "fail")
-        )
-    for e, side in wanted["capture"]:
-        sub = analysis.check_capture(trace, fsuite, e, side, config.horizon, rep)
-        results.extend(
-            analysis.CheckResult(f"capture[e={e},side={side}]", c.verdict, c.detail)
-            for c in sub.checks
-        )
+    horizon = config.horizon
     shared: dict = {}  # each (e0, e1)'s enumerations, shared by preservation and end_to_end
+    # (result name pattern, report): a pattern's {} is the name of a check in its report
+    reports = [("structural:{}", analysis.check_structural(trace, fsuite, rep))]
+    if "oracle" in selected:
+        ref = analysis.reference_run(fsuite, horizon, config.snapshot_every)
+        oracle = analysis.CheckResult.of("oracle_equivalence", "pass" if ref == trace else "fail")
+        reports.append(("{}", analysis.VerificationReport((oracle,))))
+    for e, side in wanted["capture"]:
+        sub = analysis.check_capture(trace, fsuite, e, side, horizon, rep)
+        reports.append((f"capture[e={e},side={side}]", sub))
     for e0, e1 in wanted["preservation"]:
-        sub = analysis.check_preservation(trace, osuite, e0, e1, config.horizon, rep, shared)
-        results.extend(
-            analysis.CheckResult(f"preservation[e0={e0},e1={e1}]", c.verdict, c.detail)
-            for c in sub.checks
-        )
+        sub = analysis.check_preservation(trace, osuite, e0, e1, horizon, rep, shared)
+        reports.append((f"preservation[e0={e0},e1={e1}]", sub))
     for spec in wanted["end_to_end"]:
+        e0, e1, bound, threshold, _ = spec
         sub = analysis.check_end_to_end(
-            trace,
-            osuite,
-            spec.e0,
-            spec.e1,
-            config.horizon,
-            spec.bound,
-            spec.target_bits(),
-            spec.threshold,
-            rep,
-            shared,
+            trace, osuite, e0, e1, horizon, bound, spec.target_view(), threshold, rep, shared
         )
-        results.extend(
-            analysis.CheckResult(
-                f"end_to_end[e0={spec.e0},e1={spec.e1}]:{c.name}", c.verdict, c.detail
-            )
-            for c in sub.checks
-        )
+        reports.append((f"end_to_end[e0={e0},e1={e1}]:{{}}", sub))
+    results = [
+        analysis.CheckResult(pattern.format(c.name), c.verdict, c.detail)
+        for pattern, report in reports
+        for c in report.checks
+    ]
 
     report = analysis.VerificationReport(
         tuple(sorted(results, key=lambda c: c.name)),
-        (("config", str(args.config)), ("horizon", config.horizon), ("trace", str(args.trace))),
+        (("config", str(args.config)), ("horizon", horizon), ("trace", str(args.trace))),
     )
     text = serialize_report(report)
     if args.report is not None:

@@ -71,7 +71,6 @@ class SideState:
     """One side's membership with full per-element provenance."""
 
     def __init__(self) -> None:
-        self.records: list[MemberRecord] = []
         self.current: dict[int, MemberRecord] = {}
         self.by_class: dict[int, set[int]] = {}
 
@@ -79,7 +78,6 @@ class SideState:
         if n in self.current:
             raise ValueError(f"{n} is already a member")
         rec = MemberRecord(n, e, side, stage)
-        self.records.append(rec)
         self.current[n] = rec
         self.by_class.setdefault(e, set()).add(n)
         return rec

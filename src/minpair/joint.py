@@ -136,27 +136,9 @@ def check_preservation(
         start = s if protect is None else protect[1] + 1
         first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
         if None not in first_bad:
-            return _report(
-                [
-                    CheckResult.of(
-                        "preservation",
-                        "fail",
-                        output=x,
-                        found_at=s,
-                        violated_at=max(first_bad),
-                        window_start=start,
-                    )
-                ],
-                e0=e0,
-                e1=e1,
-                horizon=horizon,
-            )
-    return _report(
-        [CheckResult.of("preservation", "pass", outputs=len(found))],
-        e0=e0,
-        e1=e1,
-        horizon=horizon,
-    )
+            detail = dict(output=x, found_at=s, violated_at=max(first_bad), window_start=start)
+            return _report([CheckResult.of("preservation", "fail", **detail)])
+    return _report([CheckResult.of("preservation", "pass", outputs=len(found))])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +243,10 @@ def check_end_to_end(
 ) -> VerificationReport:
     """Every defined joint-table bit matches the target, and the table's
     domain below the bound is at least as dense as the threshold."""
-    if len(target_bits) < bound:
-        raise ValueError(f"target bits shorter than bound {bound}")
+    try:
+        target_bits[bound - 1]  # len() stops at sys.maxsize, an index does not
+    except IndexError:
+        raise ValueError(f"target bits shorter than bound {bound}") from None
     table = analysis.synthesize_joint(trace, operators, e0, e1, horizon, rep, shared)
     defined = [n for n in table.entries if n < bound]
     mismatches = sorted(
@@ -270,24 +254,12 @@ def check_end_to_end(
         for n in defined
         if table.entries[n][0] != target_bits[n]
     )
-    checks = [
-        CheckResult.of(
-            "values_match",
-            "fail" if mismatches else "pass",
-            **(
-                {"n": mismatches[0][0], "got": mismatches[0][1], "want": mismatches[0][2]}
-                if mismatches
-                else {"defined": len(defined)}
-            ),
-        )
-    ]
+    if mismatches:
+        n, got, want = mismatches[0]
+        values = CheckResult.of("values_match", "fail", n=n, got=got, want=want)
+    else:
+        values = CheckResult.of("values_match", "pass", defined=len(defined))
     density = partial_density(defined, bound)
-    checks.append(
-        CheckResult.of(
-            "domain_density",
-            "pass" if density >= threshold else "fail",
-            density=str(density),
-            threshold=str(threshold),
-        )
-    )
-    return _report(checks, e0=e0, e1=e1, bound=bound, horizon=horizon)
+    verdict = "pass" if density >= threshold else "fail"
+    detail = {"density": str(density), "threshold": str(threshold)}
+    return _report([values, CheckResult.of("domain_density", verdict, **detail)])

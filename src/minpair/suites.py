@@ -16,6 +16,7 @@ per record, lives here too.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import class_index, pair, unpair
@@ -416,17 +417,17 @@ def compile_operator(spec, stage_bound: int, path: str = "operator") -> EnumOper
 # ---------------------------------------------------------------------------
 # config records
 
-# Each target kind's bits below a bound.
+# Each target kind's bit at a point, as a function of the point.
 TARGET_KINDS = {
-    "parity": (lambda bound: [n & 1 for n in range(bound)], {}),
-    "const": (lambda bound, value: [value] * bound, {"value": (bit,)}),
-    "bits": (lambda bound, values: values[:bound], {"values": (list_of(bit),)}),
+    "parity": (lambda: lambda n: n & 1, {}),
+    "const": (lambda value: lambda n: value, {"value": (bit,)}),
+    "bits": (lambda values: values.__getitem__, {"values": (list_of(bit),)}),
 }
 
 
 def _target(raw, path: str) -> dict:
-    """The tagged target record, checked by computing its bits below 0."""
-    tagged(raw, path, TARGET_KINDS, 0)
+    """The tagged target record, checked by building its bit function."""
+    tagged(raw, path, TARGET_KINDS)
     return raw
 
 
@@ -446,13 +447,33 @@ class EndToEndSpec(NamedTuple):
     threshold: Fraction
     target: dict  # its tagged JSON record
 
+    def target_view(self) -> TargetBits:
+        """The target's bits below the bound, each computed when it is read."""
+        return TargetBits(tagged(self.target, "target", TARGET_KINDS), self.bound)
+
     def target_bits(self) -> list[int]:
-        return tagged(self.target, "target", TARGET_KINDS, self.bound)
+        return list(self.target_view())
+
+
+class TargetBits(Sequence):
+    """bit(n) for each n below bound; no bit is kept, so any bound costs the same."""
+
+    def __init__(self, bit, bound: int) -> None:
+        self.bit = bit
+        self.bound = bound
+
+    def __len__(self) -> int:
+        return self.bound
+
+    def __getitem__(self, n: int) -> int:
+        if not 0 <= n < self.bound:
+            raise IndexError(f"no target bit at {n}")
+        return self.bit(n)
 
 
 def _end_to_end(**got) -> EndToEndSpec:
     spec = EndToEndSpec(**got)
-    if len(spec.target.get("values", range(spec.bound))) < spec.bound:  # only bits run short
+    if "values" in spec.target and len(spec.target["values"]) < spec.bound:  # only bits run short
         raise SpecError("target bits shorter than bound")
     return spec
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from minpair.arith import pair, unpair
 from minpair.cli import main, trace_lines, write_trace
 from minpair.operators import Axiom, EnumOperator, evaluate
 from minpair.engine import Action, Removal, Trace, TraceEvent, TraceSummary
+from minpair.records import Snapshot
 from minpair.graphs import CofiniteOnes, check_description
 from minpair.suites import OperatorSuite
 
@@ -284,6 +287,100 @@ def test_structural_mutation_sweep():
         report = check_structural(trace, fsuite)
         assert not report.passed
         assert report.find(name).verdict == "fail", mutation
+
+
+
+def quiet_but(horizon, events):
+    """A forged trace whose stage s holds events[s], every other stage quiet."""
+    return forged([events.get(s, TraceEvent(s, None, ())) for s in range(horizon)])
+
+
+def acts(*rows):
+    """stage -> event, one (stage, e, side, witness, restraint, removals...) row each."""
+    return {
+        s: TraceEvent(s, Action(e, side, w, r), tuple(removals))
+        for s, e, side, w, r, *removals in rows
+    }
+
+
+# (check, events with two of its violations, the first counterexample, and
+# the stage whose event, made quiet, leaves only the other violation)
+TWO_VIOLATIONS = [
+    (
+        "event_shape",
+        {
+            1: TraceEvent(1, None, (), Snapshot((7,), ())),
+            3: TraceEvent(3, None, (Removal(1, 0, 0, 0, 0),)),
+        },
+        {"stage": 1, "reason": "snapshot disagrees with replay"},
+        1,
+    ),
+    (  # side 1 breaks the bound from stage 5, side 0 from stage 7
+        "class_bound",
+        acts((2, 0, 0, 1, 2), (3, 0, 1, 3, 3), (4, 0, 1, 5, 4), (6, 0, 0, 7, 6)),
+        {"stage": 5, "side": 1, "class": 0},
+        4,
+    ),
+    (  # no stage: the least (side, n) entered twice comes first
+        "dce_single_entry",
+        acts((2, 0, 0, 5, 2), (4, 0, 0, 5, 4), (6, 0, 0, 1, 6), (8, 0, 0, 1, 8)),
+        {"side": 0, "n": 1},
+        8,
+    ),
+    (  # the earlier fault is further down the reason chain than the later one
+        "witness_discipline",
+        acts((2, 0, 0, 2, 2), (5, 2, 1, 4, 5)),
+        {"stage": 2, "reason": "witness outside its class"},
+        2,
+    ),
+    (
+        "restraint_discipline",
+        acts((2, 0, 0, 1, 3), (4, 0, 1, 3, 9)),
+        {"stage": 2, "recorded": 3},
+        2,
+    ),
+    (  # stage 5 misses victim 2; stage 7 removes from its own side
+        "removal_discipline",
+        acts((4, 1, 1, 2, 4), (5, 0, 0, 1, 5), (7, 0, 1, 3, 7, Removal(9, 1, 0, 0, 5))),
+        {"stage": 5, "reason": "removals disagree with weaker opposite-side members"},
+        5,
+    ),
+    (  # neither stage 5 nor stage 9 removes the weaker opposite insertion
+        "key_lemma",
+        acts((4, 1, 1, 2, 4), (5, 0, 0, 1, 5), (7, 1, 0, 6, 7), (9, 0, 1, 3, 9)),
+        {"stage": 5, "since": 0, "side": 1},
+        5,
+    ),
+    (  # no stage: the strongest position comes first
+        "finite_action",
+        acts((6, 0, 0, 1, 6), (8, 0, 0, 3, 8), (10, 1, 1, 2, 10), (12, 1, 1, 6, 12)),
+        {"position": 0, "stages": (6, 8)},
+        8,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, events, first, drop", TWO_VIOLATIONS, ids=[case[0] for case in TWO_VIOLATIONS]
+)
+def test_structural_reports_the_first_counterexample(name, events, first, drop):
+    """Of two violations of one check, the report names the first one in the
+    order that the check walks the run."""
+    horizon = max(events) + 2
+    assert dict(check_structural(quiet_but(horizon, events)).find(name).detail) == first
+    other = quiet_but(horizon, {s: ev for s, ev in events.items() if s != drop})
+    check = check_structural(other).find(name)
+    assert check.verdict == "fail" and dict(check.detail) != first
+
+
+
+def test_readme_lists_the_structural_checks():
+    """README "Reports" lists exactly analysis.STRUCTURAL, in report order."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    reports = readme.split("\n## Reports\n", 1)[1]
+    assert tuple(re.findall(r"^- `structural:(\w+)`", reports, re.M)) == analysis.STRUCTURAL
+    report = check_structural(forged(empty_events(range(3))))
+    assert tuple(c.name for c in report.checks) == analysis.STRUCTURAL
 
 
 # -- capture check -----------------------------------------------------------

@@ -954,3 +954,42 @@ def test_corrupted_trace_ends_in_an_exit_code(injury_run, data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert corrupted == lines
+
+
+def parity_demo_with_bound(tmp_path, bound) -> str:
+    path = Path(__file__).resolve().parent.parent / "configs" / "parity_demo.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["checks"]["end_to_end"][0]["bound"] = bound
+    return write_config(tmp_path / f"bound-{bound}.json", raw)
+
+
+def test_end_to_end_bound_beyond_an_index_runs_and_verifies(tmp_path, capsys):
+    """A bound no list could hold loads, runs and verifies without a traceback."""
+    config = parity_demo_with_bound(tmp_path, 2**64)
+    assert cli.load_config(config).end_to_end_checks[0].bound == 2**64
+    trace = str(tmp_path / "t.trace")
+    assert main(["run", "--config", config, "--out", trace]) == 0
+    assert main(["verify", "--trace", trace, "--config", config]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert any(c["name"].endswith(":domain_density") for c in json.loads(out)["checks"])
+    assert "Traceback" not in err
+
+
+def test_verify_memory_does_not_grow_with_the_end_to_end_bound(tmp_path):
+    """Target bits are read only at the joint table's defined points, so
+    `verify` with bound 10**6 peaks within 1 MB of the same `verify` with
+    bound 100."""
+    import tracemalloc
+
+    trace = str(tmp_path / "t.trace")
+    assert main(["run", "--config", parity_demo_with_bound(tmp_path, 100), "--out", trace]) == 0
+    peaks = []
+    for bound in (100, 100, 10**6):  # the first verify loads the modules
+        argv = ["verify", "--trace", trace, "--config", parity_demo_with_bound(tmp_path, bound)]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--report", str(tmp_path / "r.json")]) in (0, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 2**20
