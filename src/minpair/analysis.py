@@ -128,19 +128,13 @@ def replay(trace: Trace) -> ReplayedRun:
     """Reconstruct the state entering each stage from the events alone.
 
     Permissive on content (forged traces replay too; the checkers judge
-    them) but strict on shape: events must cover stages 0..horizon-1 in
-    order.  Memberships and restraints change only at events with an action
-    or removals, so the state is kept only after those.
+    them) but strict on shape: the kept events must come in increasing
+    stage order, below the horizon.  Memberships and restraints change only
+    at events with an action or removals, so the state is kept only after
+    those.
     """
     horizon = trace.summary.horizon
-    if len(trace.events) != horizon:
-        raise TraceFormatError(
-            f"trace has {len(trace.events)} events for horizon {horizon}"
-        )
-    cur: tuple[dict[int, tuple[int, int, int]], dict[int, tuple[int, int, int]]] = (
-        {},
-        {},
-    )
+    cur: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
     stages = [0]
     members = [(frozenset(), frozenset())]
     restraint_tables: list[dict[int, int]] = [{}]
@@ -148,9 +142,11 @@ def replay(trace: Trace) -> ReplayedRun:
     insert_counts: dict[tuple[int, int], int] = {}
     facts = {}
     actions = []
-    for idx, ev in enumerate(trace.events):
-        if ev.stage != idx:
-            raise TraceFormatError(f"event {idx} carries stage {ev.stage}")
+    last = -1  # the stage of the event before
+    for ev in trace.kept:
+        if not last < ev.stage < horizon:
+            raise TraceFormatError(f"event at stage {ev.stage} out of order for horizon {horizon}")
+        last = s = ev.stage
         if ev.action is None and not ev.removals:
             continue
         witness_was_member = False
@@ -158,21 +154,16 @@ def replay(trace: Trace) -> ReplayedRun:
         if ev.action is not None:
             act = ev.action
             if act.side not in (0, 1) or act.witness < 0 or act.e < 0:
-                raise TraceFormatError(f"event {idx}: malformed action fields")
-            actions.append((idx, act))
+                raise TraceFormatError(f"event {s}: malformed action fields")
+            actions.append((s, act))
             witness_was_member = act.witness in cur[act.side]
             cur[act.side][act.witness] = (act.e, act.side, ev.stage)
             key = (act.side, act.witness)
             insert_counts[key] = insert_counts.get(key, 0) + 1
             restraints[act.position] = act.restraint
             opposite = cur[1 - act.side]
-            expected = tuple(
-                sorted(
-                    n
-                    for n, (e, side, _) in opposite.items()
-                    if position(e, side) > act.position
-                )
-            )
+            weaker = [n for n, (e, side, _) in opposite.items() if position(e, side) > act.position]
+            expected = tuple(sorted(weaker))
         was_member = []
         provenance_ok = []
         for rm in ev.removals:
@@ -181,10 +172,8 @@ def replay(trace: Trace) -> ReplayedRun:
             provenance_ok.append(rec == (rm.by_e, rm.by_side, rm.inserted_at))
             if rec is not None:
                 del cur[rm.side][rm.n]
-        facts[idx] = EventFacts(
-            witness_was_member, tuple(was_member), tuple(provenance_ok), expected
-        )
-        stages.append(idx + 1)
+        facts[s] = EventFacts(witness_was_member, tuple(was_member), tuple(provenance_ok), expected)
+        stages.append(s + 1)
         members.append((frozenset(cur[0]), frozenset(cur[1])))
         restraint_tables.append(dict(restraints))
     return ReplayedRun(
@@ -276,11 +265,10 @@ def _witness_fault(
     return None
 
 
-def _removal_fault(rep: ReplayedRun, trace: Trace, s: int, act: Action) -> dict | None:
-    """What breaks removal discipline at the action of stage s, or None: each
-    removal must hit a current opposite-side member inserted earlier by a
-    strictly weaker pair, and no victim may be missed."""
-    removals = trace.events[s].removals
+def _removal_fault(rep: ReplayedRun, removals: tuple, s: int, act: Action) -> dict | None:
+    """What breaks removal discipline at the action of stage s, with these
+    removals, or None: each removal must hit a current opposite-side member
+    inserted earlier by a strictly weaker pair, and no victim may be missed."""
     fact = rep.facts[s]
     for i, rm in enumerate(removals):
         if rm.side != 1 - act.side:
@@ -318,7 +306,7 @@ def check_structural(
     bad: dict[str, dict] = {}  # check name -> its first counterexample
 
     # event shape: removals only ride on actions; snapshots match replay
-    for ev in trace.events:
+    for ev in trace.kept:
         if ev.action is None and ev.removals:
             bad.setdefault("event_shape", {"stage": ev.stage, "reason": "removals without action"})
         elif ev.snapshot is not None and ev.snapshot != tuple(
@@ -350,6 +338,7 @@ def check_structural(
     for side, n in sorted(key for key, count in rep.insert_counts.items() if count > 1):
         bad.setdefault("dce_single_entry", {"side": side, "n": n})
 
+    removals = {ev.stage: ev.removals for ev in trace.kept}
     stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
     for s, act in rep.actions:
         p, other = act.position, 1 - act.side
@@ -359,7 +348,7 @@ def check_structural(
         # restraint discipline: set to exactly the acting stage, only by actions
         if act.restraint != s:
             bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
-        fault = _removal_fault(rep, trace, s, act)
+        fault = _removal_fault(rep, removals[s], s, act)
         if fault:
             bad.setdefault("removal_discipline", {"stage": s, **fault})
         # key lemma: after this action the opposite side is contained in its

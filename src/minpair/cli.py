@@ -10,7 +10,6 @@ fail), 1 a check failed, 2 config or runtime error, 3 malformed trace.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sys
@@ -118,9 +117,9 @@ _QUIET_HEAD, _, _QUIET_TAIL = _canon(TraceEvent("", None, [], None)._asdict()).p
 def _event_line(ev: TraceEvent) -> str:
     """The event as one line, each nested record an object too (JSON would
     otherwise write a record as a list)."""
+    if ev.quiet:
+        return f"{_QUIET_HEAD}{ev.stage}{_QUIET_TAIL}"
     stage, action, removals, snapshot = ev
-    if action is None and not removals and snapshot is None:
-        return f"{_QUIET_HEAD}{stage}{_QUIET_TAIL}"
     return _canon(
         TraceEvent(
             stage,
@@ -183,41 +182,38 @@ def _record(cls, raw, where: str):
     return cls._make(map(_frozen, values))
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector.  Trace records and the engine's
-    state hold no reference cycles, so collecting while a list of records
-    grows frees nothing, yet each full collection walks the whole list
-    again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def read_trace(path: str | Path) -> Trace:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise TraceFormatError(f"{path}: not UTF-8 at byte {err.start}") from None
-    with _collector_paused():
-        return _parse_trace(text.splitlines())
+    with open(path, "rb") as fh:
+        return _parse_trace(_lines(fh, path))
 
 
-def _parse_trace(lines: list[str]) -> Trace:
-    """The trace spelled by lines.  A line that is exactly the quiet line of
-    the next stage is taken without parsing, as the record that parsing it
-    would give; any other line goes through `json.loads` and the strict
-    checks."""
-    events: list[TraceEvent] = []
+def _lines(fh, path):
+    """The lines of the file's UTF-8 text, split as `str.splitlines` splits
+    them, read one line of bytes at a time: a line's bytes end at b"\n" and
+    hold whole characters, and splitting one again gives what splitting the
+    whole text gives there."""
+    offset = 0  # of the line's first byte in the file
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise TraceFormatError(f"{path}: not UTF-8 at byte {offset + err.start}") from None
+        offset += len(raw)
+        yield from text.splitlines()
+
+
+def _parse_trace(lines) -> Trace:
+    """The trace spelled by lines, keeping the events that are not quiet.
+    A line that is exactly the quiet line of the next stage is counted
+    without parsing; any other line goes through `json.loads` and the
+    strict checks.  The events must carry stages 0, 1, ... in turn, one for
+    each stage below the summary's horizon."""
+    kept: list[TraceEvent] = []
+    stages = 0  # the event lines read so far
     summary: TraceSummary | None = None
     for i, line in enumerate(lines):
-        stage = len(events)
-        if line == f"{_QUIET_HEAD}{stage}{_QUIET_TAIL}" and summary is None:
-            events.append(TraceEvent(stage, None, (), None))
+        if line == f"{_QUIET_HEAD}{stages}{_QUIET_TAIL}" and summary is None:
+            stages += 1
             continue
         if not line.strip():
             continue
@@ -236,21 +232,26 @@ def _parse_trace(lines: list[str]) -> Trace:
             summary = _record(TraceSummary, raw["summary"], where)
             if summary.schema != TRACE_SCHEMA:
                 raise TraceFormatError(f"{where}: unsupported schema {summary.schema}")
-        else:
-            stage, action, removals, snapshot = _values(TraceEvent, raw, where)
-            if not _is_nat(stage) or not isinstance(removals, list):
-                raise TraceFormatError(f"{where}: malformed TraceEvent record")
-            events.append(
-                TraceEvent(
-                    stage,
-                    None if action is None else _record(Action, action, where),
-                    tuple([_record(Removal, rm, where) for rm in removals]),
-                    None if snapshot is None else _record(Snapshot, snapshot, where),
-                )
-            )
+            continue
+        stage, action, removals, snapshot = _values(TraceEvent, raw, where)
+        if not _is_nat(stage) or not isinstance(removals, list):
+            raise TraceFormatError(f"{where}: malformed TraceEvent record")
+        event = TraceEvent(
+            stage,
+            None if action is None else _record(Action, action, where),
+            tuple([_record(Removal, rm, where) for rm in removals]),
+            None if snapshot is None else _record(Snapshot, snapshot, where),
+        )
+        if stage != stages:
+            raise TraceFormatError(f"event {stages} carries stage {stage}")
+        stages += 1
+        if not event.quiet:
+            kept.append(event)
     if summary is None:
         raise TraceFormatError("missing summary line")
-    return Trace(events, summary)
+    if stages != summary.horizon:
+        raise TraceFormatError(f"trace has {stages} events for horizon {summary.horizon}")
+    return Trace(kept, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def _cmd_run(args) -> int:
 
     config = load_config(args.config)
     fsuite, _ = build_suites(config)
-    with _atomic_writer(args.out) as fh, _collector_paused():
+    with _atomic_writer(args.out) as fh:
         trace = engine.run(
             fsuite,
             config.horizon,
@@ -389,8 +390,9 @@ def _cmd_verify(args) -> int:
 def _cmd_psi(args) -> int:
     from . import analysis
 
-    if args.bound < 1:
-        raise ConfigError(f"--bound must be >= 1, got {args.bound}")
+    for flag, least in (("e0", 0), ("e1", 0), ("bound", 1)):
+        if getattr(args, flag) < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     config, trace = _load_matching(args)
     _, osuite = build_suites(config)
     table = analysis.synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)

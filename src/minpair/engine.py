@@ -8,8 +8,8 @@ inside the pair's current side, and the class contains a witness,
 converged by stage s, exceeding every stronger pair's restraint.  Acting
 inserts the least such witness into the pair's side, removes every weaker
 insertion from the opposite side, and raises the pair's restraint to s.
-One action per stage, exactly; a stage with no eligible pair records an
-empty event.
+One action per stage, exactly; a stage with no eligible pair is quiet,
+and a run passes its event on but does not keep it.
 
 The scan is skipped when its answer cannot have changed.  It reads the
 stage (through the positions below it), the memberships and restraints
@@ -36,15 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 
 from .arith import class_index, position
-from .records import (
-    Action,
-    Removal,
-    Snapshot,
-    Trace,
-    TraceEvent,
-    TraceSummary,
-    TRACE_SCHEMA,
-)
+from .records import TRACE_SCHEMA, Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite
 
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
@@ -213,17 +205,19 @@ def run(
 ) -> Trace:
     """Run the construction for the given number of stages.
 
-    on_event, when given, receives each TraceEvent as it is produced so a
-    persistence layer can stream the trace instead of buffering it.
+    on_event, when given, receives every stage's TraceEvent, quiet ones
+    included, as it is produced, so a persistence layer can stream the
+    trace; the returned trace keeps only the events that are not quiet.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     state = ConstructionState(horizon)
-    events = []
+    kept = []
     for s in range(horizon):
         snap = snapshot_every > 0 and s % snapshot_every == 0
         event = step(state, suite, mutation, take_snapshot=snap)
-        events.append(event)
+        if not event.quiet:
+            kept.append(event)
         if on_event is not None:
             on_event(event)
     summary = TraceSummary(
@@ -233,4 +227,4 @@ def run(
         side1=state.sides[1].members(),
         restraints=tuple(sorted(state.restraints.items())),
     )
-    return Trace(events, summary)
+    return Trace(kept, summary)

@@ -10,16 +10,10 @@ state, and exists purely to cross-validate the engine trace for trace
 
 from __future__ import annotations
 
+from functools import cache
+
 from .arith import class_index, position
-from .records import (
-    Action,
-    Removal,
-    Snapshot,
-    Trace,
-    TraceEvent,
-    TraceSummary,
-    TRACE_SCHEMA,
-)
+from .records import TRACE_SCHEMA, Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite
 
 
@@ -28,25 +22,22 @@ def _points_above(e: int, bound: int, horizon: int) -> range:
     return range((1 << e) + ((bound + (1 << e)) >> (e + 1) << (e + 1)), horizon, 2 << e)
 
 
-def _least_settle(
-    suite: FunctionalSuite, e: int, bound: int, horizon: int
-) -> tuple[int, int] | None:
+def _least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | None:
     """(stage, n): the least settle stage below the horizon of a class-e
     point above bound, and the least point that settles then; None if no
-    such point settles before the horizon."""
+    such point settles before the horizon.  settle(e, n) is the point's
+    settle stage, or None."""
     best, stop = None, horizon
     for n in _points_above(e, bound, horizon):
         if n + 1 >= stop:  # n and every later point settle after stage n
             break
-        hit = suite.settle(e, n, horizon)
-        if hit is not None and hit[1] < stop:
-            best, stop = (hit[1], n), hit[1]
+        stage = settle(e, n)
+        if stage is not None and stage < stop:
+            best, stop = (stage, n), stage
     return best
 
 
-def reference_run(
-    suite: FunctionalSuite, horizon: int, snapshot_every: int = 0
-) -> Trace:
+def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0) -> Trace:
     """Independent transcription of the stage rule that jumps from action
     to action.
 
@@ -58,13 +49,20 @@ def reference_run(
     acts there, with the least class point above the bound settled by then
     as its witness; every stage before it is quiet.  Only present
     functionals are scanned: absent ones diverge, so never act or hold a
-    restraint.  Must produce a trace identical to the engine's.
+    restraint.  The trace keeps the actions and the snapshots, and must be
+    identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
     members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
     restraints: dict[int, int] = {}
+
+    @cache  # points are revisited
+    def settle(e: int, n: int) -> int | None:
+        hit = suite.settle(e, n, horizon)
+        return None if hit is None else hit[1]
+
     # p -> _least_settle above p's bound.  Bounds only rise, so an entry
     # stays right while its point is above p's bound.
     least: dict[int, tuple[int, int] | None] = {}
@@ -79,7 +77,7 @@ def reference_run(
             if any(class_index(m) == e for m in members[side]):
                 continue
             if p not in least or least[p] is not None and least[p][1] <= bound:
-                least[p] = _least_settle(suite, e, bound, horizon)
+                least[p] = _least_settle(settle, e, bound, horizon)
             if least[p] is None:
                 continue
             t = max(s, p + 1, least[p][0])
@@ -89,8 +87,8 @@ def reference_run(
             break
         t, p, e, side, bound = chosen
         for witness in _points_above(e, bound, horizon):
-            hit = suite.settle(e, witness, horizon)
-            if hit is not None and hit[1] <= t:
+            stage = settle(e, witness)
+            if stage is not None and stage <= t:
                 break
         opposite = members[1 - side]
         removals = []
@@ -104,12 +102,13 @@ def reference_run(
         post = Snapshot(tuple(sorted(members[0])), tuple(sorted(members[1])))
         acted[t] = (Action(e, side, witness, t), tuple(removals), post)
         s = t + 1
-    events = []
+    kept = []
     post = Snapshot((), ())
-    for s in range(horizon):
+    snapshots = range(0, horizon, snapshot_every) if snapshot_every > 0 else ()
+    for s in sorted(acted.keys() | set(snapshots)):
         action, removals, post = acted.get(s, (None, (), post))
         snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
-        events.append(TraceEvent(s, action, removals, snapshot))
+        kept.append(TraceEvent(s, action, removals, snapshot))
     summary = TraceSummary(
         schema=TRACE_SCHEMA,
         horizon=horizon,
@@ -117,4 +116,4 @@ def reference_run(
         side1=post.side1,
         restraints=tuple(sorted(restraints.items())),
     )
-    return Trace(events, summary)
+    return Trace(kept, summary)

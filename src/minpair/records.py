@@ -3,8 +3,10 @@
 This module is the one place that names trace fields.  The engine and the
 reference oracle build these records, the CLI writes each one as a JSON
 object keyed by its fields and reads it back with FIELD_CHECKS, and the
-checks replay them.  It imports no construction code, so the read side of
-the CLI (`verify`, `psi`) never loads the engine.
+checks replay them.  A run is mostly quiet stages, so a trace keeps only
+the events that are not quiet; the horizon in its summary implies the
+rest.  It imports no construction code, so the read side of the CLI
+(`verify`, `psi`) never loads the engine.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ class TraceEvent(NamedTuple):
     removals: tuple[Removal, ...]
     snapshot: Snapshot | None = None
 
+    @property
+    def quiet(self) -> bool:
+        """No action, removal or snapshot: a trace keeps no quiet event."""
+        return self.action is None and not self.removals and self.snapshot is None
+
 
 class TraceSummary(NamedTuple):
     schema: int
@@ -59,8 +66,15 @@ class TraceSummary(NamedTuple):
 
 
 class Trace(NamedTuple):
-    events: list[TraceEvent]
+    kept: list[TraceEvent]  # the events that are not quiet, in stage order
     summary: TraceSummary
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The event of every stage below the horizon, read-only: a stage
+        that keeps none gets a quiet event made on the spot."""
+        kept = {ev.stage: ev for ev in self.kept}
+        return tuple(kept.get(s) or TraceEvent(s, None, ()) for s in range(self.summary.horizon))
 
 
 TRACE_SCHEMA = 1

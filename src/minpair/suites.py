@@ -518,40 +518,33 @@ class FunctionalSuite:
 
     settle is the one primitive and query is derived from it, so the stage
     bound (nothing converges unless n < s) and stability (once converged,
-    the same bit at every later stage) hold by construction.  Settles are
-    cached per (e, n); horizon is the least limit query settles with.
+    the same bit at every later stage) hold by construction.  Nothing is
+    cached: a caller that revisits points keeps its own memo.
     """
 
-    def __init__(self, entries: dict[int, StagedFunctional], horizon: int = 0):
+    def __init__(self, entries: dict[int, StagedFunctional]):
         for e in entries:
             if not _is_nat(e):
                 raise ValueError(f"functional index must be a natural, got {e}")
         self._entries = dict(entries)
-        self.horizon = horizon
         self.classes = max(entries, default=-1) + 1  # the engine scans classes below it
-        # (e, n) -> (bit, stage), or (None, limit) when unsettled by that limit
-        self._settled: dict[tuple[int, int], tuple] = {}
 
     def settle(self, e: int, n: int, limit: int) -> tuple[int, int] | None:
         """(bit, stage) for the first stage at which entry e converges on n,
         or None when that stage does not come by the limit."""
-        got = self._settled.get((e, n))
-        if got is None or got[0] is None and got[1] < limit:
-            fn = self._entries.get(e)
-            hit = None if fn is None else fn.settle(n, limit)
-            got = (None, limit) if hit is None else (hit[0], max(hit[1], n + 1))
-            self._settled[e, n] = got
-        return got if got[0] is not None and got[1] <= limit else None
+        fn = self._entries.get(e)
+        hit = None if fn is None else fn.settle(n, limit)
+        if hit is None:
+            return None
+        stage = max(hit[1], n + 1)  # the stage bound: nothing converges unless n < s
+        return (hit[0], stage) if stage <= limit else None
 
     def query(self, e: int, n: int, s: int) -> int | None:
         """Entry e's bit on n from its settle stage on; None before it."""
         if n < 0 or s < 0:
             raise ValueError(f"query arguments must be naturals, got ({n}, {s})")
-        got = self._settled.get((e, n))
-        if got is None or got[0] is None and got[1] < s:
-            self.settle(e, n, max(s, self.horizon))
-            got = self._settled[e, n]
-        return got[0] if got[1] <= s else None
+        hit = self.settle(e, n, s)
+        return None if hit is None else hit[0]
 
     def indices(self) -> list[int]:
         return sorted(self._entries)
@@ -597,4 +590,4 @@ def build_suite(
             validate_use_bound(ops[e])
         except OperatorValidationError as err:
             raise SuiteValidationError(f"{where}: {err}") from None
-    return FunctionalSuite(functionals, horizon), OperatorSuite(ops)
+    return FunctionalSuite(functionals), OperatorSuite(ops)

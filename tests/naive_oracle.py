@@ -44,7 +44,8 @@ def reference_run(
     the horizon.  Its only shortcuts: it scans just the positions of present
     functionals (absent ones diverge, so never act or hold a restraint), and
     keeps the stronger-restraint bound as a running max over that scan.
-    Must produce a trace identical to the engine's.
+    Must produce a trace identical to the engine's, which keeps only the
+    events that are not quiet.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -101,4 +102,4 @@ def reference_run(
         side1=tuple(sorted(final[1])),
         restraints=tuple(sorted(restraint_map.items())),
     )
-    return Trace(events, summary)
+    return Trace([ev for ev in events if not ev.quiet], summary)

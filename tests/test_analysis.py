@@ -153,9 +153,11 @@ def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
     the state that a stage-by-stage rebuild gives, forged traces included."""
     raw = random_config(seed, horizon)
     trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
+    events = {ev.stage: ev for ev in trace.kept}
     for stage, action, removals in forgeries:
         if stage < horizon:
-            trace.events[stage] = TraceEvent(stage, action, tuple(removals))
+            events[stage] = TraceEvent(stage, action, tuple(removals))
+    trace = Trace([events[s] for s in sorted(events)], trace.summary)
     rep = replay(trace)
     states = dense_states(trace)
     assert len(rep.entering) == len(rep.restraints_entering) == horizon + 1
@@ -176,13 +178,13 @@ def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
         assert spread == [members for members, _ in states[start:]]
 
 
-def test_replay_rejects_event_count_mismatch(scenario_trace):
-    bad = Trace(scenario_trace.events[:3], scenario_trace.summary)
-    with pytest.raises(TraceFormatError):
-        replay(bad)
-    renumbered = [TraceEvent(9, ev.action, ev.removals) for ev in scenario_trace.events]
-    with pytest.raises(TraceFormatError):
-        replay(Trace(renumbered, scenario_trace.summary))
+def test_replay_rejects_events_out_of_stage_order(scenario_trace):
+    """Kept events come in increasing stage order, below the horizon; that
+    every stage has its event is the reader's check."""
+    first, second = scenario_trace.kept  # stages 2 and 4 of horizon 5
+    for kept in ([second, first], [first, first], [first, second._replace(stage=5)]):
+        with pytest.raises(TraceFormatError, match="out of order"):
+            replay(Trace(kept, scenario_trace.summary))
 
 
 # -- structural checks on genuine and forged traces ---------------------------
@@ -825,7 +827,7 @@ def test_capture_witness_realizes_a_disagreement(scenario_suite, scenario_trace)
 
 def test_reference_run_horizon_zero(scenario_suite):
     trace = reference_run(scenario_suite, 0)
-    assert trace.events == []
+    assert trace.kept == [] and trace.events == ()
     assert trace.summary.side0 == ()
 
 

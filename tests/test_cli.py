@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import contextlib
-import functools
-import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from config_gen import SCENARIO_CONFIG, random_config
 from minpair import cli, engine
-from minpair.analysis import TraceFormatError
+from minpair.analysis import TraceFormatError, replay
 from minpair.cli import (
     ConfigError,
     EndToEndSpec,
@@ -305,6 +304,70 @@ def test_read_trace_rejects_unknown_event_fields(tmp_path, scenario_trace):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(TraceFormatError):
         read_trace(path)
+
+
+def test_read_trace_splits_lines_as_splitlines_does(tmp_path, scenario_trace):
+    """Lines end where `str.splitlines` ends them: at a form feed and a line
+    separator too, and at a carriage return with its newline."""
+    lines = trace_lines(scenario_trace)
+    path = tmp_path / "t.trace"
+    for text in (
+        "\x0c".join(lines[:2]) + "\n" + "\n".join(lines[2:]) + "\n",
+        "\r\n".join(lines) + "\r\n",
+        "\n".join(line + "\u2028" for line in lines) + "\n",  # each adds a blank line
+    ):
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_trace(path) == scenario_trace
+    lines[0] += "\u2028"
+    lines[3] = "not json"  # line 5 once the separator has split line 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="^line 5: "):
+        read_trace(path)
+
+
+def test_read_trace_names_the_file_byte_that_is_not_utf8(tmp_path):
+    """The offset counts bytes from the start of the file, past many lines
+    and past characters of more than one byte."""
+    raw = random_config(0, 3200)
+    trace = engine.run(build_suites(parse_config(json.dumps(raw)))[0], 3200, raw["snapshot_every"])
+    data = ("\n".join(["\u00a0" * 50] + trace_lines(trace)) + "\n").encode("utf-8")  # a blank line
+    offset = 150_001
+    assert len(data) > offset and data[offset:offset + 1].isascii()
+    path = tmp_path / "t.trace"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    with pytest.raises(TraceFormatError, match=f"not UTF-8 at byte {offset}$"):
+        read_trace(path)
+
+
+def edit_lines(lines: list[str], edit: str) -> list[str]:
+    """The injury trace's lines with one quiet line deleted or doubled, or
+    two event lines swapped."""
+    quiet = [i for i, line in enumerate(lines[:-1]) if json.loads(line)["action"] is None]
+    i, j = quiet[len(quiet) // 2], len(lines) - 2  # a quiet line, and the last event line
+    lines = list(lines)
+    if edit == "delete":
+        del lines[i]
+    elif edit == "delete_last":
+        del lines[j]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@pytest.mark.parametrize("edit", ["delete", "delete_last", "duplicate", "swap"])
+def test_verify_rejects_a_trace_whose_stages_do_not_count_up(injury_run, capsys, edit):
+    """Every stage below the horizon has its event line, in stage order."""
+    root, lines = injury_run
+    path = root / f"{edit}.trace"
+    path.write_text("\n".join(edit_lines(lines, edit)) + "\n", encoding="utf-8")
+    assert main(["verify", "--trace", str(path), "--config", "configs/injury.json"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"minpair: malformed trace: (event \d+ carries stage \d+|trace has \d+ events for horizon 50)\n",
+        err,
+    ), err
 
 
 # -- commands -------------------------------------------------------------------
@@ -634,6 +697,18 @@ def test_psi_bound_below_one_exits_2(tmp_path, capsys, bound):
     assert captured.out == "" and "--bound" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--e0", "--e1"])
+def test_psi_negative_index_exits_2(tmp_path, capsys, flag):
+    """An operator index is a natural: a negative one is an error that names its flag."""
+    out = tmp_path / "parity.trace"
+    assert main(["run", "--config", "configs/parity_demo.json", "--out", str(out)]) == 0
+    argv = psi_argv(out, "configs/parity_demo.json")
+    argv[argv.index(flag) + 1] = "-1"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"minpair: {flag} must be >= 0, got -1\n"
+
+
 # -- start-up cost ------------------------------------------------------------
 
 
@@ -746,31 +821,6 @@ def test_run_loads_neither_fractions_nor_operators(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [0, []]
-
-
-def test_run_pauses_the_collector(tmp_path, scenario_config_path, monkeypatch):
-    """`run` writes every event with the cyclic collector paused, and turns
-    it back on afterwards, also when the run fails."""
-    real_run = engine.run
-    seen = []
-
-    def watched_run(suite, horizon, snapshot_every=0, mutation=None, on_event=None, fail=False):
-        def write(ev):
-            seen.append(gc.isenabled())
-            on_event(ev)
-            if fail:
-                raise RuntimeError("interrupted")
-
-        return real_run(suite, horizon, snapshot_every, mutation, write)
-
-    assert gc.isenabled()
-    monkeypatch.setattr(engine, "run", watched_run)
-    assert main(["run", "--config", scenario_config_path, "--out", str(tmp_path / "a")]) == 0
-    assert seen == [False] * 5 and gc.isenabled()
-    monkeypatch.setattr(engine, "run", functools.partial(watched_run, fail=True))
-    with pytest.raises(RuntimeError):
-        main(["run", "--config", scenario_config_path, "--out", str(tmp_path / "b")])
-    assert seen == [False] * 6 and gc.isenabled()
 
 
 # -- command line ---------------------------------------------------------------
@@ -993,3 +1043,29 @@ def test_verify_memory_does_not_grow_with_the_end_to_end_bound(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[2] - peaks[1] < 2**20
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_memory_grows_with_kept_events_not_with_stages(tmp_path, seed):
+    """At horizon 32000 a run keeps under 900 events (its actions and a
+    snapshot every 37 stages), so neither `engine.run` nor reading and
+    replaying its trace peaks above 2 MB traced; one record per stage
+    would take about 10 MB."""
+    import tracemalloc
+
+    config = write_config(tmp_path / "c.json", random_config(seed, 32000))
+    trace = tmp_path / "t.trace"
+    assert main(["run", "--config", config, "--out", str(trace)]) == 0
+    loaded = cli.load_config(config)
+    fsuite, _ = build_suites(loaded)
+    for work in (
+        lambda: engine.run(fsuite, loaded.horizon, loaded.snapshot_every),
+        lambda: replay(read_trace(trace)),
+    ):
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

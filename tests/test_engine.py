@@ -59,7 +59,7 @@ def test_step_by_step_walkthrough():
 
 def test_run_horizon_zero_is_empty():
     trace = run(scenario_suite(), 0)
-    assert trace.events == []
+    assert trace.kept == [] and trace.events == ()
     assert trace.summary.horizon == 0
     assert trace.summary.side0 == () and trace.summary.side1 == ()
 

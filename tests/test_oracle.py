@@ -117,18 +117,23 @@ def test_verify_oracle_passes_at_horizon_3200(tmp_path):
     assert verify_verdicts(tmp_path, trace_path, config_path)["oracle_equivalence"] == "pass"
 
 
+def kept_at(trace, stage: int) -> int:
+    """The index in trace.kept of the event of `stage`."""
+    return [ev.stage for ev in trace.kept].index(stage)
+
+
 def forge_snapshot_member(trace):
     """Stage 10's snapshot holds 4 in place of 2."""
-    ev = trace.events[10]
-    assert ev.snapshot == Snapshot((2,), ())
-    trace.events[10] = ev._replace(snapshot=Snapshot((4,), ()))
+    i = kept_at(trace, 10)
+    assert trace.kept[i].snapshot == Snapshot((2,), ())
+    trace.kept[i] = trace.kept[i]._replace(snapshot=Snapshot((4,), ()))
 
 
 def forge_inserted_at(trace):
     """The one removal, at stage 40, says its victim entered a stage early."""
-    ev = trace.events[40]
-    assert ev.removals == (Removal(6, 1, 1, 1, 35),)
-    trace.events[40] = ev._replace(removals=(Removal(6, 1, 1, 1, 34),))
+    i = kept_at(trace, 40)
+    assert trace.kept[i].removals == (Removal(6, 1, 1, 1, 35),)
+    trace.kept[i] = trace.kept[i]._replace(removals=(Removal(6, 1, 1, 1, 34),))
 
 
 @pytest.mark.parametrize(
