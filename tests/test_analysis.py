@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_checks
 from config_gen import random_config
 from conftest import guarded_operators, make_suites, operators
 from minpair import analysis, engine
@@ -383,6 +384,110 @@ def test_readme_lists_the_structural_checks():
     assert tuple(re.findall(r"^- `structural:(\w+)`", reports, re.M)) == analysis.STRUCTURAL
     report = check_structural(forged(empty_events(range(3))))
     assert tuple(c.name for c in report.checks) == analysis.STRUCTURAL
+    assert naive_checks.NAMES == analysis.STRUCTURAL
+
+
+# the edits that need an action event with removals
+ON_REMOVALS = ("removal_side", "by_e", "inserted_at", "drop_removal", "duplicate_removal", "strip_action")
+
+
+def edited(trace, edits):
+    """The trace with each (kind, pick, delta) edit applied to the action
+    event, or the removal of one, that pick selects."""
+    events, summary = list(trace.events), trace.summary
+    for kind, pick, delta in edits:
+        if kind == "summary":
+            summary = summary._replace(side0=tuple(sorted(set(summary.side0) ^ {abs(delta)})))
+            continue
+        busy = [ev for ev in events if ev.action is not None]
+        if kind in ON_REMOVALS:
+            busy = [ev for ev in busy if ev.removals]
+        if not busy:
+            continue
+        ev = busy[pick % len(busy)]
+        act, rms = ev.action, list(ev.removals)
+        j = pick % len(rms) if rms else 0
+        if kind == "witness":  # an even delta keeps the class, an odd one leaves it
+            step = 2 ** (act.e + 1) * (delta // 2) if delta % 2 == 0 else delta
+            act = act._replace(witness=max(0, act.witness + step))
+        elif kind == "side":
+            act = act._replace(side=1 - act.side)
+        elif kind == "restraint":
+            act = act._replace(restraint=max(0, act.restraint + delta))
+        elif kind == "removal_side":
+            rms[j] = rms[j]._replace(side=1 - rms[j].side)
+        elif kind == "by_e":
+            rms[j] = rms[j]._replace(by_e=max(0, rms[j].by_e + delta))
+        elif kind == "inserted_at":
+            rms[j] = rms[j]._replace(inserted_at=max(0, rms[j].inserted_at + delta))
+        elif kind == "drop_removal":
+            del rms[j]
+        elif kind == "duplicate_removal":
+            rms.insert(j, rms[j])
+        elif kind == "reorder_removals":
+            rms.reverse()
+        elif kind == "drop_event":
+            act, rms = None, []
+        elif kind == "strip_action":
+            act = None
+        elif kind == "snapshot":
+            ev = ev._replace(snapshot=Snapshot((act.witness,), ()))
+        elif kind == "copy_action":  # the same action again, at a later stage
+            later = ev.stage + 1 + pick % max(1, len(events) - ev.stage - 1)
+            if later < len(events):
+                events[later] = events[later]._replace(action=act._replace(restraint=later))
+        events[ev.stage] = ev._replace(action=act, removals=tuple(rms))
+    return Trace([ev for ev in events if not ev.quiet], summary)
+
+
+EDITS = (
+    "witness",
+    "side",
+    "restraint",
+    "removal_side",
+    "by_e",
+    "inserted_at",
+    "drop_removal",
+    "duplicate_removal",
+    "reorder_removals",
+    "drop_event",
+    "strip_action",
+    "snapshot",
+    "copy_action",
+    "summary",
+)
+
+
+def test_structural_matches_its_naive_specification():
+    """check_structural gives the verdicts and first counterexamples of
+    `tests/naive_checks.py` on engine traces under every mutation, as run
+    and with random edits; most cases reach a failing check."""
+    failing = []
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.integers(0, 59),
+        st.integers(0, 160),
+        st.sampled_from((None, *engine.MUTATIONS)),
+        st.booleans(),
+        st.lists(
+            st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6), st.integers(-3, 3)),
+            max_size=4,
+        ),
+    )
+    def compare(seed, horizon, mutation, with_suite, edits):
+        raw = random_config(seed, horizon)
+        fsuite = make_suites(raw)[0]
+        trace = engine.run(fsuite, horizon, raw["snapshot_every"], mutation=mutation)
+        trace = edited(trace, edits)
+        suite = fsuite if with_suite else None
+        report = check_structural(trace, suite)
+        got = {c.name: (c.verdict, dict(c.detail)) for c in report.checks}
+        assert got == naive_checks.structural(trace, suite)
+        failing.extend([seed] if not report.passed else [])
+
+    compare()
+    assert len(failing) >= 200
 
 
 # -- capture check -----------------------------------------------------------

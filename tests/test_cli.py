@@ -460,6 +460,29 @@ def test_malformed_input_exits_without_traceback(tmp_path, scenario_config_path,
     assert "Traceback" not in err and err.startswith("minpair: ")
 
 
+def test_use_bound_breach_exits_2_with_one_line_in_every_command(tmp_path, capsys):
+    """An axiom visible before its use is a config error that run, verify
+    and psi each report with the same line, naming the operator's path."""
+    good = write_config(tmp_path / "good.json", SCENARIO_CONFIG)
+    trace = str(tmp_path / "t.trace")
+    assert main(["run", "--config", good, "--out", trace]) == 0
+    operator = {"kind": "axioms", "axioms": [{"stage": 1, "premise": [[1, 1]], "output": 0}]}
+    suite = {**SCENARIO_CONFIG["suite"], "operators": [operator]}
+    cfg = write_config(tmp_path / "bad.json", {**SCENARIO_CONFIG, "suite": suite})
+    capsys.readouterr()
+    errors = []
+    for argv in (
+        ["run", "--config", cfg, "--out", str(tmp_path / "o")],
+        ["verify", "--trace", trace, "--config", cfg],
+        psi_argv(trace, cfg),
+    ):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    want = "minpair: config.suite.operators[0]: axiom with premise max 4 (use 5) visible at stage 1\n"
+    assert errors == [want] * 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_unstable_spec_exits_2_with_witness(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json",
