@@ -27,7 +27,7 @@ reflect all actions of stages < s; entering[horizon] is the final state.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .arith import class_index, class_members, position
@@ -70,20 +70,12 @@ def __getattr__(name: str):
 # replay
 
 
-class EventFacts(NamedTuple):
-    """Observations recorded while applying one event."""
-
-    witness_was_member: bool
-    removal_was_member: tuple[bool, ...]
-    removal_provenance_ok: tuple[bool, ...]
-    expected_removals: tuple[int, ...]
-
-
-class Stepwise(Sequence):
+class Stepwise:
     """A value for each stage 0..horizon, kept only where it may change:
     values[i] holds from stages[i] (stages[0] is 0) up to stages[i + 1].
     Indexing a stage finds its value by bisection and passes it through
-    `read`, which gives each caller a fresh copy of a mutable value."""
+    `read`, which gives each caller a fresh copy of a mutable value.  It
+    has no length and no iteration: walk it with `runs`."""
 
     def __init__(self, stages: list[int], values: list, horizon: int, read=None) -> None:
         self.stages = stages
@@ -91,12 +83,7 @@ class Stepwise(Sequence):
         self.horizon = horizon
         self.read = read
 
-    def __len__(self) -> int:
-        return self.horizon + 1
-
     def __getitem__(self, s: int):
-        if s < 0:
-            s += self.horizon + 1
         if not 0 <= s <= self.horizon:
             raise IndexError(f"stage {s} outside 0..{self.horizon}")
         value = self.values[bisect_right(self.stages, s) - 1]
@@ -116,8 +103,6 @@ class ReplayedRun(NamedTuple):
     horizon: int
     entering: Stepwise  # stage -> (side 0, side 1) members, as frozensets
     restraints_entering: Stepwise  # stage -> {position: restraint}
-    insert_counts: dict[tuple[int, int], int]
-    facts: dict[int, EventFacts]  # stage of each event with an action or removals
     actions: list[tuple[int, Action]]  # (stage, action), in stage order
 
     def final(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -134,13 +119,11 @@ def replay(trace: Trace) -> ReplayedRun:
     those.
     """
     horizon = trace.summary.horizon
-    cur: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
+    cur: tuple[set[int], set[int]] = (set(), set())
     stages = [0]
     members = [(frozenset(), frozenset())]
     restraint_tables: list[dict[int, int]] = [{}]
     restraints: dict[int, int] = {}
-    insert_counts: dict[tuple[int, int], int] = {}
-    facts = {}
     actions = []
     last = -1  # the stage of the event before
     for ev in trace.kept:
@@ -149,30 +132,16 @@ def replay(trace: Trace) -> ReplayedRun:
         last = s = ev.stage
         if ev.action is None and not ev.removals:
             continue
-        witness_was_member = False
-        expected: tuple[int, ...] = ()
-        if ev.action is not None:
-            act = ev.action
+        act = ev.action
+        if act is not None:
             if act.side not in (0, 1) or act.witness < 0 or act.e < 0:
                 raise TraceFormatError(f"event {s}: malformed action fields")
             actions.append((s, act))
-            witness_was_member = act.witness in cur[act.side]
-            cur[act.side][act.witness] = (act.e, act.side, ev.stage)
-            key = (act.side, act.witness)
-            insert_counts[key] = insert_counts.get(key, 0) + 1
+            cur[act.side].add(act.witness)
             restraints[act.position] = act.restraint
-            opposite = cur[1 - act.side]
-            weaker = [n for n, (e, side, _) in opposite.items() if position(e, side) > act.position]
-            expected = tuple(sorted(weaker))
-        was_member = []
-        provenance_ok = []
         for rm in ev.removals:
-            rec = cur[rm.side].get(rm.n) if rm.side in (0, 1) else None
-            was_member.append(rec is not None)
-            provenance_ok.append(rec == (rm.by_e, rm.by_side, rm.inserted_at))
-            if rec is not None:
-                del cur[rm.side][rm.n]
-        facts[s] = EventFacts(witness_was_member, tuple(was_member), tuple(provenance_ok), expected)
+            if rm.side in (0, 1):
+                cur[rm.side].discard(rm.n)
         stages.append(s + 1)
         members.append((frozenset(cur[0]), frozenset(cur[1])))
         restraint_tables.append(dict(restraints))
@@ -180,10 +149,16 @@ def replay(trace: Trace) -> ReplayedRun:
         horizon,
         Stepwise(stages, members, horizon),
         Stepwise(stages, restraint_tables, horizon, dict),
-        insert_counts,
-        facts,
         actions,
     )
+
+
+def replay_to(trace: Trace, horizon: int, rep: ReplayedRun | None = None) -> ReplayedRun:
+    """rep, or else the replay of the trace, which must reach the horizon."""
+    rep = replay(trace) if rep is None else rep
+    if horizon > rep.horizon:
+        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +224,7 @@ def _witness_fault(
         return "pair position not below stage"
     if class_index(act.witness) != act.e:
         return "witness outside its class"
-    if rep.facts[s].witness_was_member:
+    if act.witness in rep.entering[s][act.side]:
         return "witness already a member"
     if act.witness <= _stronger_restraint_bound(rep.restraints_entering[s], act.position):
         return "witness under a stronger restraint"
@@ -265,29 +240,35 @@ def _witness_fault(
     return None
 
 
-def _removal_fault(rep: ReplayedRun, removals: tuple, s: int, act: Action) -> dict | None:
+def _removal_fault(
+    removals: tuple, s: int, act: Action, opposite: frozenset[int], inserted: dict
+) -> dict | None:
     """What breaks removal discipline at the action of stage s, with these
     removals, or None: each removal must hit a current opposite-side member
-    inserted earlier by a strictly weaker pair, and no victim may be missed."""
-    fact = rep.facts[s]
-    for i, rm in enumerate(removals):
+    inserted earlier by a strictly weaker pair, and no victim may be missed.
+    opposite holds the opposite side's members entering stage s, and
+    inserted maps each to the (e, side, stage) of the action that last
+    inserted it."""
+    gone = set()  # the members that this event's earlier removals took
+    for rm in removals:
         if rm.side != 1 - act.side:
             reason = "wrong side"
         elif rm.by_position <= act.position:
             reason = "removed a stronger insertion"
         elif rm.inserted_at >= s:
             reason = "inserted_at not earlier"
-        elif not fact.removal_was_member[i]:
+        elif rm.n not in opposite or rm.n in gone:
             reason = "not a current member"
-        elif not fact.removal_provenance_ok[i]:
+        elif inserted[rm.n] != (rm.by_e, rm.by_side, rm.inserted_at):
             reason = "provenance mismatch"
         else:
+            gone.add(rm.n)
             continue
         return {"n": rm.n, "reason": reason}
-    recorded = tuple(rm.n for rm in removals)
-    if recorded != tuple(sorted(recorded)):
+    recorded = [rm.n for rm in removals]
+    if recorded != sorted(recorded):
         return {"reason": "removals not in canonical order"}
-    if recorded != fact.expected_removals:
+    if recorded != sorted(n for n in opposite if position(*inserted[n][:2]) > act.position):
         return {"reason": "removals disagree with weaker opposite-side members"}
     return None
 
@@ -335,11 +316,13 @@ def check_structural(
 
     # single entry: an element enters a given side at most once, so each
     # membership changes at most twice over the run
-    for side, n in sorted(key for key, count in rep.insert_counts.items() if count > 1):
+    entries = Counter((act.side, act.witness) for _, act in rep.actions)
+    for side, n in sorted(key for key, count in entries.items() if count > 1):
         bad.setdefault("dce_single_entry", {"side": side, "n": n})
 
     removals = {ev.stage: ev.removals for ev in trace.kept}
     stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
+    inserted: tuple[dict, dict] = ({}, {})  # side -> n -> (e, side, stage) of its last insertion
     for s, act in rep.actions:
         p, other = act.position, 1 - act.side
         reason = _witness_fault(rep, suite, s, act)
@@ -348,9 +331,10 @@ def check_structural(
         # restraint discipline: set to exactly the acting stage, only by actions
         if act.restraint != s:
             bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
-        fault = _removal_fault(rep, removals[s], s, act)
+        fault = _removal_fault(removals[s], s, act, rep.entering[s][other], inserted[other])
         if fault:
             bad.setdefault("removal_discipline", {"stage": s, **fault})
+        inserted[act.side][act.witness] = (act.e, act.side, s)
         # key lemma: after this action the opposite side is contained in its
         # state at every stage back to the last stronger action; equivalently
         # each of those stages' descriptions extends to the new one
@@ -405,9 +389,7 @@ def check_capture(
     the first such stage is the least settle stage of a class member above
     the bound (or the first quiet stage, if later).
     """
-    rep = replay(trace) if rep is None else rep
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    rep = replay_to(trace, horizon, rep)
     p = position(e, side)
     last_stronger = max((u for u, act in rep.actions if act.position < p), default=-1)
     start = max(p, last_stronger) + 1

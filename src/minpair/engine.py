@@ -34,6 +34,7 @@ only.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from typing import NamedTuple
 
 from .arith import class_index, position
 from .records import TRACE_SCHEMA, Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
@@ -42,17 +43,13 @@ from .suites import FunctionalSuite
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
 
 
-class MemberRecord:
-    """One insertion into a side; removed_at is set when it is removed."""
+class MemberRecord(NamedTuple):
+    """One insertion into a side."""
 
-    __slots__ = ("n", "e", "side", "inserted_at", "removed_at")
-
-    def __init__(self, n: int, e: int, side: int, inserted_at: int) -> None:
-        self.n = n
-        self.e = e
-        self.side = side
-        self.inserted_at = inserted_at
-        self.removed_at: int | None = None
+    n: int
+    e: int
+    side: int
+    inserted_at: int
 
     @property
     def position(self) -> int:
@@ -74,9 +71,8 @@ class SideState:
         self.by_class.setdefault(e, set()).add(n)
         return rec
 
-    def remove(self, n: int, stage: int) -> MemberRecord:
+    def remove(self, n: int) -> MemberRecord:
         rec = self.current.pop(n)
-        rec.removed_at = stage
         self.by_class[rec.e].discard(n)
         return rec
 
@@ -185,7 +181,7 @@ def step(
                 if rec.position > p
             )
             for n in victims:
-                rec = state.sides[target].remove(n, s)
+                rec = state.sides[target].remove(n)
                 removals.append(Removal(n, target, rec.e, rec.side, rec.inserted_at))
         state.restraints[p] = s
         action = Action(e, side, witness, s)

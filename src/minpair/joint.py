@@ -7,9 +7,10 @@ just after the first action (at a stage >= s) of the strongest pair acting
 at any stage >= s, because that action's removals restore the opposite
 side and its restraint then shields the restored premise.
 
-`replay`, `evaluate` and `synthesize_joint` are called through the
-`analysis` module, whose attributes are what a caller that wraps them
-(a tracer, a counting test) replaces.
+`replay` (by way of `analysis.replay_to`), `evaluate` and
+`synthesize_joint` are called through the `analysis` module, whose
+attributes are what a caller that wraps them (a tracer, a counting test)
+replaces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis
-from .analysis import CheckResult, ReplayedRun, VerificationReport, _report
+from .analysis import CheckResult, ReplayedRun, VerificationReport, _report, replay_to
 from .arith import class_index, partial_density, unpair
 from .graphs import CofiniteOnes
 from .records import Trace
@@ -116,9 +117,7 @@ def check_preservation(
     pair acts again the window opens at s itself.  Pass shared to reuse the
     enumerations of (e0, e1) between checks of the same trace.
     """
-    rep = analysis.replay(trace) if rep is None else rep
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    rep = replay_to(trace, horizon, rep)
     sides, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
     found: dict[int, int] = {}
     for s, outputs in joint:
@@ -170,9 +169,7 @@ def synthesize_joint(
     first stage the smaller bit is kept (any fixed choice is sound because
     preservation makes every jointly enumerated bit correct).
     """
-    rep = analysis.replay(trace) if rep is None else rep
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    rep = replay_to(trace, horizon, rep)
     _, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
     entries: dict[int, tuple[int, int]] = {}
     for s, outputs in joint:
@@ -207,9 +204,7 @@ def derive_diagonal(
     candidate has converged to a different bit — the realized evidence that
     the candidate does not describe this set.
     """
-    rep = analysis.replay(trace)
-    if horizon > rep.horizon:
-        raise ValueError(f"trace reaches {rep.horizon}, asked for {horizon}")
+    rep = replay_to(trace, horizon)
     members = rep.entering[horizon][side]
     bits = []
     disagreements = []

@@ -14,10 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import PartialGraph, contains
-
-
-class OperatorValidationError(ValueError):
-    """An axiom is visible before its premise could have been observed."""
+from .suites import SpecError
 
 
 class _AxiomFields(NamedTuple):
@@ -72,8 +69,9 @@ class EnumOperator(NamedTuple):
 EMPTY_OPERATOR = EnumOperator(())
 
 
-def validate_use_bound(op: EnumOperator) -> None:
-    """Reject axioms visible at a stage smaller than their use.
+def validate_use_bound(op: EnumOperator) -> EnumOperator:
+    """The operator, unless an axiom is visible at a stage smaller than its
+    use, which is a SpecError.
 
     Construction-facing operators must respect the convention that nothing
     observed at stage s reaches beyond s; the restraint argument silently
@@ -81,10 +79,11 @@ def validate_use_bound(op: EnumOperator) -> None:
     """
     for stage, axiom in op.staged_axioms:
         if axiom.premise and axiom.use > stage:
-            raise OperatorValidationError(
+            raise SpecError(
                 f"axiom with premise max {axiom.premise[-1]} (use {axiom.use}) "
                 f"visible at stage {stage}"
             )
+    return op
 
 
 def evaluate(op: EnumOperator, graph: PartialGraph, stage: int) -> frozenset[int]:

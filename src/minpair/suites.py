@@ -8,9 +8,9 @@ closed form, and queries are derived from it, so both conventions hold by
 construction.  Entries are written in a small synthetic description
 language (tagged records, parsed from config files) or as register-machine
 programs run with a step budget equal to the stage.  build_suite compiles a
-whole family; operators are checked for the use-within-stage bound.  Absent
-indices behave as everywhere divergent.  The config schema, one field table
-per record, lives here too.
+whole family, and each operator is checked for the use-within-stage bound
+as it is built.  Absent indices behave as everywhere divergent.  The config
+schema, one field table per record, lives here too.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ if TYPE_CHECKING:
 
 class SpecError(ValueError):
     """A config or a spec breaks the schema at the JSON path that the message names."""
-
-
-class SuiteValidationError(ValueError):
-    """An entry violates a suite convention."""
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +372,10 @@ AXIOM = {"stage": (natural,), "premise": (list_of(_code(bit)),), "output": (_cod
 
 
 def _axioms_operator(stage_bound: int, axioms: list[dict]) -> EnumOperator:
-    from .operators import Axiom, EnumOperator  # a config without operators never loads them
+    from .operators import Axiom, EnumOperator, validate_use_bound  # loaded only for operators
 
     staged = [(a["stage"], Axiom.of(a["premise"], a["output"])) for a in axioms]
-    return EnumOperator.from_staged(staged)
+    return validate_use_bound(EnumOperator.from_staged(staged))
 
 
 def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> EnumOperator:
@@ -387,7 +383,7 @@ def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> Enu
     premise bitmask and output) enters at the least stage s with c < s, the
     machine accepting c (halting with output bit 1) within s steps, and the
     premise use within s.  Enumeration is cut off at stage_bound."""
-    from .operators import Axiom, EnumOperator
+    from .operators import Axiom, EnumOperator, validate_use_bound
 
     staged = []
     for code in range(stage_bound):
@@ -400,7 +396,7 @@ def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> Enu
         enters = max(steps, code + 1, use)
         if enters <= stage_bound:
             staged.append((enters, Axiom.of(premise, output)))
-    return EnumOperator.from_staged(staged)
+    return validate_use_bound(EnumOperator.from_staged(staged))
 
 
 OPERATOR_KINDS = {
@@ -410,7 +406,8 @@ OPERATOR_KINDS = {
 
 
 def compile_operator(spec, stage_bound: int, path: str = "operator") -> EnumOperator:
-    """Compile one tagged record into an operator, enumerated up to stage_bound."""
+    """Compile one tagged record into an operator, enumerated up to stage_bound;
+    an axiom visible before its use is a SpecError that names path."""
     return tagged(spec, path, OPERATOR_KINDS, stage_bound)
 
 
@@ -564,9 +561,6 @@ class OperatorSuite:
 
         return self._entries.get(e, EMPTY_OPERATOR)
 
-    def indices(self) -> list[int]:
-        return sorted(self._entries)
-
 
 def build_suite(
     functional_specs: list,
@@ -580,14 +574,8 @@ def build_suite(
         e: compile_functional(spec, default_seed, f"{path}.functionals[{e}]")
         for e, spec in enumerate(functional_specs)
     }
-    ops: dict[int, EnumOperator] = {}
-    for e, spec in enumerate(operator_specs):
-        from .operators import OperatorValidationError, validate_use_bound
-
-        where = f"{path}.operators[{e}]"
-        ops[e] = compile_operator(spec, horizon, where)
-        try:
-            validate_use_bound(ops[e])
-        except OperatorValidationError as err:
-            raise SuiteValidationError(f"{where}: {err}") from None
+    ops = {
+        e: compile_operator(spec, horizon, f"{path}.operators[{e}]")
+        for e, spec in enumerate(operator_specs)
+    }
     return FunctionalSuite(functionals), OperatorSuite(ops)

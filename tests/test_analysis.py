@@ -161,7 +161,7 @@ def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
     trace = Trace([events[s] for s in sorted(events)], trace.summary)
     rep = replay(trace)
     states = dense_states(trace)
-    assert len(rep.entering) == len(rep.restraints_entering) == horizon + 1
+    assert rep.entering.horizon == rep.restraints_entering.horizon == horizon
     for s, (members, restraints) in enumerate(states):
         assert rep.entering[s] == members
         assert type(rep.entering[s][0]) is frozenset
@@ -169,9 +169,10 @@ def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
         assert type(got) is dict and got == restraints
         got[0] = -1  # each read is a fresh dict
         assert rep.restraints_entering[s] == restraints
-    assert rep.entering[-1] == rep.final() == states[-1][0]
-    with pytest.raises(IndexError):
-        rep.entering[horizon + 1]
+    assert rep.entering[horizon] == rep.final() == states[-1][0]
+    for outside in (-1, horizon + 1):
+        with pytest.raises(IndexError):
+            rep.entering[outside]
     for start in {0, horizon // 3, horizon}:
         runs = list(rep.entering.runs(start, horizon + 1))
         ends = [first for first, _ in runs[1:]] + [horizon + 1]

@@ -74,8 +74,6 @@ def test_malformed_records_raise_value_error(build):
         build()
 
 
-def test_member_record_removal_is_recorded():
+def test_member_record_position():
     rec = MemberRecord(6, 1, 1, 35)
-    assert rec.removed_at is None and rec.position == 3
-    rec.removed_at = 40
-    assert rec.removed_at == 40
+    assert rec.position == 3 and rec.inserted_at == 35

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from config_gen import random_functional
 from minpair import suites
-from minpair.cli import build_suites, load_config, parse_config
+from minpair.cli import build_suites, load_config, main, parse_config
 from minpair.operators import Axiom
 from minpair.suites import (
     FUNCTIONAL_KINDS,
     FunctionalSuite,
     RandomPartial,
     SpecError,
-    SuiteValidationError,
     build_suite,
     compile_functional,
     compile_operator,
@@ -115,9 +114,10 @@ def test_operator_axioms_compile_and_respect_use_bound():
     )
     (stage, axiom), = op.staged_axioms
     assert stage == 8 and axiom.premise == (4,) and axiom.output == 22
-    with pytest.raises(SuiteValidationError) as err:
+    with pytest.raises(SpecError) as err:
         build_suite([], [{"kind": "axioms", "axioms": [{"stage": 1, "premise": [[1, 1]], "output": 0}]}], 10)
-    assert "use" in str(err.value)
+    want = "config.suite.operators[0]: axiom with premise max 4 (use 5) visible at stage 1"
+    assert str(err.value) == want
 
 
 def test_validation_flags_unstable_functional():
@@ -196,6 +196,25 @@ def test_machine_operators_enumerate_once_at_the_horizon(tmp_path, monkeypatch):
     _, osuite = build_suites(config)
     assert [(value, budget) for _, value, budget in calls] == [(c, 40) for c in range(40)]
     assert osuite.get(0).staged_axioms == ((5, Axiom.of([], 1)),)
+
+
+def test_run_enumerates_no_operator(tmp_path, monkeypatch):
+    """run reads only the functionals, so it runs no machine operator on any
+    code, however far the horizon."""
+    raw = {
+        "horizon": 3000,
+        "suite": {
+            "functionals": [{"kind": "total_const", "value": 0}],
+            "operators": [{"kind": "machine", "program": [["inc", 1], ["decjz", 2, 0]]}],
+        },
+    }
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    calls = []
+    real = suites.run_machine
+    monkeypatch.setattr(suites, "run_machine", lambda *args: calls.append(args) or real(*args))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.trace")]) == 0
+    assert calls == []
 
 
 def test_random_partial_density_close_to_target():
