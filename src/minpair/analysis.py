@@ -42,7 +42,6 @@ _LAZY = {
             "Changes",
             "enumeration",
             "_first_without",
-            "SharedJoint",
             "check_preservation",
             "JointTable",
             "synthesize_joint",
@@ -104,6 +103,7 @@ class ReplayedRun(NamedTuple):
     entering: Stepwise  # stage -> (side 0, side 1) members, as frozensets
     restraints_entering: Stepwise  # stage -> {position: restraint}
     actions: list[tuple[int, Action]]  # (stage, action), in stage order
+    derived: dict  # what the checks derive from this run, each computed once (see `joint`)
 
     def final(self) -> tuple[frozenset[int], frozenset[int]]:
         return self.entering[self.horizon]
@@ -150,6 +150,7 @@ def replay(trace: Trace) -> ReplayedRun:
         Stepwise(stages, members, horizon),
         Stepwise(stages, restraint_tables, horizon, dict),
         actions,
+        {},
     )
 
 

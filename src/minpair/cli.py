@@ -36,9 +36,6 @@ if TYPE_CHECKING:
     from .analysis import VerificationReport
 
 
-ConfigError = SpecError  # the config file violates the documented schema
-
-
 # ---------------------------------------------------------------------------
 # config schema (the tables live in minpair.suites)
 
@@ -59,16 +56,14 @@ def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
+        raise SpecError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
     except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
-        raise ConfigError(f"config: {err}") from None
+        raise SpecError(f"config: {err}") from None
     try:
         got = suites.fields(raw, "config", suites.CONFIG)
-        suite, checks = got["suite"], got["checks"]
-        # compiling at stage bound 0 checks every spec and enumerates nothing
-        suites.build_suite(suite["functionals"], suite["operators"], 0, got["seed"])
     except RecursionError:
-        raise ConfigError("config: nested too deeply") from None
+        raise SpecError("config: nested too deeply") from None
+    suite, checks = got["suite"], got["checks"]
     # the suite's fields and then the checks', in table order, end RunConfig
     head = (got["horizon"], got["snapshot_every"], got["seed"])
     return RunConfig(*head, *suite.values(), *checks.values())
@@ -93,7 +88,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 at byte {err.start}") from None
+        raise SpecError(f"{path}: not UTF-8 at byte {err.start}") from None
     return parse_config(text)
 
 
@@ -305,9 +300,7 @@ def _cmd_run(args) -> int:
     from . import engine  # only run loads the construction
 
     config = load_config(args.config)
-    # run reads only the functionals; loading the config has already
-    # compiled the operators at stage bound 0, which checks them
-    fsuite, _ = build_suite(config.functionals, [], config.horizon, config.seed)
+    fsuite, _ = build_suites(config)
     with _atomic_writer(args.out) as fh:
         trace = engine.run(
             fsuite,
@@ -324,7 +317,7 @@ def _load_matching(args) -> tuple[RunConfig, Trace]:
     config = load_config(args.config)
     trace = read_trace(args.trace)
     if trace.summary.horizon != config.horizon:
-        raise ConfigError(
+        raise SpecError(
             f"trace horizon {trace.summary.horizon} does not match config horizon {config.horizon}"
         )
     return config, trace
@@ -342,16 +335,15 @@ def _cmd_verify(args) -> int:
         selected = {name.strip() for name in args.checks.split(",") if name.strip()}
         unknown = selected - set(KNOWN_CHECKS)
         if unknown:
-            raise ConfigError(f"unknown check '{sorted(unknown)[0]}'")
+            raise SpecError(f"unknown check '{sorted(unknown)[0]}'")
         selected.add("structural")
     for name in suites.CHECK_RECORDS:
         if name in selected and not configured[name]:
-            raise ConfigError(f"{name} selected but config.checks.{name} is empty")
+            raise SpecError(f"{name} selected but config.checks.{name} is empty")
     wanted = {name: rows if name in selected else () for name, rows in configured.items()}
 
     rep = analysis.replay(trace)
     horizon = config.horizon
-    shared: dict = {}  # each (e0, e1)'s enumerations, shared by preservation and end_to_end
     # (result name pattern, report): a pattern's {} is the name of a check in its report
     reports = [("structural:{}", analysis.check_structural(trace, fsuite, rep))]
     if "oracle" in selected:
@@ -362,12 +354,12 @@ def _cmd_verify(args) -> int:
         sub = analysis.check_capture(trace, fsuite, e, side, horizon, rep)
         reports.append((f"capture[e={e},side={side}]", sub))
     for e0, e1 in wanted["preservation"]:
-        sub = analysis.check_preservation(trace, osuite, e0, e1, horizon, rep, shared)
+        sub = analysis.check_preservation(trace, osuite, e0, e1, horizon, rep)
         reports.append((f"preservation[e0={e0},e1={e1}]", sub))
     for spec in wanted["end_to_end"]:
         e0, e1, bound, threshold, _ = spec
         sub = analysis.check_end_to_end(
-            trace, osuite, e0, e1, horizon, bound, spec.target_view(), threshold, rep, shared
+            trace, osuite, e0, e1, horizon, bound, spec.target_view(), threshold, rep
         )
         reports.append((f"end_to_end[e0={e0},e1={e1}]:{{}}", sub))
     results = [
@@ -394,7 +386,7 @@ def _cmd_psi(args) -> int:
 
     for flag, least in (("e0", 0), ("e1", 0), ("bound", 1)):
         if getattr(args, flag) < least:
-            raise ConfigError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
+            raise SpecError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     config, trace = _load_matching(args)
     _, osuite = build_suites(config)
     table = analysis.synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)

@@ -4,9 +4,9 @@ Two shapes cover everything the construction touches: finite explicit
 graphs, and cofinite all-ones graphs (value 1 everywhere off a finite
 exception set, undefined on it — the shape of a side's description at any
 stage).  A graph is identified with its set of pair(n, value) codes, so
-enumeration operators can consume either shape uniformly.  Values are
-immutable; equality is structural on canonical forms (entries and
-exception sets sorted).
+enumeration operators can consume either shape uniformly.  Each shape is
+built from its canonical form (entries and exception sets sorted), which
+its constructor checks.
 """
 
 from __future__ import annotations
@@ -32,20 +32,8 @@ class ExplicitGraph:
             if n in seen:
                 raise ValueError(f"point {n} mapped twice")
             seen[n] = v
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_map", seen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExplicitGraph is immutable: cannot set {name}")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ExplicitGraph and other.entries == self.entries
-
-    def __hash__(self) -> int:
-        return hash((ExplicitGraph, self.entries))
-
-    def __repr__(self) -> str:
-        return f"ExplicitGraph(entries={self.entries!r})"
+        self.entries = entries
+        self._map = seen
 
     @classmethod
     def from_map(cls, mapping: Mapping[int, int]) -> "ExplicitGraph":
@@ -71,20 +59,8 @@ class CofiniteOnes:
             exc.add(n)
         if len(exc) != len(exceptions) or list(exceptions) != sorted(exc):
             raise ValueError("exception set must be sorted and duplicate-free")
-        object.__setattr__(self, "exceptions", exceptions)
-        object.__setattr__(self, "_exc", frozenset(exc))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CofiniteOnes is immutable: cannot set {name}")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CofiniteOnes and other.exceptions == self.exceptions
-
-    def __hash__(self) -> int:
-        return hash((CofiniteOnes, self.exceptions))
-
-    def __repr__(self) -> str:
-        return f"CofiniteOnes(exceptions={self.exceptions!r})"
+        self.exceptions = exceptions
+        self._exc = frozenset(exc)
 
     @classmethod
     def of(cls, exceptions: Iterable[int]) -> "CofiniteOnes":

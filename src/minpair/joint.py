@@ -66,38 +66,32 @@ def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | 
     return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
 
 
-SharedJoint = dict  # (e0, e1) -> _joint_changes of one trace, operator suite and horizon
-
-
 def _joint_changes(
-    rep: ReplayedRun,
-    operators: OperatorSuite,
-    e0: int,
-    e1: int,
-    horizon: int,
-    shared: SharedJoint | None = None,
+    rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
 ) -> tuple[tuple[Changes, Changes], Changes]:
     """Both sides' enumerations, and the jointly enumerated set at each
     change point of either.
 
-    shared, when given, keeps the result per (e0, e1): checks of one trace
-    that pass the same dict compute each pair's enumerations once.
+    Each is kept in rep.derived, keyed by operator contents: a side's
+    enumeration by (operator, side, horizon), the joint sets by (operator
+    of side 0, operator of side 1, horizon).  So the checks of one replay
+    enumerate an operator once per side, whichever pairs name it.
     """
-    if shared is not None and (e0, e1) in shared:
-        return shared[e0, e1]
-    sides = (
-        enumeration(rep, operators.get(e0), 0, horizon),
-        enumeration(rep, operators.get(e1), 1, horizon),
-    )
-    by_stage = [dict(changes) for changes in sides]
-    now: list[frozenset[int]] = [frozenset(), frozenset()]
-    joint: Changes = []
-    for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
-        now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
-        joint.append((s, now[0] & now[1]))
-    if shared is not None:
-        shared[e0, e1] = sides, joint
-    return sides, joint
+    memo = rep.derived
+    ops = operators.get(e0), operators.get(e1)
+    for side, op in enumerate(ops):
+        if (op, side, horizon) not in memo:
+            memo[op, side, horizon] = enumeration(rep, op, side, horizon)
+    sides = memo[ops[0], 0, horizon], memo[ops[1], 1, horizon]
+    if (*ops, horizon) not in memo:
+        by_stage = [dict(changes) for changes in sides]
+        now: list[frozenset[int]] = [frozenset(), frozenset()]
+        joint: Changes = []
+        for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
+            now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
+            joint.append((s, now[0] & now[1]))
+        memo[(*ops, horizon)] = joint
+    return sides, memo[(*ops, horizon)]
 
 
 def check_preservation(
@@ -107,18 +101,16 @@ def check_preservation(
     e1: int,
     horizon: int,
     rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
 ) -> VerificationReport:
     """Every output jointly enumerated at some stage stays enumerated on at
     least one side from its protection stage through the horizon.
 
     The protection stage is the first action stage >= s of the strongest
     pair acting at any stage >= s (the window opens just after it); if no
-    pair acts again the window opens at s itself.  Pass shared to reuse the
-    enumerations of (e0, e1) between checks of the same trace.
+    pair acts again the window opens at s itself.
     """
     rep = replay_to(trace, horizon, rep)
-    sides, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
+    sides, joint = _joint_changes(rep, operators, e0, e1, horizon)
     found: dict[int, int] = {}
     for s, outputs in joint:
         for x in outputs:
@@ -161,7 +153,6 @@ def synthesize_joint(
     e1: int,
     horizon: int,
     rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
 ) -> JointTable:
     """Search stages for codes enumerated by both sides at once.
 
@@ -170,7 +161,7 @@ def synthesize_joint(
     preservation makes every jointly enumerated bit correct).
     """
     rep = replay_to(trace, horizon, rep)
-    _, joint = _joint_changes(rep, operators, e0, e1, horizon, shared)
+    _, joint = _joint_changes(rep, operators, e0, e1, horizon)
     entries: dict[int, tuple[int, int]] = {}
     for s, outputs in joint:
         best_here: dict[int, int] = {}
@@ -234,7 +225,6 @@ def check_end_to_end(
     target_bits: Sequence[int],
     threshold: Fraction,
     rep: ReplayedRun | None = None,
-    shared: SharedJoint | None = None,
 ) -> VerificationReport:
     """Every defined joint-table bit matches the target, and the table's
     domain below the bound is at least as dense as the threshold."""
@@ -242,7 +232,7 @@ def check_end_to_end(
         target_bits[bound - 1]  # len() stops at sys.maxsize, an index does not
     except IndexError:
         raise ValueError(f"target bits shorter than bound {bound}") from None
-    table = analysis.synthesize_joint(trace, operators, e0, e1, horizon, rep, shared)
+    table = analysis.synthesize_joint(trace, operators, e0, e1, horizon, rep)
     defined = [n for n in table.entries if n < bound]
     mismatches = sorted(
         (n, table.entries[n][0], target_bits[n])

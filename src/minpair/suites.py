@@ -8,16 +8,17 @@ closed form, and queries are derived from it, so both conventions hold by
 construction.  Entries are written in a small synthetic description
 language (tagged records, parsed from config files) or as register-machine
 programs run with a step budget equal to the stage.  build_suite compiles a
-whole family, and each operator is checked for the use-within-stage bound
-as it is built.  Absent indices behave as everywhere divergent.  The config
-schema, one field table per record, lives here too.
+whole family, each operator when it is first read, and each operator is
+checked for the use-within-stage bound as it is built.  Absent indices
+behave as everywhere divergent.  The config schema, one field table per
+record, lives here too; it compiles every spec at stage bound 0 to check it.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arith import class_index, pair, unpair
 
@@ -428,6 +429,16 @@ def _target(raw, path: str) -> dict:
     return raw
 
 
+def _compiles(compile_spec):
+    """Parser that keeps a spec which compile_spec(spec, 0, path) accepts."""
+
+    def parse(raw, path):
+        compile_spec(raw, 0, path)
+        return raw
+
+    return parse
+
+
 def _rational(raw, path: str) -> Fraction:
     from fractions import Fraction  # only end_to_end checks load it
 
@@ -452,15 +463,12 @@ class EndToEndSpec(NamedTuple):
         return list(self.target_view())
 
 
-class TargetBits(Sequence):
+class TargetBits:
     """bit(n) for each n below bound; no bit is kept, so any bound costs the same."""
 
     def __init__(self, bit, bound: int) -> None:
         self.bit = bit
         self.bound = bound
-
-    def __len__(self) -> int:
-        return self.bound
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n < self.bound:
@@ -493,7 +501,10 @@ CHECK_RECORDS = {
 }
 
 CHECKS = {name: (list_of(record(*entry)), []) for name, entry in CHECK_RECORDS.items()}
-SUITE = {"functionals": (list_of(_json),), "operators": (list_of(_json), [])}
+SUITE = {
+    "functionals": (list_of(_compiles(compile_functional)),),
+    "operators": (list_of(_compiles(compile_operator)), []),  # stage bound 0 enumerates nothing
+}
 
 CONFIG = {
     "horizon": (natural,),
@@ -548,9 +559,11 @@ class FunctionalSuite:
 
 
 class OperatorSuite:
-    """Indexed family of operators; absent indices are axiomless."""
+    """Indexed family of operators; absent indices are axiomless.  An entry
+    is an operator or a function that compiles one, called on the entry's
+    first read, so an operator that nothing reads is never enumerated."""
 
-    def __init__(self, entries: dict[int, EnumOperator]):
+    def __init__(self, entries: dict[int, EnumOperator | Callable[[], EnumOperator]]):
         for e in entries:
             if not _is_nat(e):
                 raise ValueError(f"operator index must be a natural, got {e}")
@@ -559,7 +572,10 @@ class OperatorSuite:
     def get(self, e: int) -> EnumOperator:
         from .operators import EMPTY_OPERATOR
 
-        return self._entries.get(e, EMPTY_OPERATOR)
+        op = self._entries.get(e, EMPTY_OPERATOR)
+        if callable(op):
+            op = self._entries[e] = op()
+        return op
 
 
 def build_suite(
@@ -569,13 +585,14 @@ def build_suite(
     default_seed: int = 0,
     path: str = "config.suite",
 ) -> tuple[FunctionalSuite, OperatorSuite]:
-    """Compile a whole family from tagged records; errors name `path`.<list>[e]."""
+    """Compile a whole family from tagged records, each operator on its
+    first read; errors name `path`.<list>[e]."""
     functionals = {
         e: compile_functional(spec, default_seed, f"{path}.functionals[{e}]")
         for e, spec in enumerate(functional_specs)
     }
     ops = {
-        e: compile_operator(spec, horizon, f"{path}.operators[{e}]")
+        e: partial(compile_operator, spec, horizon, f"{path}.operators[{e}]")
         for e, spec in enumerate(operator_specs)
     }
     return FunctionalSuite(functionals), OperatorSuite(ops)

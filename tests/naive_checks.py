@@ -1,12 +1,13 @@
-"""The structural checks transcribed straight from their definitions, kept
-as the specification.
+"""The structural and capture checks transcribed straight from their
+definitions, kept as the specification.
 
 Each check reads the memberships and restraints entering every stage,
 rebuilt stage by stage from every stage's event (`Trace.events`), and
 judges the run from that alone: no change points, no bisection and no
 helper shared with `minpair.analysis`.  `structural` gives each check's
 verdict and first counterexample as `check_structural` reports them, and
-the tests hold the two equal.
+`capture` the verdict and detail of `check_capture`; the tests hold each
+pair equal.
 """
 
 from __future__ import annotations
@@ -193,3 +194,38 @@ def structural(trace, suite=None) -> dict[str, tuple[str, dict]]:
             fail("finite_action", position=p, stages=late)
 
     return {name: ("fail", first[name]) if name in first else ("pass", {}) for name in NAMES}
+
+
+def capture(trace, suite, e, side, horizon) -> tuple[str, dict]:
+    """(verdict, detail) of the capture check of requirement (e, side) by the
+    horizon.  Its actionable stage is the first stage s below the horizon at
+    which the pair is in range (its position is below s), no stronger pair
+    acts at s or at any later stage of the run, and some member of class e
+    above every stronger restraint has converged; those members are the
+    eligible ones.  With such a stage the side must hold, at the horizon, a
+    member of class e converged by then, the least of them being the
+    witness.  Without one the verdict is inconclusive."""
+    p = rank(e, side)
+    states = entering(trace)
+    stronger = [ev.stage for ev in trace.events if ev.action and rank(*ev.action[:2]) < p]
+    for s in range(horizon):
+        if s <= p or any(u >= s for u in stronger):
+            continue
+        bound = max((v for q, v in states[s][1].items() if q < p), default=0)
+        eligible = tuple(
+            n
+            for n in range(s)
+            if valuation_class(n) == e and n > bound and suite.query(e, n, s) is not None
+        )
+        if eligible:
+            break
+    else:
+        return "inconclusive", {"reason": "no actionable stage in horizon"}
+    captured = sorted(
+        m
+        for m in states[horizon][0][side]
+        if valuation_class(m) == e and suite.query(e, m, horizon) is not None
+    )
+    if captured:
+        return "pass", {"witness": captured[0], "actionable_stage": s}
+    return "fail", {"actionable_stage": s, "eligible": eligible}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -494,6 +495,46 @@ def test_structural_matches_its_naive_specification():
 # -- capture check -----------------------------------------------------------
 
 
+def test_capture_matches_its_naive_specification():
+    """check_capture gives the verdict and detail of `tests/naive_checks.py`
+    on engine traces under every mutation, as run and with random edits, at
+    any horizon up to the trace's; each verdict occurs in many cases."""
+    verdicts = Counter()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(0, 59),
+        st.integers(0, 160),
+        st.sampled_from((None, *engine.MUTATIONS)),
+        st.lists(
+            st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6), st.integers(-3, 3)),
+            max_size=4,
+        ),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    def compare(seed, horizon, mutation, edits, pick, forget, cut):
+        raw = random_config(seed, horizon)
+        fsuite = make_suites(raw)[0]
+        trace = engine.run(fsuite, horizon, raw["snapshot_every"], mutation=mutation)
+        # mostly a requirement that acted before the edits, else any of the first few
+        acted = [(ev.action.e, ev.action.side) for ev in trace.events if ev.action]
+        e, side = acted[pick % len(acted)] if acted and pick % 4 else divmod(pick % 10, 2)
+        if forget:  # a forgery in which the requirement never acts
+            kept = [ev for ev in trace.kept if not (ev.action and ev.action[:2] == (e, side))]
+            trace = Trace(kept, trace.summary)
+        trace = edited(trace, edits)
+        h = horizon if cut % 2 else cut % (horizon + 1)
+        check = check_capture(trace, fsuite, e, side, h).find("capture")
+        got = check.verdict, dict(check.detail)
+        assert got == naive_checks.capture(trace, fsuite, e, side, h)
+        verdicts[check.verdict] += 1
+
+    compare()
+    assert all(verdicts[v] >= 20 for v in ("pass", "fail", "inconclusive")), verdicts
+
+
 def test_capture_scenario_witness(scenario_suite, scenario_trace):
     report = check_capture(scenario_trace, scenario_suite, 0, 0, 5)
     check = report.find("capture")
@@ -701,6 +742,32 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
         check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
         assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, w0, w1, h)
         assert synthesize_joint(trace, osuite, 0, 1, h).entries == per_stage_joint(trace, w0, w1, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 59),
+    st.integers(0, 40),
+    st.sampled_from((None,) + engine.MUTATIONS),
+    st.one_of(operators, guarded_operators),
+    st.one_of(operators, guarded_operators),
+    st.integers(0, 40),
+)
+def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation, w0, w1, cut):
+    """A replay keeps what the operator checks derive from it, keyed by
+    operator contents, side and horizon: checks that share one replay across
+    two suites, their pairs and two horizons each match the definition."""
+    fsuite, _ = make_suites(random_config(seed, horizon))
+    trace = engine.run(fsuite, horizon, mutation=mutation)
+    rep = replay(trace)
+    for osuite in (OperatorSuite({0: w0, 1: w1}), OperatorSuite({0: w1, 1: w0})):
+        for h in (horizon, min(cut, horizon)):
+            for e0, e1 in ((0, 1), (1, 0), (0, 0)):
+                ops = osuite.get(e0), osuite.get(e1)
+                check = check_preservation(trace, osuite, e0, e1, h, rep).find("preservation")
+                assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, *ops, h)
+                table = synthesize_joint(trace, osuite, e0, e1, h, rep)
+                assert table.entries == per_stage_joint(trace, *ops, h)
 
 
 def test_preservation_window_opens_after_strongest_later_action():

@@ -16,7 +16,6 @@ from config_gen import SCENARIO_CONFIG, random_config
 from minpair import cli, engine
 from minpair.analysis import TraceFormatError, replay
 from minpair.cli import (
-    ConfigError,
     EndToEndSpec,
     build_suites,
     main,
@@ -27,6 +26,7 @@ from minpair.cli import (
     write_trace,
 )
 from minpair.engine import Action, TraceEvent
+from minpair.suites import SpecError
 
 
 def write_config(path, raw) -> str:
@@ -157,11 +157,11 @@ def test_full_config_parses(monkeypatch):
 
 @pytest.mark.parametrize("case", BROKEN, ids=[case[0] for case in BROKEN])
 def test_schema_rejects_bad_field(tmp_path, capsys, case):
-    """Every record's unknown, missing or mistyped field raises ConfigError
+    """Every record's unknown, missing or mistyped field raises SpecError
     naming its JSON path; the first case of each record also exits 2."""
     name, where, edit, names = case
     raw = broken(where, edit)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(raw))
     for part in names:
         assert part in str(err.value)
@@ -172,7 +172,7 @@ def test_schema_rejects_bad_field(tmp_path, capsys, case):
 
 
 def test_parse_reports_json_position():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(SpecError) as err:
         parse_config("{\n  broken\n}")
     assert "line 2" in str(err.value)
 
@@ -194,7 +194,7 @@ def test_parse_checks_sections():
     assert cfg.preservation_checks == [(0, 1)]
     spec = cfg.end_to_end_checks[0]
     assert spec.target_bits() == [0, 1, 0, 1, 0, 1, 0, 1]
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpecError):
         parse_config(json.dumps({**raw, "checks": {"capture": [{"e": 1}]}}))
 
 
@@ -202,7 +202,7 @@ def test_parse_checks_sections():
 @pytest.mark.parametrize("flag", [True, False])
 def test_capture_side_must_be_an_integer_bit(tmp_path, scenario_config_path, flag):
     raw = dict(SCENARIO_CONFIG, checks={"capture": [{"e": 0, "side": flag}]})
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(raw))
     assert "capture[0]" in str(err.value)
     bad = write_config(tmp_path / "bad.json", raw)
@@ -223,14 +223,14 @@ def test_capture_side_must_be_an_integer_bit(tmp_path, scenario_config_path, fla
 )
 def test_end_to_end_target_bits_must_be_integers(target):
     check = {"e0": 0, "e1": 1, "bound": 4, "threshold": "1/2", "target": target}
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(dict(SCENARIO_CONFIG, checks={"end_to_end": [check]})))
     assert "target.value" in str(err.value)
 
 def test_probe_field_is_accepted_and_ignored():
     with_probe = dict(SCENARIO_CONFIG, probe={"points": 8, "stages": 6})
     assert parse_config(json.dumps(with_probe)) == parse_config(json.dumps(SCENARIO_CONFIG))
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpecError):
         parse_config(json.dumps(dict(SCENARIO_CONFIG, probe={"points": -1, "stages": 6})))
 
 

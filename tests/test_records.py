@@ -4,23 +4,19 @@ import pytest
 
 from minpair.analysis import CheckResult
 from minpair.engine import Action, MemberRecord, Removal, TraceEvent
+from minpair.records import Snapshot, TraceSummary
 from minpair.graphs import CofiniteOnes, ExplicitGraph
 from minpair.operators import Axiom, EnumOperator
-
-
-def test_graph_shapes_are_distinct_values():
-    assert ExplicitGraph(()) != CofiniteOnes(())
-    assert CofiniteOnes(()) != ExplicitGraph(())
-    assert len({ExplicitGraph(()), CofiniteOnes(())}) == 2
-    assert ExplicitGraph.from_map({4: 0, 1: 1}) == ExplicitGraph(((1, 1), (4, 0)))
-    assert CofiniteOnes.of({5, 2}) != CofiniteOnes.of({2})
 
 
 @pytest.mark.parametrize(
     "a, b",
     [
-        (ExplicitGraph.from_map({4: 0, 1: 1}), ExplicitGraph(((1, 1), (4, 0)))),
-        (CofiniteOnes.of({5, 2, 5}), CofiniteOnes((2, 5))),
+        (Snapshot((1,), (2,)), Snapshot(side0=(1,), side1=(2,))),
+        (
+            CheckResult.of("capture", "pass", witness=1),
+            CheckResult("capture", "pass", (("witness", 1),)),
+        ),
         (Axiom.of([7, 3, 7], 1), Axiom((3, 7), 1)),
         (
             EnumOperator.from_staged([(4, Axiom.of([], 1)), (2, Axiom.of([], 1))]),
@@ -39,9 +35,9 @@ def test_equal_records_hash_equal(a, b):
 @pytest.mark.parametrize(
     "record, field",
     [
-        (ExplicitGraph(((1, 1),)), "entries"),
-        (ExplicitGraph(((1, 1),)), "_map"),
-        (CofiniteOnes((2,)), "exceptions"),
+        (Snapshot((1,), ()), "side0"),
+        (Removal(6, 1, 1, 1, 35), "by_e"),
+        (TraceSummary(1, 5, (), (), ()), "horizon"),
         (Axiom((2,), 0), "output"),
         (EnumOperator(()), "staged_axioms"),
         (Action(0, 0, 1, 2), "witness"),

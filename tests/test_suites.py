@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from config_gen import random_functional
-from minpair import suites
-from minpair.cli import build_suites, load_config, main, parse_config
+from minpair import analysis, suites
+from minpair.cli import build_suites, load_config, main, parse_config, read_trace
 from minpair.operators import Axiom
 from minpair.suites import (
     FUNCTIONAL_KINDS,
@@ -114,8 +114,10 @@ def test_operator_axioms_compile_and_respect_use_bound():
     )
     (stage, axiom), = op.staged_axioms
     assert stage == 8 and axiom.premise == (4,) and axiom.output == 22
+    bad = {"kind": "axioms", "axioms": [{"stage": 1, "premise": [[1, 1]], "output": 0}]}
+    _, osuite = build_suite([], [bad], 10)  # compiles the operator on its first read
     with pytest.raises(SpecError) as err:
-        build_suite([], [{"kind": "axioms", "axioms": [{"stage": 1, "premise": [[1, 1]], "output": 0}]}], 10)
+        osuite.get(0)
     want = "config.suite.operators[0]: axiom with premise max 4 (use 5) visible at stage 1"
     assert str(err.value) == want
 
@@ -176,9 +178,19 @@ def test_readme_functional_kinds_match_the_schema():
     assert documented == schema
 
 
-def test_machine_operators_enumerate_once_at_the_horizon(tmp_path, monkeypatch):
-    """Loading a config runs no machine step; building its suites runs each
-    machine operator once per code below the horizon, and nothing else."""
+@pytest.fixture
+def machine_calls(monkeypatch):
+    """The arguments of every run_machine call from here on."""
+    calls = []
+    real = suites.run_machine
+    monkeypatch.setattr(suites, "run_machine", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_machine_operators_enumerate_once_at_the_horizon(tmp_path, machine_calls):
+    """Loading a config or building its suites runs no machine step; the
+    first read of a machine operator runs it once per code below the
+    horizon, and a second read runs nothing."""
     raw = {
         "horizon": 40,
         "suite": {
@@ -188,19 +200,18 @@ def test_machine_operators_enumerate_once_at_the_horizon(tmp_path, monkeypatch):
     }
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    calls = []
-    real = suites.run_machine
-    monkeypatch.setattr(suites, "run_machine", lambda *args: calls.append(args) or real(*args))
-    config = load_config(path)
-    assert calls == []
-    _, osuite = build_suites(config)
-    assert [(value, budget) for _, value, budget in calls] == [(c, 40) for c in range(40)]
+    _, osuite = build_suites(load_config(path))
+    assert machine_calls == []
     assert osuite.get(0).staged_axioms == ((5, Axiom.of([], 1)),)
+    assert [(value, budget) for _, value, budget in machine_calls] == [(c, 40) for c in range(40)]
+    machine_calls.clear()
+    assert osuite.get(0).staged_axioms == ((5, Axiom.of([], 1)),)
+    assert machine_calls == []
 
 
-def test_run_enumerates_no_operator(tmp_path, monkeypatch):
-    """run reads only the functionals, so it runs no machine operator on any
-    code, however far the horizon."""
+def machine_operator_config(tmp_path) -> Path:
+    """One total functional and, as operator 0, a machine that never halts,
+    at horizon 3000: compiling the operator would run it on 3000 codes."""
     raw = {
         "horizon": 3000,
         "suite": {
@@ -210,11 +221,55 @@ def test_run_enumerates_no_operator(tmp_path, monkeypatch):
     }
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    calls = []
-    real = suites.run_machine
-    monkeypatch.setattr(suites, "run_machine", lambda *args: calls.append(args) or real(*args))
+    return path
+
+
+def test_run_enumerates_no_operator(tmp_path, machine_calls):
+    """run reads only the functionals, so it runs no machine operator on any
+    code, however far the horizon."""
+    path = machine_operator_config(tmp_path)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.trace")]) == 0
-    assert calls == []
+    assert machine_calls == []
+
+
+def test_verify_and_psi_enumerate_only_what_they_read(tmp_path, machine_calls, capsys):
+    """Neither structural checks nor a joint table of operators 1 and 1
+    read operator 0, so neither runs its machine."""
+    path = machine_operator_config(tmp_path)
+    trace = str(tmp_path / "t.trace")
+    assert main(["run", "--config", str(path), "--out", trace]) == 0
+    argv = ["verify", "--trace", trace, "--config", str(path), "--checks", "structural"]
+    assert main(argv + ["--report", str(tmp_path / "r.json")]) == 0
+    argv = ["psi", "--trace", trace, "--config", str(path), "--e0", "1", "--e1", "1"]
+    assert main(argv + ["--bound", "10"]) == 0
+    assert machine_calls == []
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_enumerates_an_operator_once_per_side(tmp_path, monkeypatch):
+    """Operator 0 sits on side 0 of two preservation pairs; one verify
+    evaluates it only at its side's change points, once each."""
+    with open("configs/parity_demo.json", encoding="utf-8") as fh:
+        raw = dict(json.load(fh), horizon=800)
+    late = {"kind": "axioms", "axioms": [{"stage": 5, "premise": [], "output": 7}]}
+    raw["suite"]["operators"].append(late)
+    raw["checks"] = {"preservation": [{"e0": 0, "e1": 1}, {"e0": 0, "e1": 2}]}
+    config = tmp_path / "parity.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    trace = tmp_path / "parity.trace"
+    assert main(["run", "--config", str(config), "--out", str(trace)]) == 0
+    rep = analysis.replay(read_trace(trace))
+    w0 = compile_operator(raw["suite"]["operators"][0], 800)
+    changes = {s for s in range(1, 801) if rep.entering[s][0] != rep.entering[s - 1][0]}
+    changes |= {stage for stage, _ in w0.staged_axioms if 0 < stage <= 800}
+    calls = []
+    real = analysis.evaluate
+    monkeypatch.setattr(
+        analysis, "evaluate", lambda op, *args: calls.append(op == w0) or real(op, *args)
+    )
+    argv = ["verify", "--trace", str(trace), "--config", str(config), "--checks", "preservation"]
+    assert main(argv + ["--report", str(tmp_path / "r.json")]) == 0
+    assert 1 <= calls.count(True) <= len(changes) + 1
 
 
 def test_random_partial_density_close_to_target():
