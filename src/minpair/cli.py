@@ -1,11 +1,11 @@
 """Command-line surface: run constructions, verify traces, print joint tables.
 
 Config files are strict JSON: unknown fields are rejected so experiment
-files stay self-documenting.  Traces are line-delimited JSON, one
-self-contained event record per line in canonical key order followed by a
-summary record carrying a schema version; identical configs produce
-byte-identical files.  Exit codes: 0 all checks pass (inconclusive does not
-fail), 1 a check failed, 2 config or runtime error, 3 malformed trace.
+files stay self-documenting.  Trace lines are written and read by
+`minpair.records`, which owns their format; this module opens the files
+and replaces them atomically.  Exit codes: 0 all checks pass (inconclusive
+does not fail), 1 a check failed, 2 config or runtime error, 3 malformed
+trace.
 """
 
 from __future__ import annotations
@@ -18,19 +18,9 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .records import (
-    FIELD_CHECKS,
-    Action,
-    Removal,
-    Snapshot,
-    Trace,
-    TraceEvent,
-    TraceFormatError,
-    TraceSummary,
-    TRACE_SCHEMA,
-)
-from . import suites
-from .suites import EndToEndSpec, SpecError, _is_nat, build_suite
+from . import records, suites
+from .records import Trace, TraceFormatError, trace_lines
+from .suites import EndToEndSpec, SpecError, build_suite
 
 if TYPE_CHECKING:
     from .analysis import VerificationReport
@@ -100,39 +90,6 @@ def build_suites(config: RunConfig) -> tuple[suites.FunctionalSuite, suites.Oper
 # trace persistence
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# A quiet stage, one with no action, removal or snapshot, has the canonical
-# line of TraceEvent(stage, None, [], None): this head, the stage, this tail.
-_QUIET_HEAD, _, _QUIET_TAIL = _canon(TraceEvent("", None, [], None)._asdict()).partition('""')
-
-
-def _event_line(ev: TraceEvent) -> str:
-    """The event as one line, each nested record an object too (JSON would
-    otherwise write a record as a list)."""
-    if ev.quiet:
-        return f"{_QUIET_HEAD}{ev.stage}{_QUIET_TAIL}"
-    stage, action, removals, snapshot = ev
-    return _canon(
-        TraceEvent(
-            stage,
-            None if action is None else action._asdict(),
-            [rm._asdict() for rm in removals],
-            None if snapshot is None else snapshot._asdict(),
-        )._asdict()
-    )
-
-
-def _summary_line(summary: TraceSummary) -> str:
-    return _canon({"summary": summary._asdict()})
-
-
-def trace_lines(trace: Trace) -> list[str]:
-    return [_event_line(ev) for ev in trace.events] + [_summary_line(trace.summary)]
-
-
 @contextmanager
 def _atomic_writer(path: str | Path):
     """Text file handle whose content replaces `path` only on success."""
@@ -151,35 +108,9 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         fh.write("\n".join(trace_lines(trace)) + "\n")
 
 
-def _values(cls, raw, where: str) -> list:
-    """The values of `raw` in the field order of `cls`; its keys must be exactly those fields."""
-    # With as many keys as fields, finding every field rules out any other key.
-    if isinstance(raw, dict) and len(raw) == len(cls._fields):
-        try:
-            return [raw[key] for key in cls._fields]
-        except KeyError:
-            pass
-    raise TraceFormatError(f"{where}: malformed {cls.__name__} record")
-
-
-def _frozen(value):
-    """JSON lists as the tuples that the record types hold."""
-    return tuple(map(_frozen, value)) if isinstance(value, list) else value
-
-
-def _record(cls, raw, where: str):
-    """The `cls` record that `raw` spells, each field checked by its entry in
-    `records.FIELD_CHECKS` or else as a natural."""
-    values = _values(cls, raw, where)
-    for key, value in zip(cls._fields, values):
-        if not FIELD_CHECKS.get(key, _is_nat)(value):
-            raise TraceFormatError(f"{where}: malformed {cls.__name__}.{key}")
-    return cls._make(map(_frozen, values))
-
-
 def read_trace(path: str | Path) -> Trace:
     with open(path, "rb") as fh:
-        return _parse_trace(_lines(fh, path))
+        return records.parse_trace(_lines(fh, path))
 
 
 def _lines(fh, path):
@@ -187,66 +118,13 @@ def _lines(fh, path):
     them, read one line of bytes at a time: a line's bytes end at b"\n" and
     hold whole characters, and splitting one again gives what splitting the
     whole text gives there."""
-    offset = 0  # of the line's first byte in the file
     for raw in fh:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as err:
-            raise TraceFormatError(f"{path}: not UTF-8 at byte {offset + err.start}") from None
-        offset += len(raw)
+            at = fh.tell() - len(raw) + err.start  # the file is read up to the line's end
+            raise TraceFormatError(f"{path}: not UTF-8 at byte {at}") from None
         yield from text.splitlines()
-
-
-def _parse_trace(lines) -> Trace:
-    """The trace spelled by lines, keeping the events that are not quiet.
-    A line that is exactly the quiet line of the next stage is counted
-    without parsing; any other line goes through `json.loads` and the
-    strict checks.  The events must carry stages 0, 1, ... in turn, one for
-    each stage below the summary's horizon."""
-    kept: list[TraceEvent] = []
-    stages = 0  # the event lines read so far
-    summary: TraceSummary | None = None
-    for i, line in enumerate(lines):
-        if line == f"{_QUIET_HEAD}{stages}{_QUIET_TAIL}" and summary is None:
-            stages += 1
-            continue
-        if not line.strip():
-            continue
-        where = f"line {i + 1}"
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise TraceFormatError(f"{where}: {err.msg}") from None
-        except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
-            raise TraceFormatError(f"{where}: {err}") from None
-        if summary is not None:
-            raise TraceFormatError(f"{where}: records after the summary line")
-        if isinstance(raw, dict) and "summary" in raw:
-            if raw.keys() != {"summary"}:
-                raise TraceFormatError(f"{where}: malformed summary record")
-            summary = _record(TraceSummary, raw["summary"], where)
-            if summary.schema != TRACE_SCHEMA:
-                raise TraceFormatError(f"{where}: unsupported schema {summary.schema}")
-            continue
-        stage, action, removals, snapshot = _values(TraceEvent, raw, where)
-        if not _is_nat(stage) or not isinstance(removals, list):
-            raise TraceFormatError(f"{where}: malformed TraceEvent record")
-        event = TraceEvent(
-            stage,
-            None if action is None else _record(Action, action, where),
-            tuple([_record(Removal, rm, where) for rm in removals]),
-            None if snapshot is None else _record(Snapshot, snapshot, where),
-        )
-        if stage != stages:
-            raise TraceFormatError(f"event {stages} carries stage {stage}")
-        stages += 1
-        if not event.quiet:
-            kept.append(event)
-    if summary is None:
-        raise TraceFormatError("missing summary line")
-    if stages != summary.horizon:
-        raise TraceFormatError(f"trace has {stages} events for horizon {summary.horizon}")
-    return Trace(kept, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +184,9 @@ def _cmd_run(args) -> int:
             fsuite,
             config.horizon,
             config.snapshot_every,
-            on_event=lambda ev: fh.write(_event_line(ev) + "\n"),
+            on_event=lambda ev: fh.write(records.event_line(ev) + "\n"),
         )
-        fh.write(_summary_line(trace.summary) + "\n")
+        fh.write(records.summary_line(trace.summary) + "\n")
     return 0
 
 
@@ -392,7 +270,7 @@ def _cmd_psi(args) -> int:
     table = analysis.synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)
     for n, k, s in table.rows():
         if n < args.bound:
-            sys.stdout.write(_canon({"k": k, "n": n, "stage": s}) + "\n")
+            sys.stdout.write(records.canon({"k": k, "n": n, "stage": s}) + "\n")
     return 0
 
 

@@ -37,7 +37,7 @@ from bisect import bisect_right, insort
 from typing import NamedTuple
 
 from .arith import class_index, position
-from .records import TRACE_SCHEMA, Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
+from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite
 
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
@@ -216,11 +216,5 @@ def run(
             kept.append(event)
         if on_event is not None:
             on_event(event)
-    summary = TraceSummary(
-        schema=TRACE_SCHEMA,
-        horizon=horizon,
-        side0=state.sides[0].members(),
-        side1=state.sides[1].members(),
-        restraints=tuple(sorted(state.restraints.items())),
-    )
-    return Trace(kept, summary)
+    side0, side1 = (side.members() for side in state.sides)
+    return Trace(kept, TraceSummary.of(horizon, side0, side1, state.restraints))

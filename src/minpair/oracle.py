@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 
 from .arith import class_index, position
-from .records import TRACE_SCHEMA, Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
+from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite
 
 
@@ -109,11 +109,4 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
         action, removals, post = acted.get(s, (None, (), post))
         snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
         kept.append(TraceEvent(s, action, removals, snapshot))
-    summary = TraceSummary(
-        schema=TRACE_SCHEMA,
-        horizon=horizon,
-        side0=post.side0,
-        side1=post.side1,
-        restraints=tuple(sorted(restraints.items())),
-    )
-    return Trace(kept, summary)
+    return Trace(kept, TraceSummary.of(horizon, post.side0, post.side1, restraints))

@@ -1,20 +1,24 @@
-"""The records of a construction trace and the checks on their fields.
+"""The records of a construction trace, and the one trace format.
 
-This module is the one place that names trace fields.  The engine and the
-reference oracle build these records, the CLI writes each one as a JSON
-object keyed by its fields and reads it back with FIELD_CHECKS, and the
-checks replay them.  A run is mostly quiet stages, so a trace keeps only
-the events that are not quiet; the horizon in its summary implies the
-rest.  It imports no construction code, so the read side of the CLI
-(`verify`, `psi`) never loads the engine.
+The engine and the reference oracle build these records, the checks replay
+them, and this module alone writes and reads them.  A trace file holds one
+canonical JSON line per stage, each record an object keyed by its fields,
+then a summary line with the schema version.  A run is mostly quiet stages:
+each is written from one template, a line that is exactly the next quiet
+line is read without parsing, and a trace in memory keeps only the other
+events.  Every other line is read through field tables built from each
+record's fields with the config schema's parsers, so an error names the
+line and the field's JSON path.  It imports no construction code, so
+`verify` and `psi` never load the engine.
 """
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from .arith import position
-from .suites import _is_bit, _is_nat
+from .suites import SpecError, bit, fields, items, list_of, natural
 
 
 class Action(NamedTuple):
@@ -64,6 +68,11 @@ class TraceSummary(NamedTuple):
     side1: tuple[int, ...]
     restraints: tuple[tuple[int, int], ...]  # (position, value), sorted
 
+    @classmethod
+    def of(cls, horizon: int, side0, side1, restraints: dict) -> TraceSummary:
+        """The summary of a run under this schema; restraints maps position to value."""
+        return cls(TRACE_SCHEMA, horizon, side0, side1, tuple(sorted(restraints.items())))
+
 
 class Trace(NamedTuple):
     kept: list[TraceEvent]  # the events that are not quiet, in stage order
@@ -84,20 +93,118 @@ class TraceFormatError(ValueError):
     """The trace does not have the shape of a construction run."""
 
 
-def _is_naturals(x) -> bool:
-    return isinstance(x, list) and all(map(_is_nat, x))
+# ---------------------------------------------------------------------------
+# writing
 
 
-def _is_pairs(x) -> bool:
-    return isinstance(x, list) and all(_is_naturals(p) and len(p) == 2 for p in x)
+def canon(obj) -> str:
+    """obj as canonical JSON: keys sorted, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# A trace writes each record above as a JSON object keyed by its fields.
-# Each field's value is a natural, unless this table gives its check.
-FIELD_CHECKS = {
-    "side": _is_bit,
-    "by_side": _is_bit,
-    "side0": _is_naturals,
-    "side1": _is_naturals,
-    "restraints": _is_pairs,
+# A quiet stage, one with no action, removal or snapshot, has the canonical
+# line of TraceEvent(stage, None, [], None): this head, the stage, this tail.
+_QUIET_HEAD, _, _QUIET_TAIL = canon(TraceEvent("", None, [], None)._asdict()).partition('""')
+
+
+def event_line(ev: TraceEvent) -> str:
+    """The event as one line, each nested record an object too (JSON would
+    otherwise write a record as a list)."""
+    if ev.quiet:
+        return f"{_QUIET_HEAD}{ev.stage}{_QUIET_TAIL}"
+    action, snapshot = (None if rec is None else rec._asdict() for rec in (ev.action, ev.snapshot))
+    removals = [rm._asdict() for rm in ev.removals]
+    return canon(TraceEvent(ev.stage, action, removals, snapshot)._asdict())
+
+
+def summary_line(summary: TraceSummary) -> str:
+    return canon({"summary": summary._asdict()})
+
+
+def trace_lines(trace: Trace) -> list[str]:
+    return [event_line(ev) for ev in trace.events] + [summary_line(trace.summary)]
+
+
+# ---------------------------------------------------------------------------
+# reading
+
+
+def _tuple(parse):
+    """Parser that keeps what `parse` gives as a tuple, as the records hold it."""
+    return lambda raw, path: tuple(parse(raw, path))
+
+
+def _optional(parse):
+    """Parser that keeps JSON null as None and parses anything else."""
+    return lambda raw, path: None if raw is None else parse(raw, path)
+
+
+def _reader(cls):
+    """Parser of a `cls` record: each field by its FIELDS entry, else as a natural."""
+    table = {name: (FIELDS.get(name, natural),) for name in cls._fields}
+    return lambda raw, path: cls._make(fields(raw, path, table).values())
+
+
+# A trace field's value is a natural, unless this table gives its parser.
+_naturals, _pairs = _tuple(list_of(natural)), _tuple(list_of(_tuple(items(natural, natural))))
+FIELDS = {"side": bit, "by_side": bit, "side0": _naturals, "side1": _naturals, "restraints": _pairs}
+FIELDS |= {  # an event's nested records, read through the entries above
+    "action": _optional(_reader(Action)),
+    "removals": _tuple(list_of(_reader(Removal))),
+    "snapshot": _optional(_reader(Snapshot)),
 }
+_EVENT, _SUMMARY = _reader(TraceEvent), _reader(TraceSummary)
+
+
+def _record_of(raw) -> TraceEvent | TraceSummary:
+    """The record that a parsed line holds: an event, or the summary."""
+    if not (isinstance(raw, dict) and "summary" in raw):
+        return _EVENT(raw, "event")
+    if len(raw) > 1:
+        raise SpecError("a summary line holds only the summary")
+    summary = _SUMMARY(raw["summary"], "summary")
+    if summary.schema != TRACE_SCHEMA:
+        raise SpecError(f"unsupported schema {summary.schema}")
+    return summary
+
+
+def parse_trace(lines) -> Trace:
+    """The trace spelled by lines, keeping the events that are not quiet.
+    A line that is exactly the quiet line of the next stage is counted
+    without parsing; any other line goes through `json.loads` and the
+    field tables.  The events must carry stages 0, 1, ... in turn, one for
+    each stage below the summary's horizon."""
+    kept: list[TraceEvent] = []
+    stages = 0  # the event lines read so far
+    summary: TraceSummary | None = None
+    for i, line in enumerate(lines, 1):
+        if line == f"{_QUIET_HEAD}{stages}{_QUIET_TAIL}" and summary is None:
+            stages += 1
+            continue
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise TraceFormatError(f"line {i}: {err.msg}") from None
+        except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
+            raise TraceFormatError(f"line {i}: {err}") from None
+        if summary is not None:
+            raise TraceFormatError(f"line {i}: records after the summary line")
+        try:
+            got = _record_of(raw)
+        except SpecError as err:
+            raise TraceFormatError(f"line {i}: {err}") from None
+        if isinstance(got, TraceSummary):
+            summary = got
+            continue
+        if got.stage != stages:
+            raise TraceFormatError(f"event {stages} carries stage {got.stage}")
+        stages += 1
+        if not got.quiet:
+            kept.append(got)
+    if summary is None:
+        raise TraceFormatError("missing summary line")
+    if stages != summary.horizon:
+        raise TraceFormatError(f"trace has {stages} events for horizon {summary.horizon}")
+    return Trace(kept, summary)

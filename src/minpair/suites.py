@@ -58,13 +58,14 @@ def fields(raw, path: str, table: dict) -> dict:
         if name not in table:
             raise SpecError(f"{path}.{name}: unknown field")
     got = {}
-    for name, (parse, *default) in table.items():
+    for name, entry in table.items():  # (parse,) or (parse, default)
+        parse = entry[0]
         if name in raw:
             got[name] = parse(raw[name], f"{path}.{name}")
-        elif not default:
+        elif len(entry) == 1:
             raise SpecError(f"{path}.{name}: missing field")
         else:
-            got[name] = None if default[0] is None else parse(default[0], f"{path}.{name}")
+            got[name] = None if entry[1] is None else parse(entry[1], f"{path}.{name}")
     return got
 
 
@@ -97,13 +98,14 @@ def tagged(raw, path: str, kinds: dict, *context):
 
 
 def _checked(test, what: str):
-    """Parser that keeps a value passing `test`."""
+    """Parser that keeps a value passing `test`, which it carries as .test."""
 
     def parse(raw, path):
         if not test(raw):
             raise SpecError(f"{path}: must be {what}")
         return raw
 
+    parse.test = test
     return parse
 
 
@@ -119,11 +121,14 @@ def one_of(*choices: str):
 
 
 def list_of(parse):
-    """Parser of a JSON list, item i parsed by `parse` at path[i]."""
+    """Parser of a JSON list, item i parsed by `parse` at path[i]; plain checks take one pass."""
+    test = getattr(parse, "test", None)
 
     def parse_list(raw, path):
         if not isinstance(raw, list):
             raise SpecError(f"{path}: must be a list")
+        if test is not None and all(map(test, raw)):
+            return list(raw)
         return [parse(item, f"{path}[{i}]") for i, item in enumerate(raw)]
 
     return parse_list
@@ -511,8 +516,6 @@ CONFIG = {
     "snapshot_every": (natural, 0),
     "seed": (integer, 0),
     "suite": (record(dict, SUITE),),
-    # accepted and ignored: stability holds by construction
-    "probe": (record(dict, {"points": (natural,), "stages": (natural,)}), None),
     "checks": (record(dict, CHECKS), {}),
 }
 

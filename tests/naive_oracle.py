@@ -17,8 +17,8 @@ from minpair.engine import (
     Trace,
     TraceEvent,
     TraceSummary,
-    TRACE_SCHEMA,
 )
+from minpair.records import TRACE_SCHEMA
 from minpair.suites import FunctionalSuite
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from config_gen import SCENARIO_CONFIG, random_config
-from minpair import cli, engine
+from minpair import cli, engine, records
 from minpair.analysis import TraceFormatError, replay
 from minpair.cli import (
     EndToEndSpec,
@@ -71,7 +71,6 @@ FULL_CONFIG = {
             {"kind": "machine", "program": [["halt"]]},
         ],
     },
-    "probe": {"points": 8, "stages": 6},
     "checks": {
         "capture": [{"e": 0, "side": 0}],
         "preservation": [{"e0": 0, "e1": 1}],
@@ -89,7 +88,6 @@ FULL_CONFIG = {
 SCHEMA_RECORDS = [
     ((), "config", "horizon", -1),
     (("suite",), "config.suite", "functionals", {}),
-    (("probe",), "config.probe", "points", -1),
     (("checks",), "config.checks", None, None),
     (("checks", "capture", 0), "config.checks.capture[0]", "side", 2),
     (("checks", "preservation", 0), "config.checks.preservation[0]", "e1", "1"),
@@ -227,11 +225,14 @@ def test_end_to_end_target_bits_must_be_integers(target):
         parse_config(json.dumps(dict(SCENARIO_CONFIG, checks={"end_to_end": [check]})))
     assert "target.value" in str(err.value)
 
-def test_probe_field_is_accepted_and_ignored():
+def test_probe_field_is_rejected(tmp_path, capsys):
+    """`probe` once chose a validation grid and later did nothing: it is an unknown field."""
     with_probe = dict(SCENARIO_CONFIG, probe={"points": 8, "stages": 6})
-    assert parse_config(json.dumps(with_probe)) == parse_config(json.dumps(SCENARIO_CONFIG))
-    with pytest.raises(SpecError):
-        parse_config(json.dumps(dict(SCENARIO_CONFIG, probe={"points": -1, "stages": 6})))
+    with pytest.raises(SpecError, match=r"^config\.probe: unknown field$"):
+        parse_config(json.dumps(with_probe))
+    config = write_config(tmp_path / "c.json", with_probe)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "o.trace")]) == 2
+    assert capsys.readouterr().err == "minpair: config.probe: unknown field\n"
 
 
 def test_config_round_trip():
@@ -281,7 +282,7 @@ def test_read_trace_rejects_garbage(tmp_path):
 
 def test_read_trace_rejects_a_quiet_line_after_the_summary(tmp_path, scenario_trace):
     path = tmp_path / "late.trace"
-    late = cli._event_line(TraceEvent(5, None, ()))
+    late = records.event_line(TraceEvent(5, None, ()))
     path.write_text("\n".join(trace_lines(scenario_trace) + [late]) + "\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match="line 7: records after the summary line"):
         read_trace(path)
@@ -548,6 +549,51 @@ def test_verify_forged_double_insertion_exits_1(tmp_path, scenario_config_path, 
     assert verdicts["structural:dce_single_entry"] == "fail"
 
 
+# Edits of one record of the scenario trace (line 3 holds stage 2's action,
+# line 6 the summary), each with the message that names its line and field.
+TRACE_EDITS = {
+    "side-true": (2, ("action", "side"), True, "event.action.side: must be the integer 0 or 1"),
+    "witness-negative": (2, ("action", "witness"), -1, "event.action.witness: must be a natural"),
+    "snapshot-member-string": (
+        2,
+        ("snapshot",),
+        {"side0": [1, "x"], "side1": []},
+        "event.snapshot.side0[1]: must be a natural",
+    ),
+    "restraint-triple": (
+        5,
+        ("summary", "restraints", 0),
+        [0, 2, 9],
+        "summary.restraints[0]: must be a list of 2 items",
+    ),
+    "extra-key": (2, ("action", "extra"), 1, "event.action.extra: unknown field"),
+    "removal-missing-key": (
+        2,
+        ("removals",),
+        [{"n": 1, "side": 1, "by_e": 0, "by_side": 0}],
+        "event.removals[0].inserted_at: missing field",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_EDITS))
+def test_malformed_trace_names_line_and_field(tmp_path, scenario_trace, capsys, name):
+    """A record that breaks the schema exits 3 with the line and the field's JSON path."""
+    index, keys, value, message = TRACE_EDITS[name]
+    lines = trace_lines(scenario_trace)
+    record = json.loads(lines[index])
+    node = record
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    lines[index] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "bad.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--trace", str(path), "--config", "configs/scenario.json"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"minpair: malformed trace: line {index + 1}: {message}\n"
+
+
 def test_verify_schema_invalid_trace_exits_3(tmp_path, scenario_config_path, capsys):
     path = tmp_path / "bad.trace"
     path.write_text('{"stage": "zero"}\n', encoding="utf-8")
@@ -806,6 +852,34 @@ def test_command_loads_only_what_it_runs(tmp_path, command):
     assert sorted((unwanted | {"argparse"}) & set(modules)) == []
 
 
+def test_commands_run_clean_in_dev_mode(tmp_path):
+    """Under `-X dev -W error`, which reports files left open among other
+    faults, `run`, `verify` and `psi` on parity_demo exit 0 and `verify` on
+    a malformed trace exits 3, none of them with a warning."""
+    root = Path(__file__).resolve().parent.parent
+    config, trace, bad = str(root / "configs" / "parity_demo.json"), tmp_path / "t", tmp_path / "b"
+    dev = [sys.executable, "-X", "dev", "-W", "error", "-m", "minpair.cli"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def minpair(*argv):
+        return subprocess.run([*dev, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+    done = minpair("run", "--config", config, "--out", str(trace))
+    assert (done.returncode, done.stderr) == (0, "")
+    bad.write_text(trace.read_text(encoding="utf-8").replace('"stage":3', '"stage":true'))
+    for argv, code in [
+        (["verify", "--trace", str(trace), "--config", config], 0),
+        (["psi", "--trace", str(trace), "--config", config, "--e0", "0", "--e1", "1", "--bound", "8"], 0),
+        (["verify", "--trace", str(bad), "--config", config], 3),
+    ]:
+        done = minpair(*argv)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stderr == ""
+        else:  # the error's one line, and nothing else
+            assert re.fullmatch(r"minpair: malformed trace: line 4: [^\n]*\n", done.stderr)
+
+
 def test_run_loads_neither_dataclasses_nor_the_checks(tmp_path):
     """Importing the CLI and running a construction, in a fresh interpreter
     without site packages, loads neither `dataclasses` nor the analysis
@@ -972,7 +1046,7 @@ def test_edited_quiet_line_reads_as_json_reads_it(tmp_path, monkeypatch, config,
             return records, main(argv)
 
     by_template = outcome()
-    monkeypatch.setattr(cli, "_QUIET_HEAD", "\n")  # no line holds one: all go to json.loads
+    monkeypatch.setattr(records, "_QUIET_HEAD", "\n")  # no line holds one: all go to json.loads
     assert by_template == outcome()
     assert by_template[1] == (0 if same_record(lines[stage], quiet) else 3)
 

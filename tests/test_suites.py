@@ -131,10 +131,9 @@ def test_validation_flags_unstable_functional():
 
 
 def test_unstable_probe_rejected_whatever_the_probe():
-    # unstable_probe is an unknown kind, and the probe grid has no effect
+    # unstable_probe is an unknown kind when a whole config is parsed too
     raw = {
         "horizon": 20,
-        "probe": {"points": 8, "stages": 6},
         "suite": {"functionals": [{"kind": "unstable_probe", "point": 3, "stage": 10}]},
     }
     with pytest.raises(SpecError) as err:
