@@ -1,13 +1,16 @@
-"""Whole `verify` reports, pinned byte for byte.
+"""Whole `verify` reports and engine traces, pinned byte for byte.
 
 `tests/golden/` holds the default `verify` report of each `configs/*.json`
 and of `configs/injury.json` under each engine mutation, with the report's
-`meta` paths replaced by file names.  A change that is meant to alter a
-report rewrites them with `PYTHONPATH=src python tests/test_golden.py`.
+`meta` paths replaced by file names.  `engine-traces.json` holds the sha256
+of the trace lines of `random_config` seeds 0-9 at horizon 800, with no
+mutation and under each engine mutation.  A change that is meant to alter a
+report or a trace rewrites them with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -15,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from config_gen import random_config
+from conftest import make_suites
 from minpair import engine
 from minpair.cli import build_suites, load_config, main, write_trace
+from minpair.records import trace_lines
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +31,23 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [(path.stem, path, None) for path in sorted(CONFIGS.glob("*.json"))] + [
     (f"injury-{mutation}", CONFIGS / "injury.json", mutation) for mutation in engine.MUTATIONS
 ]
+
+TRACE_SEEDS, TRACE_HORIZON = range(10), 800
+TRACES = GOLDEN / "engine-traces.json"
+
+
+def trace_digests() -> dict[str, str]:
+    """sha256 of the trace lines of each seeded random config, keyed
+    `<seed>-<mutation or none>`."""
+    digests = {}
+    for seed in TRACE_SEEDS:
+        raw = random_config(seed, TRACE_HORIZON)
+        fsuite, _ = make_suites(raw)
+        for mutation in (None, *engine.MUTATIONS):
+            trace = engine.run(fsuite, TRACE_HORIZON, raw["snapshot_every"], mutation)
+            text = "".join(line + "\n" for line in trace_lines(trace))
+            digests[f"{seed}-{mutation or 'none'}"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 def report_text(tmp: Path, config_path: Path, mutation: str | None) -> str:
@@ -52,8 +75,14 @@ def test_verify_report_matches_golden(tmp_path, stem, config_path, mutation):
     assert report_text(tmp_path, config_path, mutation) == golden
 
 
+def test_mutated_engine_traces_match_golden():
+    assert trace_digests() == json.loads(TRACES.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    TRACES.write_text(json.dumps(trace_digests(), indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {TRACES}", file=sys.stderr)
     for stem, config_path, mutation in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{stem}.json").write_text(
