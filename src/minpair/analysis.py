@@ -397,8 +397,8 @@ def check_capture(
     settled: list[tuple[int, int]] = []  # (n, settle stage) below the horizon
     if start < horizon:
         bound = _stronger_restraint_bound(rep.restraints_entering[start], p)
-        for n in class_members(e, horizon):
-            hit = suite.settle(e, n, horizon - 1) if n > bound else None
+        for n in class_members(e, horizon, bound):
+            hit = suite.settle(e, n, horizon - 1)
             if hit is not None:
                 settled.append((n, hit[1]))
     if not settled:

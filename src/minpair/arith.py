@@ -49,11 +49,12 @@ def class_index(n: int) -> int | None:
     return (n & -n).bit_length() - 1
 
 
-def class_members(e: int, bound: int) -> list[int]:
-    """All members of valuation class e below bound, ascending."""
+def class_members(e: int, bound: int, above: int = 0) -> range:
+    """Members of valuation class e above the natural `above` and below
+    bound, ascending."""
     if e < 0:
         raise ValueError(f"class index must be a natural, got {e}")
-    return list(range(1 << e, bound, 1 << (e + 1)))
+    return range((1 << e) + ((above + (1 << e)) >> (e + 1) << (e + 1)), bound, 2 << e)
 
 
 def partial_density(points: Iterable[int], bound: int) -> Fraction:

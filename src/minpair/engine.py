@@ -34,7 +34,6 @@ only.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import NamedTuple
 
 from .arith import class_index, position
 from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
@@ -43,46 +42,12 @@ from .suites import FunctionalSuite
 MUTATIONS = ("skip_removals", "skip_restraints", "wrong_removal_side")
 
 
-class MemberRecord(NamedTuple):
-    """One insertion into a side."""
-
-    n: int
-    e: int
-    side: int
-    inserted_at: int
-
-    @property
-    def position(self) -> int:
-        return position(self.e, self.side)
-
-
-class SideState:
-    """One side's membership with full per-element provenance."""
-
-    def __init__(self) -> None:
-        self.current: dict[int, MemberRecord] = {}
-        self.by_class: dict[int, set[int]] = {}
-
-    def insert(self, n: int, e: int, side: int, stage: int) -> MemberRecord:
-        if n in self.current:
-            raise ValueError(f"{n} is already a member")
-        rec = MemberRecord(n, e, side, stage)
-        self.current[n] = rec
-        self.by_class.setdefault(e, set()).add(n)
-        return rec
-
-    def remove(self, n: int) -> MemberRecord:
-        rec = self.current.pop(n)
-        self.by_class[rec.e].discard(n)
-        return rec
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.current))
-
-
 class ConstructionState:
     """Stage counter, both sides, the restraint table, and the witness index.
 
+    Each side maps a class e to its member and the stage that inserted it.
+    Only the pair (e, side) puts class-e points into the side, and only
+    while the side holds none, so a side holds at most one member per class.
     The index files each point under its class once it has converged, in
     ascending order.  A point is settled once, at stage n + 1, with the
     horizon as the limit.
@@ -90,7 +55,7 @@ class ConstructionState:
 
     def __init__(self, horizon: int) -> None:
         self.stage = 0
-        self.sides = (SideState(), SideState())
+        self.sides: tuple[dict[int, tuple[int, int]], ...] = ({}, {})  # e -> (n, inserted_at)
         self.restraints: dict[int, int] = {}
         self.horizon = horizon
         self.settled: dict[int, list[int]] = {}  # class e -> converged points
@@ -100,8 +65,9 @@ class ConstructionState:
         self.watch: dict[int, int] = {}
         self.acted = False  # whether the last stage acted
 
-    def restraint(self, position: int) -> int:
-        return self.restraints.get(position, 0)
+    def members(self, side: int) -> tuple[int, ...]:
+        """The side's members, ascending."""
+        return tuple(sorted(n for n, _ in self.sides[side].values()))
 
 
 def _admit(state: ConstructionState, suite: FunctionalSuite, classes: int) -> bool:
@@ -129,8 +95,8 @@ def _find_actor(
 ) -> tuple[int, int, int, int] | None:
     """Least eligible (position, e, side, witness) at the current stage.
 
-    Positions of absent functionals never act.  A class is held when the
-    side holds any member of it: only its own pair inserts into it, always
+    Positions of absent functionals never act.  A pair (e, side) is held
+    when the side has a class-e member: only that pair inserts one, always
     a converged witness, and convergence is stable.  Records state.watch
     along the way.
     """
@@ -142,8 +108,8 @@ def _find_actor(
             if p >= state.stage:
                 return None
             bound = strongest if use_restraints else 0
-            strongest = max(strongest, state.restraint(p))
-            if state.sides[side].by_class.get(e):
+            strongest = max(strongest, state.restraints.get(p, 0))
+            if e in state.sides[side]:
                 continue
             watch.setdefault(e, bound)  # bounds only grow along the scan
             points = state.settled.get(e, ())
@@ -172,22 +138,19 @@ def step(
     removals: list[Removal] = []
     if actor is not None:
         p, e, side, witness = actor
-        state.sides[side].insert(witness, e, side, s)
+        state.sides[side][e] = (witness, s)
         target = side if mutation == "wrong_removal_side" else 1 - side
         if mutation != "skip_removals":
-            victims = sorted(
-                n
-                for n, rec in state.sides[target].current.items()
-                if rec.position > p
-            )
-            for n in victims:
-                rec = state.sides[target].remove(n)
-                removals.append(Removal(n, target, rec.e, rec.side, rec.inserted_at))
+            held = state.sides[target]
+            victims = sorted((n, c, at) for c, (n, at) in held.items() if position(c, target) > p)
+            for n, c, at in victims:
+                del held[c]
+                removals.append(Removal(n, target, c, target, at))
         state.restraints[p] = s
         action = Action(e, side, witness, s)
     snapshot = None
     if take_snapshot:
-        snapshot = Snapshot(state.sides[0].members(), state.sides[1].members())
+        snapshot = Snapshot(state.members(0), state.members(1))
     state.stage = s + 1
     return TraceEvent(s, action, tuple(removals), snapshot)
 
@@ -216,5 +179,5 @@ def run(
             kept.append(event)
         if on_event is not None:
             on_event(event)
-    side0, side1 = (side.members() for side in state.sides)
-    return Trace(kept, TraceSummary.of(horizon, side0, side1, state.restraints))
+    summary = TraceSummary.of(horizon, state.members(0), state.members(1), state.restraints)
+    return Trace(kept, summary)

@@ -2,24 +2,19 @@
 
 It jumps from action to action: between two actions the memberships and
 restraints are frozen, so the next actor, its stage and its witness follow
-from the settle stages alone.  It imports only the trace records and the
-suites, shares no code with the engine's arrival queue, actor scan or side
-state, and exists purely to cross-validate the engine trace for trace
-(`verify --checks oracle`).
+from the settle stages alone.  It imports only the arithmetic, the trace
+records and the suites, shares no code with the engine's arrival queue,
+actor scan or side state, and exists purely to cross-validate the engine
+trace for trace (`verify --checks oracle`).
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .arith import class_index, position
+from .arith import class_index, class_members, position
 from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite
-
-
-def _points_above(e: int, bound: int, horizon: int) -> range:
-    """Every class-e point above bound and below the horizon, ascending."""
-    return range((1 << e) + ((bound + (1 << e)) >> (e + 1) << (e + 1)), horizon, 2 << e)
 
 
 def _least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | None:
@@ -28,7 +23,7 @@ def _least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] |
     such point settles before the horizon.  settle(e, n) is the point's
     settle stage, or None."""
     best, stop = None, horizon
-    for n in _points_above(e, bound, horizon):
+    for n in class_members(e, horizon, bound):
         if n + 1 >= stop:  # n and every later point settle after stage n
             break
         stage = settle(e, n)
@@ -86,7 +81,7 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
         if chosen is None:
             break
         t, p, e, side, bound = chosen
-        for witness in _points_above(e, bound, horizon):
+        for witness in class_members(e, horizon, bound):
             stage = settle(e, witness)
             if stage is not None and stage <= t:
                 break

@@ -62,9 +62,10 @@ def test_class_index_values():
 
 
 def test_class_members():
-    assert class_members(0, 8) == [1, 3, 5, 7]
-    assert class_members(1, 16) == [2, 6, 10, 14]
-    assert class_members(3, 8) == []
+    assert list(class_members(0, 8)) == [1, 3, 5, 7]
+    assert list(class_members(1, 16)) == [2, 6, 10, 14]
+    assert list(class_members(3, 8)) == []
+    assert list(class_members(1, 40, above=10)) == [14, 18, 22, 26, 30, 34, 38]
 
 
 def test_classes_partition_positive_naturals():

@@ -43,7 +43,7 @@ def test_step_by_step_walkthrough():
     ev2 = step(state, fsuite)
     assert ev2.action == Action(e=0, side=0, witness=1, restraint=2)
     assert ev2.removals == ()
-    assert state.sides[0].members() == (1,)
+    assert state.members(0) == (1,)
 
     ev3 = step(state, fsuite)
     assert ev3.action is None
@@ -52,8 +52,8 @@ def test_step_by_step_walkthrough():
     assert ev4.action == Action(e=0, side=1, witness=3, restraint=4)
     assert ev4.removals == ()
 
-    assert state.sides[0].members() == (1,)
-    assert state.sides[1].members() == (3,)
+    assert state.members(0) == (1,)
+    assert state.members(1) == (3,)
     assert state.restraints == {0: 2, 1: 4}
 
 

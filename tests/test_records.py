@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from minpair.analysis import CheckResult
-from minpair.engine import Action, MemberRecord, Removal, TraceEvent
+from minpair.engine import Action, Removal, TraceEvent
 from minpair.records import Snapshot, TraceSummary
 from minpair.graphs import CofiniteOnes, ExplicitGraph
 from minpair.operators import Axiom, EnumOperator
@@ -68,8 +68,3 @@ def test_frozen_records_reject_assignment(record, field):
 def test_malformed_records_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
-
-
-def test_member_record_position():
-    rec = MemberRecord(6, 1, 1, 35)
-    assert rec.position == 3 and rec.inserted_at == 35

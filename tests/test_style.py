@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "minpair").glob("*.py"))
@@ -14,3 +15,19 @@ def test_source_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
+    assert unused == []
