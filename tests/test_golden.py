@@ -4,8 +4,9 @@
 and of `configs/injury.json` under each engine mutation, with the report's
 `meta` paths replaced by file names.  `engine-traces.json` holds the sha256
 of the trace lines of `random_config` seeds 0-9 at horizon 800, with no
-mutation and under each engine mutation.  A change that is meant to alter a
-report or a trace rewrites them with `PYTHONPATH=src python tests/test_golden.py`.
+mutation and under each engine mutation.  A change that is meant to alter
+a report or a trace rewrites them all with
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 from __future__ import annotations
