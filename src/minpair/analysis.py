@@ -39,13 +39,10 @@ _LAZY = {
     "reference_run": "oracle",
     **dict.fromkeys(
         (
-            "Changes",
             "enumeration",
             "_first_without",
             "check_preservation",
-            "JointTable",
             "synthesize_joint",
-            "DiagonalSet",
             "derive_diagonal",
             "check_end_to_end",
         ),

@@ -1,20 +1,15 @@
-"""Pair coding, dyadic valuation classes, and exact partial densities.
+"""Pair coding, dyadic valuation classes and requirement positions.
 
 Ordered pairs of naturals are coded with the Cantor pairing function.  The
 positive naturals split into disjoint classes by 2-adic valuation (class e
 holds the n divisible by 2^e but not 2^(e+1)); class e has density
 2^-(e+1), so the classes partition the positive naturals with geometric
-weight.  Densities of finite initial segments are exact rationals.
-Requirements (e, side) are ordered by their position 2e + side.
+weight.  Requirements (e, side) are ordered by their position 2e + side.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def position(e: int, side: int) -> int:
@@ -55,13 +50,3 @@ def class_members(e: int, bound: int, above: int = 0) -> range:
     if e < 0:
         raise ValueError(f"class index must be a natural, got {e}")
     return range((1 << e) + ((above + (1 << e)) >> (e + 1) << (e + 1)), bound, 2 << e)
-
-
-def partial_density(points: Iterable[int], bound: int) -> Fraction:
-    """Exact fraction of [0, bound) covered by the given points; bound >= 1."""
-    from fractions import Fraction  # loaded only by the checks that need it
-
-    if bound < 1:
-        raise ValueError(f"density bound must be >= 1, got {bound}")
-    hits = len({p for p in points if 0 <= p < bound})
-    return Fraction(hits, bound)

@@ -41,13 +41,23 @@ class RunConfig(NamedTuple):
     end_to_end_checks: Sequence[EndToEndSpec] = ()
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object whose fields are named once each."""
+    obj: dict[str, object] = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"duplicate field {name!r}")
+        obj[name] = value
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
     """Strictly parse and validate a config document."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as err:
         raise SpecError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
-    except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
+    except (RecursionError, ValueError) as err:  # too deep, too long a number, or a repeat
         raise SpecError(f"config: {err}") from None
     try:
         got = suites.fields(raw, "config", suites.CONFIG)
@@ -268,7 +278,7 @@ def _cmd_psi(args) -> int:
     config, trace = _load_matching(args)
     _, osuite = build_suites(config)
     table = analysis.synthesize_joint(trace, osuite, args.e0, args.e1, trace.summary.horizon)
-    for n, k, s in table.rows():
+    for n, (k, s) in sorted(table.items()):
         if n < args.bound:
             sys.stdout.write(records.canon({"k": k, "n": n, "stage": s}) + "\n")
     return 0

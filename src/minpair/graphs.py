@@ -11,6 +11,7 @@ its constructor checks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import unpair
@@ -43,7 +44,7 @@ class ExplicitGraph:
         return self._map.get(n)
 
     def defined_below(self, bound: int) -> int:
-        return sum(1 for n, _ in self.entries if n < bound)
+        return bisect_left(self.entries, (bound,))
 
 
 class CofiniteOnes:
@@ -105,16 +106,20 @@ def check_description(
     f: PartialGraph, bits: Sequence[int], bound: int
 ) -> DescriptionReport:
     """List every point below bound where f is defined but disagrees with
-    bits, and measure the density of f's domain there."""
+    bits, and measure the density of f's domain there.  Bits are read only
+    at f's defined points, and an explicit graph walks only its entries, so
+    any bound costs an explicit graph the same."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if len(bits) < bound:
-        raise ValueError(f"bit sequence shorter than bound {bound}")
-    errors = tuple(
-        n
-        for n in range(bound)
-        if f.value_at(n) is not None and f.value_at(n) != bits[n]
-    )
+    try:
+        bits[bound - 1]  # len() stops at sys.maxsize, an index does not
+    except IndexError:
+        raise ValueError(f"bit sequence shorter than bound {bound}") from None
+    if isinstance(f, ExplicitGraph):
+        points = f.entries[: f.defined_below(bound)]
+    else:
+        points = ((n, f.value_at(n)) for n in range(bound))
+    errors = tuple(n for n, v in points if v is not None and v != bits[n])
     from fractions import Fraction
 
     density = Fraction(f.defined_below(bound), bound)

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis
 from .analysis import CheckResult, ReplayedRun, VerificationReport, _report, replay_to
-from .arith import class_index, partial_density, unpair
-from .graphs import CofiniteOnes
+from .arith import class_index, unpair
+from .graphs import CofiniteOnes, ExplicitGraph, check_description
 from .records import Trace
 from .suites import FunctionalSuite, OperatorSuite
 
@@ -136,16 +136,6 @@ def check_preservation(
 # joint description table
 
 
-class JointTable(NamedTuple):
-    e0: int
-    e1: int
-    horizon: int
-    entries: dict[int, tuple[int, int]]  # n -> (bit, found_at_stage)
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        return [(n, k, s) for n, (k, s) in sorted(self.entries.items())]
-
-
 def synthesize_joint(
     trace: Trace,
     operators: OperatorSuite,
@@ -153,8 +143,9 @@ def synthesize_joint(
     e1: int,
     horizon: int,
     rep: ReplayedRun | None = None,
-) -> JointTable:
-    """Search stages for codes enumerated by both sides at once.
+) -> dict[int, tuple[int, int]]:
+    """Search stages for codes enumerated by both sides at once: each input
+    n maps to (bit, the stage that found it).
 
     For each input the first stage wins; if both bits appear at the same
     first stage the smaller bit is kept (any fixed choice is sound because
@@ -171,7 +162,7 @@ def synthesize_joint(
                 best_here[n] = k
         for n, k in best_here.items():
             entries.setdefault(n, (k, s))
-    return JointTable(e0, e1, horizon, entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +170,6 @@ def synthesize_joint(
 
 
 class DiagonalSet(NamedTuple):
-    side: int
-    horizon: int
-    bound: int
     bits: tuple[int, ...]
     disagreements: tuple[tuple[int, int, int], ...]  # (n, candidate bit, own bit)
 
@@ -208,7 +196,7 @@ def derive_diagonal(
             bits.append(1)
         if candidate is not None and candidate != bits[n]:
             disagreements.append((n, candidate, bits[n]))
-    return DiagonalSet(side, horizon, bound, tuple(bits), tuple(disagreements))
+    return DiagonalSet(tuple(bits), tuple(disagreements))
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +214,19 @@ def check_end_to_end(
     threshold: Fraction,
     rep: ReplayedRun | None = None,
 ) -> VerificationReport:
-    """Every defined joint-table bit matches the target, and the table's
-    domain below the bound is at least as dense as the threshold."""
-    try:
-        target_bits[bound - 1]  # len() stops at sys.maxsize, an index does not
-    except IndexError:
-        raise ValueError(f"target bits shorter than bound {bound}") from None
+    """The joint table, read as a graph, describes the target below the
+    bound (`graphs.check_description`): every bit it defines there matches
+    the target, and its domain is at least as dense as the threshold."""
     table = analysis.synthesize_joint(trace, operators, e0, e1, horizon, rep)
-    defined = [n for n in table.entries if n < bound]
-    mismatches = sorted(
-        (n, table.entries[n][0], target_bits[n])
-        for n in defined
-        if table.entries[n][0] != target_bits[n]
-    )
-    if mismatches:
-        n, got, want = mismatches[0]
+    graph = ExplicitGraph.from_map({n: k for n, (k, _) in table.items()})
+    report = check_description(graph, target_bits, bound)
+    if report.error_points:
+        n = report.error_points[0]
+        got, want = graph.value_at(n), target_bits[n]
         values = CheckResult.of("values_match", "fail", n=n, got=got, want=want)
     else:
-        values = CheckResult.of("values_match", "pass", defined=len(defined))
-    density = partial_density(defined, bound)
+        values = CheckResult.of("values_match", "pass", defined=graph.defined_below(bound))
+    density = report.domain_partial_density
     verdict = "pass" if density >= threshold else "fail"
     detail = {"density": str(density), "threshold": str(threshold)}
     return _report([values, CheckResult.of("domain_density", verdict, **detail)])

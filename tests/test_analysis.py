@@ -78,18 +78,15 @@ def empty_events(stages):
     "name, home",
     [
         ("check_structural", "analysis"),
-        ("reference_run", "oracle"),
         ("check_capture", "analysis"),
-        ("check_preservation", "joint"),
-        ("check_end_to_end", "joint"),
-        ("synthesize_joint", "joint"),
         ("replay", "analysis"),
-        ("evaluate", "operators"),
+        *analysis._LAZY.items(),
     ],
 )
 def test_traced_names_are_analysis_attributes(name, home):
-    """Every function a tracer wraps through `analysis` is an attribute of
-    it, and is the object its home module defines."""
+    """Every function a tracer wraps through `analysis`, and every name it
+    resolves on first use, is an attribute of it, and is the object its
+    home module defines."""
     module = importlib.import_module(f"minpair.{home}")
     assert getattr(analysis, name) is getattr(module, name)
     assert getattr(module, name).__module__ == module.__name__
@@ -741,7 +738,7 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
     for h in (horizon, min(cut, horizon)):
         check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
         assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, w0, w1, h)
-        assert synthesize_joint(trace, osuite, 0, 1, h).entries == per_stage_joint(trace, w0, w1, h)
+        assert synthesize_joint(trace, osuite, 0, 1, h) == per_stage_joint(trace, w0, w1, h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -767,7 +764,7 @@ def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation,
                 check = check_preservation(trace, osuite, e0, e1, h, rep).find("preservation")
                 assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, *ops, h)
                 table = synthesize_joint(trace, osuite, e0, e1, h, rep)
-                assert table.entries == per_stage_joint(trace, *ops, h)
+                assert table == per_stage_joint(trace, *ops, h)
 
 
 def test_preservation_window_opens_after_strongest_later_action():
@@ -844,8 +841,7 @@ def test_joint_unconditional_entry():
         [axioms((0, [], [5, 1])), axioms((0, [], [5, 1]))], horizon=6
     )
     trace = engine.run(fsuite, 6)
-    table = synthesize_joint(trace, osuite, 0, 1, 6)
-    assert table.entries == {5: (1, 0)}
+    assert synthesize_joint(trace, osuite, 0, 1, 6) == {5: (1, 0)}
 
 
 def test_joint_waits_for_both_sides():
@@ -856,9 +852,7 @@ def test_joint_waits_for_both_sides():
         horizon=12,
     )
     trace = engine.run(fsuite, 12)
-    table = synthesize_joint(trace, osuite, 0, 1, 12)
-    assert table.entries == {5: (0, 10)}
-    assert table.rows() == [(5, 0, 10)]
+    assert synthesize_joint(trace, osuite, 0, 1, 12) == {5: (0, 10)}
 
 
 def test_joint_tie_breaks_to_least_bit():
@@ -870,8 +864,7 @@ def test_joint_tie_breaks_to_least_bit():
         horizon=6,
     )
     trace = engine.run(fsuite, 6)
-    table = synthesize_joint(trace, osuite, 0, 1, 6)
-    assert table.entries == {5: (0, 2)}
+    assert synthesize_joint(trace, osuite, 0, 1, 6) == {5: (0, 2)}
 
 
 def test_joint_ignores_unsatisfied_premises():
@@ -880,8 +873,7 @@ def test_joint_ignores_unsatisfied_premises():
     )
     # the premise wants value 0 at 2, but side graphs only ever carry ones
     trace = engine.run(fsuite, 16)
-    table = synthesize_joint(trace, osuite, 0, 1, 16)
-    assert table.entries == {}
+    assert synthesize_joint(trace, osuite, 0, 1, 16) == {}
 
 
 def test_joint_ignores_outputs_decoding_to_large_bits():
@@ -889,7 +881,7 @@ def test_joint_ignores_outputs_decoding_to_large_bits():
         [axioms((0, [], [5, 2])), axioms((0, [], [5, 2]))], horizon=4
     )
     trace = engine.run(fsuite, 4)
-    assert synthesize_joint(trace, osuite, 0, 1, 4).entries == {}
+    assert synthesize_joint(trace, osuite, 0, 1, 4) == {}
 
 
 # -- diagonal set ---------------------------------------------------------------
@@ -948,10 +940,11 @@ def test_end_to_end_parity():
 
 
 def test_end_to_end_flags_wrong_bit():
-    fsuite, osuite = ops_suite(
-        [axioms((0, [], [5, 0])), axioms((0, [], [5, 0]))], horizon=4
-    )
+    # 7 is found wrong at stage 0 and 5 at stage 2: the least point is reported
+    rows = [(0, [], [7, 0]), (2, [], [5, 0])]
+    fsuite, osuite = ops_suite([axioms(*rows), axioms(*rows)], horizon=4)
     trace = engine.run(fsuite, 4)
+    assert list(synthesize_joint(trace, osuite, 0, 1, 4)) == [7, 5]
     target = [1] * 10
     report = check_end_to_end(trace, osuite, 0, 1, 4, 10, target, Fraction(0))
     assert report.find("values_match").verdict == "fail"
@@ -975,7 +968,7 @@ def test_joint_entries_survive_on_some_side_when_preservation_holds():
     assert check_preservation(trace, osuite, 0, 1, 50).passed
     table = synthesize_joint(trace, osuite, 0, 1, 50)
     final = replay(trace).entering[50]
-    for n, (k, _) in table.entries.items():
+    for n, (k, _) in table.items():
         code = pair(n, k)
         held = [
             e

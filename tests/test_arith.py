@@ -9,7 +9,6 @@ from minpair.arith import (
     class_index,
     class_members,
     pair,
-    partial_density,
     position,
     unpair,
 )
@@ -86,19 +85,8 @@ def test_class_density_exact_at_aligned_bounds():
         block = 1 << (e + 1)
         for k in (1, 3, 8):
             bound = k * block
-            got = partial_density(class_members(e, bound), bound)
+            got = Fraction(len(class_members(e, bound)), bound)
             assert got == Fraction(1, block)
-
-
-def test_partial_density_values():
-    assert partial_density(range(0, 10, 2), 10) == Fraction(1, 2)
-    assert partial_density(class_members(0, 8), 8) == Fraction(1, 2)
-    assert partial_density([], 5) == 0
-
-
-def test_partial_density_rejects_zero_bound():
-    with pytest.raises(ValueError):
-        partial_density([1], 0)
 
 
 def test_position_enumerates_requirements_in_priority_order():

@@ -235,6 +235,29 @@ def test_probe_field_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "minpair: config.probe: unknown field\n"
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ('{"horizon": 10, "horizon": 20, "suite": {"functionals": [], "operators": []}}', "horizon"),
+        (
+            '{"horizon": 10, "suite": {"functionals": '
+            '[{"kind": "total_const", "value": 0, "value": 1}], "operators": []}}',
+            "value",
+        ),
+    ],
+    ids=["top", "nested"],
+)
+def test_repeated_field_is_rejected(tmp_path, capsys, text, name):
+    """A field named twice in one object is a config error, not a last-wins read."""
+    with pytest.raises(SpecError, match=rf"^config: duplicate field '{name}'$"):
+        parse_config(text)
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o.trace")]) == 2
+    assert capsys.readouterr().err == f"minpair: config: duplicate field '{name}'\n"
+    assert not (tmp_path / "o.trace").exists()
+
+
 def test_config_round_trip():
     for raw in [SCENARIO_CONFIG, random_config(7)]:
         cfg = parse_config(json.dumps(raw))

@@ -14,6 +14,7 @@ from minpair.graphs import (
     contains,
     extends,
 )
+from minpair.suites import EndToEndSpec
 
 bits = st.integers(0, 1)
 explicit_graphs = st.dictionaries(st.integers(0, 24), bits, max_size=8).map(
@@ -92,6 +93,14 @@ def test_check_description_requires_enough_bits():
         check_description(CofiniteOnes.of(set()), [1, 1], 5)
     with pytest.raises(ValueError):
         check_description(CofiniteOnes.of(set()), [], 0)
+
+
+def test_check_description_reads_only_defined_points_of_an_explicit_graph():
+    """A bound no index could hold: only the entries' bits are read."""
+    spec = EndToEndSpec(0, 1, 2**64, Fraction(1), {"kind": "parity"})
+    graph = ExplicitGraph.from_map({3: 1, 8: 1, 2**64 - 1: 1, 2**64: 0})
+    report = check_description(graph, spec.target_view(), 2**64)
+    assert report == (2**64, (8,), Fraction(3, 2**64))
 
 
 def test_report_shape():
