@@ -1,11 +1,12 @@
 """Command-line surface: run constructions, verify traces, print joint tables.
 
-Config files are strict JSON: unknown fields are rejected so experiment
-files stay self-documenting.  Trace lines are written and read by
-`minpair.records`, which owns their format; this module opens the files
-and replaces them atomically.  Exit codes: 0 all checks pass (inconclusive
-does not fail), 1 a check failed, 2 config or runtime error, 3 malformed
-trace.
+Config files are strict JSON, read by `suites.load_json` and checked
+against the schema in `minpair.suites`: unknown and repeated fields are
+rejected so experiment files stay self-documenting.  Trace lines are
+written and read by `minpair.records`, which owns their format; this
+module opens the files and replaces them atomically.  Exit codes: 0 all
+checks pass (inconclusive does not fail), 1 a check failed, 2 config or
+runtime error, 3 malformed trace.
 """
 
 from __future__ import annotations
@@ -41,24 +42,9 @@ class RunConfig(NamedTuple):
     end_to_end_checks: Sequence[EndToEndSpec] = ()
 
 
-def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A JSON object whose fields are named once each."""
-    obj: dict[str, object] = {}
-    for name, value in pairs:
-        if name in obj:
-            raise ValueError(f"duplicate field {name!r}")
-        obj[name] = value
-    return obj
-
-
 def parse_config(text: str) -> RunConfig:
     """Strictly parse and validate a config document."""
-    try:
-        raw = json.loads(text, object_pairs_hook=_unique_fields)
-    except json.JSONDecodeError as err:
-        raise SpecError(f"line {err.lineno} column {err.colno}: {err.msg}") from None
-    except (RecursionError, ValueError) as err:  # too deep, too long a number, or a repeat
-        raise SpecError(f"config: {err}") from None
+    raw = suites.load_json(text, "config")
     try:
         got = suites.fields(raw, "config", suites.CONFIG)
     except RecursionError:

@@ -68,14 +68,14 @@ def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | 
 
 def _joint_changes(
     rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
-) -> tuple[tuple[Changes, Changes], Changes]:
-    """Both sides' enumerations, and the jointly enumerated set at each
-    change point of either.
+) -> tuple[tuple[Changes, Changes], dict[int, int]]:
+    """Both sides' enumerations, and the first stage at which each output is
+    enumerated by both sides at once.
 
     Each is kept in rep.derived, keyed by operator contents: a side's
-    enumeration by (operator, side, horizon), the joint sets by (operator
-    of side 0, operator of side 1, horizon).  So the checks of one replay
-    enumerate an operator once per side, whichever pairs name it.
+    enumeration by (operator, side, horizon), the first joint stages by
+    (operator of side 0, operator of side 1, horizon).  So the checks of one
+    replay enumerate an operator once per side, whichever pairs name it.
     """
     memo = rep.derived
     ops = operators.get(e0), operators.get(e1)
@@ -86,11 +86,11 @@ def _joint_changes(
     if (*ops, horizon) not in memo:
         by_stage = [dict(changes) for changes in sides]
         now: list[frozenset[int]] = [frozenset(), frozenset()]
-        joint: Changes = []
+        first: dict[int, int] = {}
         for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
             now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
-            joint.append((s, now[0] & now[1]))
-        memo[(*ops, horizon)] = joint
+            first |= dict.fromkeys((now[0] & now[1]) - first.keys(), s)
+        memo[(*ops, horizon)] = first
     return sides, memo[(*ops, horizon)]
 
 
@@ -110,11 +110,7 @@ def check_preservation(
     pair acts again the window opens at s itself.
     """
     rep = replay_to(trace, horizon, rep)
-    sides, joint = _joint_changes(rep, operators, e0, e1, horizon)
-    found: dict[int, int] = {}
-    for s, outputs in joint:
-        for x in outputs:
-            found.setdefault(x, s)
+    sides, found = _joint_changes(rep, operators, e0, e1, horizon)
     actions = [(s, act.position) for s, act in rep.actions]
     # protector[i]: the least (position, stage) among the actions from the i-th on
     protector = [None]
@@ -152,15 +148,11 @@ def synthesize_joint(
     preservation makes every jointly enumerated bit correct).
     """
     rep = replay_to(trace, horizon, rep)
-    _, joint = _joint_changes(rep, operators, e0, e1, horizon)
+    _, first = _joint_changes(rep, operators, e0, e1, horizon)
     entries: dict[int, tuple[int, int]] = {}
-    for s, outputs in joint:
-        best_here: dict[int, int] = {}
-        for code in outputs:
-            n, k = unpair(code)
-            if k <= 1 and (n not in best_here or k < best_here[n]):
-                best_here[n] = k
-        for n, k in best_here.items():
+    for code, s in sorted(first.items(), key=lambda item: (item[1], item[0])):
+        n, k = unpair(code)
+        if k <= 1:  # pair(n, 0) < pair(n, 1), so at one stage the least bit comes first
             entries.setdefault(n, (k, s))
     return entries
 

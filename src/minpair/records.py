@@ -6,10 +6,11 @@ canonical JSON line per stage, each record an object keyed by its fields,
 then a summary line with the schema version.  A run is mostly quiet stages:
 each is written from one template, a line that is exactly the next quiet
 line is read without parsing, and a trace in memory keeps only the other
-events.  Every other line is read through field tables built from each
-record's fields with the config schema's parsers, so an error names the
-line and the field's JSON path.  It imports no construction code, so
-`verify` and `psi` never load the engine.
+events.  Every other line is read by `suites.load_json` and through field
+tables built from each record's fields with the config schema's parsers,
+so an error, a repeated field too, names the line and the field's JSON
+path.  It imports no construction code, so `verify` and `psi` never load
+the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from typing import NamedTuple
 
 from .arith import position
-from .suites import SpecError, bit, fields, items, list_of, natural
+from .suites import SpecError, bit, fields, items, list_of, load_json, natural
 
 
 class Action(NamedTuple):
@@ -157,12 +158,10 @@ _EVENT, _SUMMARY = _reader(TraceEvent), _reader(TraceSummary)
 
 
 def _record_of(raw) -> TraceEvent | TraceSummary:
-    """The record that a parsed line holds: an event, or the summary."""
+    """The record a parsed line holds: an event, or the summary, its root object's one field."""
     if not (isinstance(raw, dict) and "summary" in raw):
         return _EVENT(raw, "event")
-    if len(raw) > 1:
-        raise SpecError("a summary line holds only the summary")
-    summary = _SUMMARY(raw["summary"], "summary")
+    summary = fields(raw, "", {"summary": (_SUMMARY,)})["summary"]
     if summary.schema != TRACE_SCHEMA:
         raise SpecError(f"unsupported schema {summary.schema}")
     return summary
@@ -171,9 +170,9 @@ def _record_of(raw) -> TraceEvent | TraceSummary:
 def parse_trace(lines) -> Trace:
     """The trace spelled by lines, keeping the events that are not quiet.
     A line that is exactly the quiet line of the next stage is counted
-    without parsing; any other line goes through `json.loads` and the
-    field tables.  The events must carry stages 0, 1, ... in turn, one for
-    each stage below the summary's horizon."""
+    without parsing; any other line goes through `load_json` and the field
+    tables.  The events must carry stages 0, 1, ... in turn, one for each
+    stage below the summary's horizon."""
     kept: list[TraceEvent] = []
     stages = 0  # the event lines read so far
     summary: TraceSummary | None = None
@@ -184,14 +183,9 @@ def parse_trace(lines) -> Trace:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise TraceFormatError(f"line {i}: {err.msg}") from None
-        except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
-            raise TraceFormatError(f"line {i}: {err}") from None
-        if summary is not None:
-            raise TraceFormatError(f"line {i}: records after the summary line")
-        try:
+            raw = load_json(line)
+            if summary is not None:
+                raise SpecError("records after the summary line")
             got = _record_of(raw)
         except SpecError as err:
             raise TraceFormatError(f"line {i}: {err}") from None

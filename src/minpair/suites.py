@@ -12,10 +12,12 @@ whole family, each operator when it is first read, and each operator is
 checked for the use-within-stage bound as it is built.  Absent indices
 behave as everywhere divergent.  The config schema, one field table per
 record, lives here too; it compiles every spec at stage bound 0 to check it.
+So does `load_json`, the one JSON reader, of configs and trace lines alike.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -50,22 +52,47 @@ def _is_bit(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; if it names a field twice, None (no JSON key,
+    and kept by `tagged`) maps to the first such name, for `fields` to reject."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj[None] = next(name for i, (name, _) in enumerate(pairs) if name in dict(pairs[:i]))
+    return obj
+
+
+def load_json(text: str, document: str = ""):
+    """The JSON value of a config `document`, or of a trace line; a SpecError names a
+    document's syntax error by line and column, and its other errors by the document."""
+    try:
+        return json.loads(text, object_pairs_hook=_object)
+    except json.JSONDecodeError as err:
+        at = f"line {err.lineno} column {err.colno}: " if document else ""
+        raise SpecError(at + err.msg) from None
+    except (RecursionError, ValueError) as err:  # nested too deeply, or too long a number
+        raise SpecError(f"{document}: {err}" if document else str(err)) from None
+
+
 def fields(raw, path: str, table: dict) -> dict:
-    """The fields of the JSON object `raw`, each parsed by its entry in `table`."""
+    """The fields of the JSON object `raw`, each parsed by its entry in `table`;
+    field `name` is at path.name, or at name when `raw` is a nameless root (path "")."""
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: must be an object")
+    at = f"{path}." if path else ""
+    if None in raw:  # `load_json` read a field twice
+        raise SpecError(f"{at}{raw[None]}: duplicate field")
     for name in raw:
         if name not in table:
-            raise SpecError(f"{path}.{name}: unknown field")
+            raise SpecError(f"{at}{name}: unknown field")
     got = {}
     for name, entry in table.items():  # (parse,) or (parse, default)
         parse = entry[0]
         if name in raw:
-            got[name] = parse(raw[name], f"{path}.{name}")
+            got[name] = parse(raw[name], at + name)
         elif len(entry) == 1:
-            raise SpecError(f"{path}.{name}: missing field")
+            raise SpecError(f"{at}{name}: missing field")
         else:
-            got[name] = None if entry[1] is None else parse(entry[1], f"{path}.{name}")
+            got[name] = None if entry[1] is None else parse(entry[1], at + name)
     return got
 
 

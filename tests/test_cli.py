@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,25 +237,28 @@ def test_probe_field_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, name",
+    "text, where",
     [
-        ('{"horizon": 10, "horizon": 20, "suite": {"functionals": [], "operators": []}}', "horizon"),
+        (
+            '{"horizon": 10, "horizon": 20, "suite": {"functionals": [], "operators": []}}',
+            "config.horizon",
+        ),
         (
             '{"horizon": 10, "suite": {"functionals": '
             '[{"kind": "total_const", "value": 0, "value": 1}], "operators": []}}',
-            "value",
+            "config.suite.functionals[0].value",
         ),
     ],
     ids=["top", "nested"],
 )
-def test_repeated_field_is_rejected(tmp_path, capsys, text, name):
-    """A field named twice in one object is a config error, not a last-wins read."""
-    with pytest.raises(SpecError, match=rf"^config: duplicate field '{name}'$"):
+def test_repeated_field_is_rejected(tmp_path, capsys, text, where):
+    """A field named twice in one object is a config error at its path, not a last-wins read."""
+    with pytest.raises(SpecError, match=rf"^{re.escape(where)}: duplicate field$"):
         parse_config(text)
     config = tmp_path / "c.json"
     config.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o.trace")]) == 2
-    assert capsys.readouterr().err == f"minpair: config: duplicate field '{name}'\n"
+    assert capsys.readouterr().err == f"minpair: {where}: duplicate field\n"
     assert not (tmp_path / "o.trace").exists()
 
 
@@ -615,6 +619,30 @@ def test_malformed_trace_names_line_and_field(tmp_path, scenario_trace, capsys, 
     assert main(["verify", "--trace", str(path), "--config", "configs/scenario.json"]) == 3
     err = capsys.readouterr().err
     assert err == f"minpair: malformed trace: line {index + 1}: {message}\n"
+
+
+# Raw-text edits of the scenario trace that name a field twice, each with the
+# 0-based line it edits, the text it replaces and the path the error names.
+# A reader that keeps the last value reads each as the unedited trace.
+TRACE_REPEATS = {
+    "event-stage": (2, '"stage":2}', '"stage":2,"stage":2}', "event.stage"),
+    "action-witness": (2, '"witness":1}', '"witness":1,"witness":1}', "event.action.witness"),
+    "summary": (5, '{"summary":', '{"summary":{},"summary":', "summary"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_REPEATS))
+def test_repeated_trace_field_is_rejected(tmp_path, scenario_trace, capsys, name):
+    """A field named twice in any record of a trace line exits 3 with the line and its path."""
+    index, old, new, where = TRACE_REPEATS[name]
+    lines = trace_lines(scenario_trace)
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new, 1)
+    path = tmp_path / "repeat.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--trace", str(path), "--config", "configs/scenario.json"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"minpair: malformed trace: line {index + 1}: {where}: duplicate field\n"
 
 
 def test_verify_schema_invalid_trace_exits_3(tmp_path, scenario_config_path, capsys):
@@ -1124,6 +1152,147 @@ def test_corrupted_trace_ends_in_an_exit_code(injury_run, data):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert corrupted == lines
+
+
+# -- malformed input of any kind ----------------------------------------------
+
+REPEAT = object()  # the key of (field, value): a mutated object names that field again
+
+
+class Raw(NamedTuple):
+    text: str  # written as it stands: lists nested deeply, or a number too long to read
+
+
+def dump(node) -> str:
+    """node as JSON with sorted keys and no spaces, so that an unmutated
+    trace line keeps its canonical text; a Raw value and a REPEAT entry
+    are written as text that no JSON writer would produce."""
+    if isinstance(node, Raw):
+        return node.text
+    if isinstance(node, list):
+        return "[" + ",".join(map(dump, node)) + "]"
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    pairs = sorted((item for item in node.items() if item[0] is not REPEAT), key=lambda i: i[0])
+    pairs += [node[REPEAT]] if REPEAT in node else []
+    return "{" + ",".join(f"{json.dumps(k)}:{dump(v)}" for k, v in pairs) + "}"
+
+
+def objects(node) -> list[dict]:
+    """Every JSON object in node, node itself included."""
+    if isinstance(node, list):
+        return [found for child in node for found in objects(child)]
+    if isinstance(node, dict):
+        return [node] + objects(list(node.values()))
+    return []
+
+
+MUTATIONS = ("drop", "repeat", "retype", "negative", "huge", "deep", "non_utf8", "truncate")
+scalars = st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False)
+any_json = st.recursive(
+    scalars | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner),
+    max_leaves=4,
+)
+TOO_LONG = Raw("1" + "0" * 5000)  # more digits than Python converts to an int
+
+
+def mutate_field(data, root: dict, mutation: str) -> None:
+    """Drop, name twice, retype, make negative or huge, or nest deeply one
+    field of the JSON document root, in place.  `horizon` is made huge only
+    as a number too long to read: a huge horizon is a long run, not
+    malformed input."""
+    if mutation == "repeat":
+        node = data.draw(st.sampled_from(objects(root)).filter(bool))
+        name = data.draw(st.sampled_from(sorted(node)))
+        node[REPEAT] = (name, node[name] if data.draw(st.booleans()) else data.draw(any_json))
+        return
+    node = root
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        if not (isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans())):
+            break
+        node = node[key]
+    if mutation == "drop":
+        del node[key]
+    elif mutation == "retype":
+        node[key] = data.draw(any_json)
+    elif mutation == "negative":
+        node[key] = -data.draw(st.integers(1, 10**30))
+    elif mutation == "huge":
+        huge = [TOO_LONG] if key == "horizon" else [2**64, 10**30, TOO_LONG]
+        node[key] = data.draw(st.sampled_from(huge))
+    else:
+        depth = data.draw(st.sampled_from([3, 800, 100_000]))
+        node[key] = Raw("[" * depth + "]" * depth)
+
+
+@pytest.fixture(scope="module")
+def malformed_corpus(tmp_path_factory):
+    """(directory, name, config, trace lines) of three small runs, one with
+    operators; the config is at <name>.json and the trace at <name>.trace."""
+    root = tmp_path_factory.mktemp("malformed")
+    corpus = []
+    for name, raw in [
+        ("injury", json.loads(Path("configs/injury.json").read_text(encoding="utf-8"))),
+        ("parity", json.loads(Path("configs/parity_demo.json").read_text(encoding="utf-8"))),
+        ("random", random_config(4, 60)),
+    ]:
+        config = write_config(root / f"{name}.json", raw)
+        assert main(["run", "--config", config, "--out", str(root / f"{name}.trace")]) == 0
+        lines = (root / f"{name}.trace").read_text(encoding="utf-8").splitlines()
+        assert all(dump(json.loads(line)) == line for line in lines)
+        corpus.append((root, name, raw, lines))
+    return corpus
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_malformed_input_ends_in_an_exit_code(malformed_corpus, data):
+    """A config or trace with one field dropped, repeated, retyped, negative,
+    huge or nested deeply, or with a byte that is not UTF-8, or truncated:
+    `run`, `verify` and `psi` exit 0, 1, 2 or 3 and raise nothing, and exits
+    2 and 3 print one line.  A repeated field exits 2 in a config and 3 in a
+    trace, and `verify` passes a trace only if it reads as the unmutated one."""
+    root, name, raw, lines = data.draw(st.sampled_from(malformed_corpus))
+    in_config = data.draw(st.booleans())
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    original = (json.dumps(raw) if in_config else "\n".join(lines) + "\n").encode("utf-8")
+    if mutation in ("non_utf8", "truncate"):
+        at = data.draw(st.integers(0, len(original) - 1))
+        content = original[:at] + (b"\xff" + original[at:] if mutation == "non_utf8" else b"")
+    elif in_config:
+        doc = json.loads(original)
+        mutate_field(data, doc, mutation)
+        content = dump(doc).encode("utf-8")
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[i])
+        mutate_field(data, record, mutation)
+        content = ("\n".join(lines[:i] + [dump(record)] + lines[i + 1:]) + "\n").encode("utf-8")
+    bad = root / "bad"
+    bad.write_bytes(content)
+    good_trace = str(root / f"{name}.trace")
+    config = str(bad) if in_config else str(root / f"{name}.json")
+    trace = good_trace if in_config else str(bad)
+    commands = [
+        ["verify", "--trace", trace, "--config", config, "--report", str(root / "report.json")],
+        ["psi", "--trace", trace, "--config", config, "--e0", "0", "--e1", "1", "--bound", "40"],
+    ]
+    if in_config:
+        commands.append(["run", "--config", config, "--out", str(root / "out.trace")])
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code >= 2:
+            assert err.getvalue().startswith("minpair: ") and err.getvalue().count("\n") == 1
+        if mutation == "repeat":
+            assert code == (2 if in_config else 3), (argv[0], err.getvalue())
+        if code == 0 and argv[0] == "verify" and not in_config:
+            assert read_trace(trace) == read_trace(good_trace)
 
 
 def parity_demo_with_bound(tmp_path, bound) -> str:

@@ -31,3 +31,20 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_only_suites_reads_json():
+    """`suites.load_json` is the one JSON reader: no other module reads JSON
+    with `json.load` or `json.loads`, by attribute or by import."""
+    readers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if {"json.load", "json.loads"} & set(names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert [reader.split(":")[0] for reader in readers] == ["suites.py"]
