@@ -6,6 +6,9 @@ they change, the structural checks verify the invariants the construction
 promises (class bounds, single entry, witness and removal discipline, the
 opposite-side preservation lemma, quiescent finite action), and the
 capture check confirms its behavioural guarantee at a finite horizon.
+Capture finds its actionable stage with the oracle's scan
+(`suites.least_settle`), and capture and witness discipline read a side's
+converged class members through one helper, `_converged`.
 
 `STRUCTURAL` names the structural checks in report order.  They run in one
 pass over the run's actions, each keeping its first counterexample, and a
@@ -28,11 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from typing import Mapping, NamedTuple
 
 from .arith import class_index, class_members, position
 from .records import Action, Trace, TraceFormatError
-from .suites import FunctionalSuite
+from .suites import FunctionalSuite, least_settle
 
 # The home module of each name resolved on first use.
 _LAZY = {
@@ -230,12 +234,14 @@ def _witness_fault(
         return None
     if suite.query(act.e, act.witness, s) is None:
         return "witness not converged"
-    if any(
-        class_index(m) == act.e and suite.query(act.e, m, s) is not None
-        for m in rep.entering[s][act.side]
-    ):
+    if _converged(suite, rep.entering[s][act.side], act.e, s):
         return "class already satisfied"
     return None
+
+
+def _converged(suite: FunctionalSuite, members, e: int, s: int) -> list[int]:
+    """The class-e points among a side's members that converge by stage s, ascending."""
+    return sorted(m for m in members if class_index(m) == e and suite.query(e, m, s) is not None)
 
 
 def _removal_fault(
@@ -385,31 +391,26 @@ def check_capture(
 
     Once the stronger pairs are quiet their restraint bound is frozen, so
     the first such stage is the least settle stage of a class member above
-    the bound (or the first quiet stage, if later).
+    the bound (or the first quiet stage, if later).  `least_settle` finds it
+    and stops there, so the check settles no class point at or above that
+    stage, only the side's members.
     """
     rep = replay_to(trace, horizon, rep)
     p = position(e, side)
     last_stronger = max((u for u, act in rep.actions if act.position < p), default=-1)
     start = max(p, last_stronger) + 1
-    settled: list[tuple[int, int]] = []  # (n, settle stage) below the horizon
+    least = None  # (stage, n) of least_settle above the frozen bound
     if start < horizon:
         bound = _stronger_restraint_bound(rep.restraints_entering[start], p)
-        for n in class_members(e, horizon, bound):
-            hit = suite.settle(e, n, horizon - 1)
-            if hit is not None:
-                settled.append((n, hit[1]))
-    if not settled:
+        least = least_settle(partial(suite.settle, limit=horizon), e, bound, horizon)
+    if least is None:
         check = CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")
         return _report([check])
-    s = max(start, min(stage for _, stage in settled))
-    captured = sorted(
-        m
-        for m in rep.entering[horizon][side]
-        if class_index(m) == e and suite.query(e, m, horizon) is not None
-    )
+    s = max(start, least[0])
+    captured = _converged(suite, rep.entering[horizon][side], e, horizon)
     if captured:
         check = CheckResult.of("capture", "pass", witness=captured[0], actionable_stage=s)
-    else:
-        eligible = tuple(n for n, stage in settled if stage <= s)
+    else:  # a point settled by stage s lies below s
+        eligible = tuple(n for n in class_members(e, s, bound) if suite.settle(e, n, s))
         check = CheckResult.of("capture", "fail", actionable_stage=s, eligible=eligible)
     return _report([check])

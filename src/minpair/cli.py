@@ -127,17 +127,14 @@ def _lines(fh, path):
 # report persistence
 
 
-def report_json_obj(report: VerificationReport) -> dict:
-    return {
+def serialize_report(report: VerificationReport) -> str:
+    obj = {
         "checks": [
             {"name": c.name, "verdict": c.verdict, "detail": dict(c.detail)} for c in report.checks
         ],
         "meta": dict(report.meta),
     }
-
-
-def serialize_report(report: VerificationReport) -> str:
-    return json.dumps(report_json_obj(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

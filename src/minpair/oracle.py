@@ -10,26 +10,11 @@ trace for trace (`verify --checks oracle`).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .arith import class_index, class_members, position
 from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
-from .suites import FunctionalSuite
-
-
-def _least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | None:
-    """(stage, n): the least settle stage below the horizon of a class-e
-    point above bound, and the least point that settles then; None if no
-    such point settles before the horizon.  settle(e, n) is the point's
-    settle stage, or None."""
-    best, stop = None, horizon
-    for n in class_members(e, horizon, bound):
-        if n + 1 >= stop:  # n and every later point settle after stage n
-            break
-        stage = settle(e, n)
-        if stage is not None and stage < stop:
-            best, stop = (stage, n), stage
-    return best
+from .suites import FunctionalSuite, least_settle
 
 
 def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0) -> Trace:
@@ -40,25 +25,22 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
     actions each requirement's stronger-restraint bound and its held state
     are frozen.  An unheld requirement p = (e, side) is then first eligible
     at the largest of: the next stage, p + 1, and the least settle stage of
-    a class-e point above its bound.  The least p with the least such stage
+    a class-e point above its bound (`least_settle`, which capture reads
+    too).  The least p with the least such stage
     acts there, with the least class point above the bound settled by then
-    as its witness; every stage before it is quiet.  Only present
-    functionals are scanned: absent ones diverge, so never act or hold a
-    restraint.  The trace keeps the actions and the snapshots, and must be
-    identical to the engine's.
+    as its witness; every stage before it is quiet.  Every index below
+    suite.classes is scanned: build_suite leaves no gap, and an absent
+    index diverges, so it never acts.  The trace keeps the actions and the
+    snapshots, and must be identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
+    requirements = [(position(e, side), e, side) for e in range(suite.classes) for side in (0, 1)]
     members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
     restraints: dict[int, int] = {}
 
-    @cache  # points are revisited
-    def settle(e: int, n: int) -> int | None:
-        hit = suite.settle(e, n, horizon)
-        return None if hit is None else hit[1]
-
-    # p -> _least_settle above p's bound.  Bounds only rise, so an entry
+    settle = cache(partial(suite.settle, limit=horizon))  # points are revisited
+    # p -> least_settle above p's bound.  Bounds only rise, so an entry
     # stays right while its point is above p's bound.
     least: dict[int, tuple[int, int] | None] = {}
     acted: dict[int, tuple[Action, tuple[Removal, ...], Snapshot]] = {}  # stage -> event
@@ -72,7 +54,7 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
             if any(class_index(m) == e for m in members[side]):
                 continue
             if p not in least or least[p] is not None and least[p][1] <= bound:
-                least[p] = _least_settle(settle, e, bound, horizon)
+                least[p] = least_settle(settle, e, bound, horizon)
             if least[p] is None:
                 continue
             t = max(s, p + 1, least[p][0])
@@ -82,8 +64,8 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
             break
         t, p, e, side, bound = chosen
         for witness in class_members(e, horizon, bound):
-            stage = settle(e, witness)
-            if stage is not None and stage <= t:
+            hit = settle(e, witness)
+            if hit is not None and hit[1] <= t:
                 break
         opposite = members[1 - side]
         removals = []

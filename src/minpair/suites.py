@@ -10,7 +10,10 @@ language (tagged records, parsed from config files) or as register-machine
 programs run with a step budget equal to the stage.  build_suite compiles a
 whole family, each operator when it is first read, and each operator is
 checked for the use-within-stage bound as it is built.  Absent indices
-behave as everywhere divergent.  The config schema, one field table per
+behave as everywhere divergent; build_suite leaves none below `classes`.
+`least_settle` is the one scan for the least settle stage of a class point
+above a bound, which the reference oracle and capture both read; the stage
+bound lets it stop early.  The config schema, one field table per
 record, lives here too; it compiles every spec at stage bound 0 to check it.
 So does `load_json`, the one JSON reader, of configs and trace lines alike.
 """
@@ -22,7 +25,7 @@ import random
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .arith import class_index, pair, unpair
+from .arith import class_index, class_members, pair, unpair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -252,14 +255,6 @@ class StagedFunctional:
         return self
 
 
-class TotalConst(StagedFunctional):
-    def __init__(self, value: int):
-        self.value = value
-
-    def settle(self, n, limit):
-        return self.value, 0
-
-
 class TotalFn(StagedFunctional):
     """Finite table of bits continued by a fill rule beyond its end."""
 
@@ -320,11 +315,6 @@ class RandomPartial(StagedFunctional):
         return self if self.seed is not None else RandomPartial(self.density, self.rule, seed)
 
 
-class EmptyFunctional(StagedFunctional):
-    def settle(self, n, limit):
-        return None
-
-
 class TablePartial(StagedFunctional):
     """Explicit finite domain with a per-point first visible stage."""
 
@@ -365,7 +355,7 @@ def _entries(raw, path: str) -> dict[int, tuple[int, int]]:
 
 
 FUNCTIONAL_KINDS = {
-    "total_const": (TotalConst, {"value": (bit,)}),
+    "total_const": (lambda value: TotalFn((value,), "cycle"), {"value": (bit,)}),
     "total_fn": (
         TotalFn,
         {"table": (list_of(bit),), "fill": (one_of("cycle", "zero", "one"), "cycle")},
@@ -380,7 +370,7 @@ FUNCTIONAL_KINDS = {
             "seed": (integer, None),  # None: the config's seed
         },
     ),
-    "empty": (EmptyFunctional, {}),
+    "empty": (lambda: TablePartial({}), {}),
     "table_partial": (TablePartial, {"entries": (_entries,)}),
     "machine": (MachineFunctional, {"program": (parse_program,)}),
 }
@@ -584,8 +574,21 @@ class FunctionalSuite:
         hit = self.settle(e, n, s)
         return None if hit is None else hit[0]
 
-    def indices(self) -> list[int]:
-        return sorted(self._entries)
+
+def least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | None:
+    """(stage, n): the least settle stage below the horizon of a class-e
+    point above bound, and the least point that settles then; None if no
+    such point settles before the horizon.  settle(e, n) returns what
+    FunctionalSuite.settle returns.  The scan stops at the first point that
+    the stage bound keeps from settling before the best stage found."""
+    best, stop = None, horizon
+    for n in class_members(e, horizon, bound):
+        if n + 1 >= stop:  # n and every later point settle after stage n
+            break
+        hit = settle(e, n)
+        if hit is not None and hit[1] < stop:
+            best, stop = (hit[1], n), hit[1]
+    return best
 
 
 class OperatorSuite:

@@ -41,15 +41,16 @@ def reference_run(
 
     Recomputes memberships, provenance, and restraints from the event
     history at every stage instead of carrying state, so it is quadratic in
-    the horizon.  Its only shortcuts: it scans just the positions of present
-    functionals (absent ones diverge, so never act or hold a restraint), and
+    the horizon.  Its only shortcuts: it scans just the positions of indices
+    below suite.classes (those above diverge, so never act or hold a
+    restraint), and
     keeps the stronger-restraint bound as a running max over that scan.
     Must produce a trace identical to the engine's, which keeps only the
     events that are not quiet.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    requirements = [(position(e, side), e, side) for e in suite.indices() for side in (0, 1)]
+    requirements = [(position(e, side), e, side) for e in range(suite.classes) for side in (0, 1)]
     events: list[TraceEvent] = []
     for s in range(horizon):
         sides = (_members_from_events(events, 0), _members_from_events(events, 1))

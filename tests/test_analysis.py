@@ -562,6 +562,33 @@ def test_capture_fails_on_idle_forged_trace(scenario_suite):
     assert dict(check.detail)["actionable_stage"] == 2
 
 
+def test_capture_settles_no_point_at_or_above_its_actionable_stage():
+    """Work budget: a capture that passes or fails settles no class point at
+    or above its actionable stage other than the side's members, on engine
+    traces of `random_config` seeds 0-9 at horizon 800 and on forgeries in
+    which the requirement never acts, for every (e, side)."""
+    horizon, verdicts, wasted = 800, Counter(), []
+    for seed in range(10):
+        raw = random_config(seed, horizon)
+        fsuite = make_suites(raw)[0]
+        settle, calls = fsuite.settle, []
+        fsuite.settle = lambda e, n, limit: calls.append(n) or settle(e, n, limit)
+        trace = engine.run(fsuite, horizon, raw["snapshot_every"])
+        for e in range(fsuite.classes + 1):
+            for side in (0, 1):
+                kept = [ev for ev in trace.kept if not (ev.action and ev.action[:2] == (e, side))]
+                for run in (trace, Trace(kept, trace.summary)):
+                    members = replay(run).final()[side]
+                    calls.clear()
+                    check = check_capture(run, fsuite, e, side, horizon).find("capture")
+                    verdicts[check.verdict] += 1
+                    if check.verdict != "inconclusive":
+                        s = dict(check.detail)["actionable_stage"]
+                        wasted += [(seed, e, side, n) for n in calls if n >= s and n not in members]
+    assert wasted == []
+    assert verdicts["pass"] >= 50 and verdicts["fail"] >= 50, verdicts
+
+
 # -- preservation check --------------------------------------------------------
 
 

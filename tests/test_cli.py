@@ -1358,3 +1358,19 @@ def test_memory_grows_with_kept_events_not_with_stages(tmp_path, seed):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def test_corpus_digest_repeats_its_digests():
+    """`tests/corpus_digest.py` gives a config the same digest on every run,
+    so the outputs of two source trees differ only where their commands do;
+    the configs differ, and so do their digests."""
+    import time
+
+    import corpus_digest
+
+    configs = [random_config(0, 200), corpus_digest.parity_stretched(200)]
+    start = time.perf_counter()
+    first = [corpus_digest.digest(config) for config in configs]
+    assert [corpus_digest.digest(config) for config in configs] == first
+    assert time.perf_counter() - start < 5
+    assert len(set(first)) == 2 and all(re.fullmatch("[0-9a-f]{64}", d) for d in first)

@@ -303,7 +303,7 @@ def test_stability_sweep_on_random_suites():
     for seed in (0, 1, 2):
         raw = random_config(seed, horizon=60)["suite"]["functionals"]
         fsuite, _ = build_suite(raw, [], 60, default_seed=seed)
-        for e in fsuite.indices():
+        for e in range(fsuite.classes):
             for n in range(40):
                 settled = None
                 for s in range(61):
