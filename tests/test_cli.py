@@ -1374,3 +1374,30 @@ def test_corpus_digest_repeats_its_digests():
     assert [corpus_digest.digest(config) for config in configs] == first
     assert time.perf_counter() - start < 5
     assert len(set(first)) == 2 and all(re.fullmatch("[0-9a-f]{64}", d) for d in first)
+
+
+def test_scale_script_compares_a_tree_with_itself(tmp_path):
+    """`tests/scale.py` with this tree as its own parent, at horizon 200 on
+    two configs: every field is there, and the outputs are identical."""
+    import time
+
+    import scale
+
+    out = tmp_path / "bench.json"
+    start = time.perf_counter()
+    argv = ["--parent", str(scale.ROOT), "--out", str(out), "--horizon", "200", "--rounds", "2"]
+    assert scale.main([*argv, "--only", "random-0,parity_demo"]) == 0
+    assert time.perf_counter() - start < 5
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert {"machine", "python", "nproc", "git_sha", "method"} <= set(bench["meta"])
+    assert list(bench["configs"]) == ["random-0", "parity_demo"]
+    for result in bench["configs"].values():
+        assert result["horizon"] == 200 and result["identical"] is True
+        assert result["parent"]["trace_sha256"] == result["change"]["trace_sha256"]
+        assert result["parent"]["report_sha256"] == result["change"]["report_sha256"]
+        assert isinstance(result["meets_100x"], bool)
+        for tree in ("parent", "change"):
+            for command in ("run", "verify"):
+                timing = result[tree][command]
+                assert len(timing["s"]) == len(timing["peak_rss_mb"]) == 2
+                assert timing["exit_codes"] == [0, 0] and timing["median_s"] > 0

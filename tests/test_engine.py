@@ -5,14 +5,10 @@ from collections import Counter
 import pytest
 
 from conftest import make_suites
-from minpair.engine import (
-    Action,
-    ConstructionState,
-    Removal,
-    Trace,
-    run,
-    step,
-)
+from minpair import engine
+from minpair.analysis import replay
+from minpair.arith import class_index
+from minpair.engine import MUTATIONS, Action, Removal, Trace, run
 
 
 def scenario_suite(value=0):
@@ -31,30 +27,24 @@ def test_step_by_step_walkthrough():
     (3 exceeds the restraint 2); nothing is removed because the only other
     insertion was made by a stronger pair.
     """
-    fsuite = scenario_suite()
-    state = ConstructionState(5)
+    trace = run(scenario_suite(), 5, snapshot_every=1)
+    events = trace.events
 
-    ev0 = step(state, fsuite)
-    assert ev0.stage == 0 and ev0.action is None
+    assert events[0].stage == 0 and events[0].action is None
+    assert events[1].action is None
 
-    ev1 = step(state, fsuite)
-    assert ev1.action is None
+    assert events[2].action == Action(e=0, side=0, witness=1, restraint=2)
+    assert events[2].removals == ()
+    assert events[2].snapshot.side0 == (1,)
 
-    ev2 = step(state, fsuite)
-    assert ev2.action == Action(e=0, side=0, witness=1, restraint=2)
-    assert ev2.removals == ()
-    assert state.members(0) == (1,)
+    assert events[3].action is None
 
-    ev3 = step(state, fsuite)
-    assert ev3.action is None
+    assert events[4].action == Action(e=0, side=1, witness=3, restraint=4)
+    assert events[4].removals == ()
 
-    ev4 = step(state, fsuite)
-    assert ev4.action == Action(e=0, side=1, witness=3, restraint=4)
-    assert ev4.removals == ()
-
-    assert state.members(0) == (1,)
-    assert state.members(1) == (3,)
-    assert state.restraints == {0: 2, 1: 4}
+    assert events[4].snapshot.side0 == (1,)
+    assert events[4].snapshot.side1 == (3,)
+    assert trace.summary.restraints == ((0, 2), (1, 4))
 
 
 def test_run_horizon_zero_is_empty():
@@ -190,3 +180,52 @@ def test_run_settles_each_point_at_most_once():
     assert any(ev.action for ev in trace.events)
     assert len(calls) <= 4000 and max(calls.values()) == 1
 
+
+def test_run_rejects_an_unknown_mutation_at_horizon_zero():
+    with pytest.raises(ValueError):
+        run(scenario_suite(), 0, mutation="bogus")
+
+
+def budget_runs():
+    """(suite, horizon, mutation) over random_config seeds 0-9 at horizons
+    800 and 3200, with no mutation and under each mutation."""
+    from config_gen import random_config
+
+    for seed in range(10):
+        for horizon in (800, 3200):
+            for mutation in (None, *MUTATIONS):
+                yield make_suites(random_config(seed, horizon))[0], horizon, mutation
+
+
+def test_run_settles_only_points_that_can_still_be_witnesses():
+    """A point n is settled, at stage n + 1, exactly when its class is
+    indexed and, unless restraints are skipped, some side entering stage
+    n + 1 holds no member of its class."""
+    for fsuite, horizon, mutation in budget_runs():
+        settle, calls = fsuite.settle, []
+        fsuite.settle = lambda e, n, limit: calls.append(n) or settle(e, n, limit)
+        entering = replay(run(fsuite, horizon, mutation=mutation)).entering
+
+        def settles(n):
+            e = class_index(n)
+            if e >= fsuite.classes:
+                return False
+            sides = entering[n + 1]
+            return mutation == "skip_restraints" or any(e not in map(class_index, s) for s in sides)
+
+        assert calls == [n for n in range(1, horizon - 1) if settles(n)], (horizon, mutation)
+
+
+def test_run_scans_only_when_the_answer_may_have_changed(monkeypatch):
+    """Scans: at most one per stage up to 2 * classes, one after each
+    action, and one per point that converges."""
+    scans, find_actor = [], engine._find_actor
+    monkeypatch.setattr(engine, "_find_actor", lambda *args: scans.append(1) or find_actor(*args))
+    for fsuite, horizon, mutation in budget_runs():
+        scans.clear()
+        settle, hits = fsuite.settle, []
+        fsuite.settle = lambda e, n, limit: hits.append(settle(e, n, limit)) or hits[-1]
+        trace = run(fsuite, horizon, mutation=mutation)
+        actions = sum(ev.action is not None for ev in trace.kept)
+        budget = 2 * fsuite.classes + 1 + actions + sum(hit is not None for hit in hits)
+        assert len(scans) <= budget, (horizon, mutation)
