@@ -17,7 +17,8 @@ and hashes, in order:
 
 It prints one `name sha256` line per config.  Run it under the source trees
 of two commits (through PYTHONPATH) and `diff` the outputs: equal lines mean
-byte-identical traces, reports, exit codes and rows.  Uses only the stdlib.
+byte-identical traces, reports, exit codes and rows.  `tests/golden/corpus-digests.txt`
+holds these lines, and `tests/test_golden.py` compares them.  Uses only the stdlib.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ def digest(config: dict) -> str:
     return sha.hexdigest()
 
 
+def digests() -> str:
+    """One `name sha256` line per config of the corpus."""
+    return "".join(f"{name} {digest(config)}\n" for name, config in corpus())
+
+
 if __name__ == "__main__":
-    for name, config in corpus():
-        sys.stdout.write(f"{name} {digest(config)}\n")
+    sys.stdout.write(digests())

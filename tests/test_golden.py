@@ -4,7 +4,9 @@
 and of `configs/injury.json` under each engine mutation, with the report's
 `meta` paths replaced by file names.  `engine-traces.json` holds the sha256
 of the trace lines of `random_config` seeds 0-9 at horizon 800, with no
-mutation and under each engine mutation.  A change that is meant to alter
+mutation and under each engine mutation.  `corpus-digests.txt` holds what
+`tests/corpus_digest.py` prints: one sha256 per config of the ROADMAP corpus,
+over its trace, reports and `psi` rows.  A change that is meant to alter
 a report or a trace rewrites them all with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -21,6 +23,7 @@ import pytest
 
 from config_gen import random_config
 from conftest import make_suites
+from corpus_digest import digests
 from minpair import engine
 from minpair.cli import build_suites, load_config, main, write_trace
 from minpair.records import trace_lines
@@ -35,6 +38,7 @@ CASES = [(path.stem, path, None) for path in sorted(CONFIGS.glob("*.json"))] + [
 
 TRACE_SEEDS, TRACE_HORIZON = range(10), 800
 TRACES = GOLDEN / "engine-traces.json"
+DIGESTS = GOLDEN / "corpus-digests.txt"
 
 
 def trace_digests() -> dict[str, str]:
@@ -80,10 +84,16 @@ def test_mutated_engine_traces_match_golden():
     assert trace_digests() == json.loads(TRACES.read_text(encoding="utf-8"))
 
 
+def test_corpus_digests_match_golden():
+    assert digests() == DIGESTS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     TRACES.write_text(json.dumps(trace_digests(), indent=2) + "\n", encoding="utf-8")
     print(f"wrote {TRACES}", file=sys.stderr)
+    DIGESTS.write_text(digests(), encoding="utf-8")
+    print(f"wrote {DIGESTS}", file=sys.stderr)
     for stem, config_path, mutation in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{stem}.json").write_text(

@@ -279,6 +279,25 @@ def test_random_partial_density_close_to_target():
             assert abs(realized / 10_000 - target) < 0.02
 
 
+def test_random_partial_takes_the_config_seed_unless_it_names_one():
+    """A random_partial without `seed` takes the config's seed, also two levels
+    inside `delayed`; its own `seed` overrides the config's."""
+    rp = {"kind": "random_partial", "density": 0.5, "values": "random"}
+    zero = {"a": 0, "b": 0}  # delays nothing: the stage bound comes later anyway
+    nested = {"kind": "delayed", "inner": {"kind": "delayed", "inner": rp, "delay": zero}}
+    nested["delay"] = zero
+
+    def settles(functionals, seed):
+        raw = {"horizon": 200, "seed": seed, "suite": {"functionals": functionals}}
+        fsuite, _ = build_suites(parse_config(json.dumps(raw)))
+        return [[fsuite.settle(e, n, 200) for n in range(100)] for e in range(len(functionals))]
+
+    got = settles([rp, nested, dict(rp, seed=3)], 7)
+    (seed_7,), (seed_3,) = settles([dict(rp, seed=7)], 0), settles([dict(rp, seed=3)], 0)
+    assert seed_7 != seed_3
+    assert got == [seed_7, seed_7, seed_3]
+
+
 def test_queries_are_pure_under_randomized_schedules():
     fsuite, _ = build_suite(
         [
