@@ -17,11 +17,12 @@ A check's report carries no `meta`; `verify` adds its own.
 
 The reference oracle (`reference_run`) lives in `oracle` and the operator
 layer (enumerations, preservation, the joint table, the diagonal set and
-the end-to-end check) in `joint`.  Their names, and `operators.evaluate`,
-are attributes of this module too, resolved on first use: a command loads
-the oracle or the operator layer only when one of its checks needs it,
-and callers keep one namespace in which a tracer or a test can replace a
-function for every caller, `joint`'s own calls included.
+the end-to-end check) in `joint`.  All but the enumerations, and
+`operators.evaluate`, are attributes of this module too, resolved on first
+use (`_LAZY`): a command loads the oracle or the operator layer only when
+one of its checks needs it, and callers keep one namespace in which a
+tracer or a test can replace a function for every caller, `joint`'s own
+calls included.
 
 Indexing convention, shared with the engine: memberships entering stage s
 reflect all actions of stages < s; entering[horizon] is the final state.
@@ -42,15 +43,7 @@ from .suites import FunctionalSuite, least_settle
 _LAZY = {
     "reference_run": "oracle",
     **dict.fromkeys(
-        (
-            "enumeration",
-            "_first_without",
-            "check_preservation",
-            "synthesize_joint",
-            "derive_diagonal",
-            "check_end_to_end",
-        ),
-        "joint",
+        ("check_preservation", "synthesize_joint", "derive_diagonal", "check_end_to_end"), "joint"
     ),
     "evaluate": "operators",
 }

@@ -1,15 +1,15 @@
 """Stage-by-stage finite-injury construction of the two membership sets.
 
 At stage s the engine scans requirement pairs (e, side) in priority order
-(position 2e + side, positions below s and below 2 * (max index + 1) only)
-and lets the least eligible pair act.  A pair is eligible when its
-valuation class meets the candidate functional's stage-s domain nowhere
-inside the pair's current side, and the class contains a witness,
-converged by stage s, exceeding every stronger pair's restraint.  Acting
-inserts the least such witness into the pair's side, removes every weaker
-insertion from the opposite side, and raises the pair's restraint to s.
-One action per stage, exactly; a stage with no eligible pair is quiet,
-and a run passes its event on but does not keep it.
+(position 2e + side, positions below s and below 2 * classes only, a
+class per functional) and lets the least eligible pair act.  A pair is
+eligible when its valuation class meets the candidate functional's
+stage-s domain nowhere inside the pair's current side, and the class
+contains a witness, converged by stage s, exceeding every stronger pair's
+restraint.  Acting inserts the least such witness into the pair's side,
+removes every weaker insertion from the opposite side, and raises the
+pair's restraint to s.  One action per stage, exactly; a stage with no
+eligible pair is quiet, and a run passes its event on but does not keep it.
 
 The scan is skipped when its answer cannot have changed.  It reads the
 stage (through the positions below it), the memberships and restraints
@@ -57,9 +57,9 @@ def _find_actor(
 ) -> tuple[int, int, int, int] | None:
     """Least eligible (position, e, side, witness) at stage s.
 
-    Positions of absent functionals never act.  A pair (e, side) is held
-    when the side has a class-e member: only that pair inserts one, always
-    a converged witness, and convergence is stable.  Refills `watch` and
+    A pair (e, side) is held when the side has a class-e member: only
+    that pair inserts one, always a converged witness, and convergence is
+    stable.  Refills `watch` and
     drops from `settled` the points that can no longer be witnesses.
     """
     watch.clear()

@@ -29,9 +29,9 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
     too).  The least p with the least such stage
     acts there, with the least class point above the bound settled by then
     as its witness; every stage before it is quiet.  Every index below
-    suite.classes is scanned: build_suite leaves no gap, and an absent
-    index diverges, so it never acts.  The trace keeps the actions and the
-    snapshots, and must be identical to the engine's.
+    suite.classes is scanned; an index past them diverges, so it never
+    acts.  The trace keeps the actions and the snapshots, and must be
+    identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")

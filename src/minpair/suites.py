@@ -2,20 +2,22 @@
 
 Functional entries answer stage-bounded queries query(n, s) -> bit or None
 under two hard conventions: nothing converges unless n < s, and convergence
-is stable (once converged, the same bit at every later stage).  Each entry
-gives the first stage at which a point converges (its settle stage) in
-closed form, and queries are derived from it, so both conventions hold by
-construction.  Entries are written in a small synthetic description
-language (tagged records, parsed from config files) or as register-machine
-programs run with a step budget equal to the stage.  build_suite compiles a
-whole family, each operator when it is first read, and each operator is
-checked for the use-within-stage bound as it is built.  Absent indices
-behave as everywhere divergent; build_suite leaves none below `classes`.
+is stable (once converged, the same bit at every later stage).  Each kind
+of functional compiles to its settle rule, which gives the first stage at
+which a point converges (its settle stage) in closed form, and queries are
+derived from it, so both conventions hold by construction.  Entries are
+written in a small synthetic description language (tagged records, parsed
+from config files) or as register-machine programs run with a step budget
+equal to the stage.  build_suite compiles a whole family, each operator
+when it is first read, and each operator is checked for the
+use-within-stage bound as it is built.  An index past the end of a family
+diverges everywhere, or has no axioms.
 `least_settle` is the one scan for the least settle stage of a class point
 above a bound, which the reference oracle and capture both read; the stage
 bound lets it stop early.  The config schema, one field table per
-record, lives here too; it compiles every spec at stage bound 0 to check it.
-So does `load_json`, the one JSON reader, of configs and trace lines alike.
+record, lives here too; it compiles every spec to check it, operators at
+stage bound 0.  So does `load_json`, the one JSON reader, of configs and
+trace lines alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .arith import class_index, class_members, pair, unpair
 
@@ -236,109 +238,75 @@ def parse_program(raw, path: str = "program") -> tuple[Instruction, ...]:
 
 # ---------------------------------------------------------------------------
 # functional kinds
+#
+# Each kind compiles to its settle rule: settle(n, limit) is (bit, stage) for
+# the first stage at which n converges under the kind's own rule, or None when
+# n never converges.  Only machines read the limit: they run for at most
+# `limit` steps, so their None means "not by stage limit".  The stage bound
+# n < s is added by FunctionalSuite.settle, in one place.  Each builder takes
+# the config's seed first; only random_partial reads it.
 
 
-class StagedFunctional:
-    """Base: a kind's closed form for the first stage at which n converges.
-
-    settle(n, limit) returns (bit, stage) under the kind's own rule, or None
-    when n never converges.  Only machines read the limit: they run for at
-    most `limit` steps, so their None means "not by stage limit".  The stage
-    bound n < s is added by FunctionalSuite.settle, in one place.
-    """
-
-    def settle(self, n: int, limit: int) -> tuple[int, int] | None:
-        raise NotImplementedError
-
-    def seeded(self, seed: int) -> StagedFunctional:
-        """This functional, with `seed` for every random_partial that names none."""
-        return self
+Settle = Callable[[int, int], "tuple[int, int] | None"]
 
 
-class TotalFn(StagedFunctional):
+def _total_fn(config_seed: int, table: list[int], fill: str) -> Settle:
     """Finite table of bits continued by a fill rule beyond its end."""
+    if fill == "cycle" and not table:
+        raise SpecError("cycle fill needs a nonempty table")
 
-    def __init__(self, table, fill: str):
-        if fill == "cycle" and not table:
-            raise SpecError("cycle fill needs a nonempty table")
-        self.table = tuple(table)
-        self.fill = fill
+    def settle(n, limit):
+        if n < len(table) or fill == "cycle":
+            return table[n % len(table)], 0
+        return (0 if fill == "zero" else 1), 0
 
-    def settle(self, n, limit):
-        if n < len(self.table) or self.fill == "cycle":
-            return self.table[n % len(self.table)], 0
-        return (0 if self.fill == "zero" else 1), 0
+    return settle
 
 
-class UndefinedOnClass(StagedFunctional):
+def _undefined_on_class(config_seed: int, e: int, value: int) -> Settle:
     """Diverges exactly on one valuation class, constant elsewhere."""
-
-    def __init__(self, e: int, value: int = 1):
-        self.e = e
-        self.value = value
-
-    def settle(self, n, limit):
-        return None if class_index(n) == self.e else (self.value, 0)
+    return lambda n, limit: None if class_index(n) == e else (value, 0)
 
 
-class Delayed(StagedFunctional):
+def _delayed(config_seed: int, inner: Callable[[int], Settle], delay: tuple[int, int]) -> Settle:
     """Postpones an inner functional: nothing converges at stages <= a*n + b."""
+    inner, (a, b) = inner(config_seed), delay
 
-    def __init__(self, inner: StagedFunctional, delay: tuple[int, int]):
-        self.inner = inner
-        self.a, self.b = delay
+    def settle(n, limit):
+        hit = inner(n, limit)
+        return None if hit is None else (hit[0], max(a * n + b + 1, hit[1]))
 
-    def settle(self, n, limit):
-        hit = self.inner.settle(n, limit)
-        return None if hit is None else (hit[0], max(self.a * n + self.b + 1, hit[1]))
-
-    def seeded(self, seed):
-        return Delayed(self.inner.seeded(seed), (self.a, self.b))
+    return settle
 
 
-class RandomPartial(StagedFunctional):
+def _random_partial(config_seed: int, density: float, values: str, seed: int | None) -> Settle:
     """Pseudo-random domain of a target density, deterministic per seed."""
+    seed = config_seed if seed is None else seed
 
-    def __init__(self, density: float, values: str, seed: int | None):
-        self.density = density
-        self.rule = values
-        self.seed = seed
-
-    def settle(self, n, limit):
-        rng = random.Random(f"rp:{self.seed}:{n}")
-        if rng.random() >= self.density:
+    def settle(n, limit):
+        rng = random.Random(f"rp:{seed}:{n}")
+        if rng.random() >= density:
             return None
-        bit = {"zero": 0, "one": 1, "parity": n & 1}.get(self.rule)
+        bit = {"zero": 0, "one": 1, "parity": n & 1}.get(values)
         return (rng.getrandbits(1) if bit is None else bit), 0
 
-    def seeded(self, seed):
-        return self if self.seed is not None else RandomPartial(self.density, self.rule, seed)
+    return settle
 
 
-class TablePartial(StagedFunctional):
+def _table_partial(config_seed: int, entries: dict[int, tuple[int, int]]) -> Settle:
     """Explicit finite domain with a per-point first visible stage."""
-
-    def __init__(self, entries: dict[int, tuple[int, int]]):
-        self.entries = dict(entries)
-
-    def settle(self, n, limit):
-        return self.entries.get(n)
+    return lambda n, limit: entries.get(n)
 
 
-class MachineFunctional(StagedFunctional):
+def _machine(config_seed: int, program: tuple[Instruction, ...]) -> Settle:
     """Register machine with step budget s: n converges once the machine
     halts on it, at the stage equal to its step count; the bit is r0 mod 2."""
 
-    def __init__(self, program: tuple[Instruction, ...]):
-        self.program = program
-
-    def settle(self, n, limit):
-        halted, steps, out = run_machine(self.program, n, limit)
+    def settle(n, limit):
+        halted, steps, out = run_machine(program, n, limit)
         return (out, steps) if halted else None
 
-
-def _functional(raw, path: str) -> StagedFunctional:
-    return tagged(raw, path, FUNCTIONAL_KINDS)
+    return settle
 
 
 _density = _checked(lambda x: type(x) in (int, float) and 0 <= x <= 1, "a number in [0, 1]")
@@ -354,31 +322,40 @@ def _entries(raw, path: str) -> dict[int, tuple[int, int]]:
     return table
 
 
+def _inner(raw, path: str) -> Callable[[int], Settle]:
+    """delayed's inner record, compiled at seed 0 here, so that its errors name
+    path, as a function of the seed.  Reusing the seed-0 rule keeps nested
+    delays from compiling their inner records twice per level."""
+    at_0 = tagged(raw, path, FUNCTIONAL_KINDS, 0)
+    return lambda seed: at_0 if seed == 0 else tagged(raw, path, FUNCTIONAL_KINDS, seed)
+
+
 FUNCTIONAL_KINDS = {
-    "total_const": (lambda value: TotalFn((value,), "cycle"), {"value": (bit,)}),
+    "total_const": (lambda seed, value: _total_fn(seed, [value], "cycle"), {"value": (bit,)}),
     "total_fn": (
-        TotalFn,
+        _total_fn,
         {"table": (list_of(bit),), "fill": (one_of("cycle", "zero", "one"), "cycle")},
     ),
-    "undefined_on_class": (UndefinedOnClass, {"e": (natural,), "value": (bit, 1)}),
-    "delayed": (Delayed, {"inner": (_functional,), "delay": (record(_row, DELAY),)}),
+    "undefined_on_class": (_undefined_on_class, {"e": (natural,), "value": (bit, 1)}),
+    "delayed": (_delayed, {"inner": (_inner,), "delay": (record(_row, DELAY),)}),
     "random_partial": (
-        RandomPartial,
+        _random_partial,
         {
             "density": (_density,),
             "values": (one_of("zero", "one", "parity", "random"), "one"),
             "seed": (integer, None),  # None: the config's seed
         },
     ),
-    "empty": (lambda: TablePartial({}), {}),
-    "table_partial": (TablePartial, {"entries": (_entries,)}),
-    "machine": (MachineFunctional, {"program": (parse_program,)}),
+    "empty": (lambda seed: _table_partial(seed, {}), {}),
+    "table_partial": (_table_partial, {"entries": (_entries,)}),
+    "machine": (_machine, {"program": (parse_program,)}),
 }
 
 
-def compile_functional(spec, default_seed: int = 0, path: str = "functional") -> StagedFunctional:
-    """Compile one tagged record into a functional."""
-    return _functional(spec, path).seeded(default_seed)
+def compile_functional(spec, default_seed: int = 0, path: str = "functional") -> Settle:
+    """Compile one tagged record into its settle rule; default_seed is the
+    seed of every random_partial that names none."""
+    return tagged(spec, path, FUNCTIONAL_KINDS, default_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +391,10 @@ def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> Enu
         if not halted or out != 1:
             continue
         mask, output = unpair(code)
-        premise = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        use = premise[-1] + 1 if premise else 0
-        enters = max(steps, code + 1, use)
+        axiom = Axiom.of([i for i in range(mask.bit_length()) if mask >> i & 1], output)
+        enters = max(steps, code + 1, axiom.use)
         if enters <= stage_bound:
-            staged.append((enters, Axiom.of(premise, output)))
+            staged.append((enters, axiom))
     return validate_use_bound(EnumOperator.from_staged(staged))
 
 
@@ -525,7 +501,9 @@ CHECK_RECORDS = {
 CHECKS = {name: (list_of(record(*entry)), []) for name, entry in CHECK_RECORDS.items()}
 SUITE = {
     "functionals": (list_of(_compiles(compile_functional)),),
-    "operators": (list_of(_compiles(compile_operator)), []),  # stage bound 0 enumerates nothing
+    # at stage bound 0 a machine operator enumerates nothing, but an axioms operator
+    # builds and checks every axiom, as it does again when a check reads it
+    "operators": (list_of(_compiles(compile_operator)), []),
 }
 
 CONFIG = {
@@ -542,7 +520,7 @@ CONFIG = {
 
 
 class FunctionalSuite:
-    """Indexed family of staged functionals; absent indices diverge.
+    """Indexed family of settle rules; an index at or past the end diverges.
 
     settle is the one primitive and query is derived from it, so the stage
     bound (nothing converges unless n < s) and stability (once converged,
@@ -550,18 +528,14 @@ class FunctionalSuite:
     cached: a caller that revisits points keeps its own memo.
     """
 
-    def __init__(self, entries: dict[int, StagedFunctional]):
-        for e in entries:
-            if not _is_nat(e):
-                raise ValueError(f"functional index must be a natural, got {e}")
-        self._entries = dict(entries)
-        self.classes = max(entries, default=-1) + 1  # the engine scans classes below it
+    def __init__(self, rules: Sequence[Settle]):
+        self._rules = tuple(rules)
+        self.classes = len(self._rules)  # the engine scans classes below it
 
     def settle(self, e: int, n: int, limit: int) -> tuple[int, int] | None:
         """(bit, stage) for the first stage at which entry e converges on n,
         or None when that stage does not come by the limit."""
-        fn = self._entries.get(e)
-        hit = None if fn is None else fn.settle(n, limit)
+        hit = self._rules[e](n, limit) if e < self.classes else None
         if hit is None:
             return None
         stage = max(hit[1], n + 1)  # the stage bound: nothing converges unless n < s
@@ -592,40 +566,33 @@ def least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | 
 
 
 class OperatorSuite:
-    """Indexed family of operators; absent indices are axiomless.  An entry
-    is an operator or a function that compiles one, called on the entry's
-    first read, so an operator that nothing reads is never enumerated."""
+    """Indexed family of operators; an index at or past the end is axiomless.
+    An entry is an operator or a function that compiles one, called on the
+    entry's first read, so an operator that nothing reads is never enumerated."""
 
-    def __init__(self, entries: dict[int, EnumOperator | Callable[[], EnumOperator]]):
-        for e in entries:
-            if not _is_nat(e):
-                raise ValueError(f"operator index must be a natural, got {e}")
-        self._entries = dict(entries)
+    def __init__(self, entries: Sequence[EnumOperator | Callable[[], EnumOperator]]):
+        self._entries = list(entries)
 
     def get(self, e: int) -> EnumOperator:
         from .operators import EMPTY_OPERATOR
 
-        op = self._entries.get(e, EMPTY_OPERATOR)
+        op = self._entries[e] if e < len(self._entries) else EMPTY_OPERATOR
         if callable(op):
             op = self._entries[e] = op()
         return op
 
 
 def build_suite(
-    functional_specs: list,
-    operator_specs: list,
-    horizon: int,
-    default_seed: int = 0,
-    path: str = "config.suite",
+    functional_specs: list, operator_specs: list, horizon: int, default_seed: int = 0
 ) -> tuple[FunctionalSuite, OperatorSuite]:
     """Compile a whole family from tagged records, each operator on its
-    first read; errors name `path`.<list>[e]."""
-    functionals = {
-        e: compile_functional(spec, default_seed, f"{path}.functionals[{e}]")
+    first read; errors name config.suite.<list>[e]."""
+    functionals = [
+        compile_functional(spec, default_seed, f"config.suite.functionals[{e}]")
         for e, spec in enumerate(functional_specs)
-    }
-    ops = {
-        e: partial(compile_operator, spec, horizon, f"{path}.operators[{e}]")
+    ]
+    ops = [
+        partial(compile_operator, spec, horizon, f"config.suite.operators[{e}]")
         for e, spec in enumerate(operator_specs)
-    }
+    ]
     return FunctionalSuite(functionals), OperatorSuite(ops)

@@ -16,13 +16,11 @@ from conftest import guarded_operators, make_suites, operators
 from minpair import analysis, engine
 from minpair.analysis import (
     TraceFormatError,
-    _first_without,
     check_capture,
     check_end_to_end,
     check_preservation,
     check_structural,
     derive_diagonal,
-    enumeration,
     reference_run,
     replay,
     synthesize_joint,
@@ -33,6 +31,7 @@ from minpair.operators import Axiom, EnumOperator, evaluate
 from minpair.engine import Action, Removal, Trace, TraceEvent, TraceSummary
 from minpair.records import Snapshot
 from minpair.graphs import CofiniteOnes, check_description
+from minpair.joint import _first_without, enumeration
 from minpair.suites import OperatorSuite
 
 
@@ -761,7 +760,7 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
             for start in range(horizon + 2):
                 lacking = (u for u in range(start, horizon + 1) if x not in sets[u])
                 assert _first_without(changes, x, start, horizon) == next(lacking, None)
-    osuite = OperatorSuite({0: w0, 1: w1})
+    osuite = OperatorSuite([w0, w1])
     for h in (horizon, min(cut, horizon)):
         check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
         assert (check.verdict, dict(check.detail)) == per_stage_preservation(trace, w0, w1, h)
@@ -784,7 +783,7 @@ def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation,
     fsuite, _ = make_suites(random_config(seed, horizon))
     trace = engine.run(fsuite, horizon, mutation=mutation)
     rep = replay(trace)
-    for osuite in (OperatorSuite({0: w0, 1: w1}), OperatorSuite({0: w1, 1: w0})):
+    for osuite in (OperatorSuite([w0, w1]), OperatorSuite([w1, w0])):
         for h in (horizon, min(cut, horizon)):
             for e0, e1 in ((0, 1), (1, 0), (0, 0)):
                 ops = osuite.get(e0), osuite.get(e1)
@@ -797,10 +796,10 @@ def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation,
 def test_preservation_window_opens_after_strongest_later_action():
     # both operators enumerate 7 while 3 stays out of side 0 and 5 out of side 1
     osuite = OperatorSuite(
-        {
-            0: EnumOperator.from_staged([(0, Axiom.of([pair(3, 1)], 7))]),
-            1: EnumOperator.from_staged([(0, Axiom.of([pair(5, 1)], 7))]),
-        }
+        [
+            EnumOperator.from_staged([(0, Axiom.of([pair(3, 1)], 7))]),
+            EnumOperator.from_staged([(0, Axiom.of([pair(5, 1)], 7))]),
+        ]
     )
     early = empty_events(range(8))
     early[0] = TraceEvent(0, Action(0, 0, 1, 0), ())  # strongest, at the found stage

@@ -15,8 +15,6 @@ from minpair.cli import build_suites, load_config, main, parse_config, read_trac
 from minpair.operators import Axiom
 from minpair.suites import (
     FUNCTIONAL_KINDS,
-    FunctionalSuite,
-    RandomPartial,
     SpecError,
     build_suite,
     compile_functional,
@@ -274,8 +272,9 @@ def test_verify_enumerates_an_operator_once_per_side(tmp_path, monkeypatch):
 def test_random_partial_density_close_to_target():
     for target in (0.3, 0.7):
         for seed in range(10):
-            fn = RandomPartial(target, "one", seed)
-            realized = sum(1 for n in range(10_000) if fn.settle(n, 10_001) is not None)
+            spec = {"kind": "random_partial", "density": target, "values": "one", "seed": seed}
+            settle = compile_functional(spec)
+            realized = sum(1 for n in range(10_000) if settle(n, 10_001) is not None)
             assert abs(realized / 10_000 - target) < 0.02
 
 
@@ -296,6 +295,28 @@ def test_random_partial_takes_the_config_seed_unless_it_names_one():
     (seed_7,), (seed_3,) = settles([dict(rp, seed=7)], 0), settles([dict(rp, seed=3)], 0)
     assert seed_7 != seed_3
     assert got == [seed_7, seed_7, seed_3]
+
+
+def test_nested_delays_compile_each_level_a_bounded_number_of_times(monkeypatch):
+    """Loading and building a config with delays nested 12 deep compiles its
+    13 records at most 26 times at seed 0 and 169 times at another seed;
+    compiling each inner record again at every enclosing level would double
+    the count per level."""
+    depth, compiles, real = 12, [], suites.tagged
+
+    def counting(raw, path, kinds, *context):
+        compiles.append(kinds)
+        return real(raw, path, kinds, *context)
+
+    monkeypatch.setattr(suites, "tagged", counting)
+    spec = {"kind": "random_partial", "density": 0.5}
+    for _ in range(depth):
+        spec = {"kind": "delayed", "inner": spec, "delay": {"a": 0, "b": 1}}
+    for seed, most in ((0, 2 * (depth + 1)), (5, (depth + 1) ** 2)):
+        compiles.clear()
+        raw = {"horizon": 10, "seed": seed, "suite": {"functionals": [spec]}}
+        build_suites(parse_config(json.dumps(raw)))
+        assert compiles.count(FUNCTIONAL_KINDS) <= most
 
 
 def test_queries_are_pure_under_randomized_schedules():
@@ -331,11 +352,6 @@ def test_stability_sweep_on_random_suites():
                         settled = got
                     else:
                         assert got == settled
-
-
-def test_functional_suite_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        FunctionalSuite({-1: None})  # type: ignore[dict-item]
 
 
 @settings(max_examples=200, deadline=None)
