@@ -20,8 +20,10 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import records, suites
-from .records import Trace, TraceFormatError, trace_lines
+from .records import Trace, TraceFormatError
 from .suites import EndToEndSpec, SpecError, build_suite
+
+trace_lines = records.trace_lines  # the lines write_trace writes, as a list
 
 if TYPE_CHECKING:
     from .analysis import VerificationReport
@@ -101,7 +103,7 @@ def _atomic_writer(path: str | Path):
 
 def write_trace(trace: Trace, path: str | Path) -> None:
     with _atomic_writer(path) as fh:
-        fh.write("\n".join(trace_lines(trace)) + "\n")
+        fh.writelines(line + "\n" for line in records.iter_lines(trace))
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -172,14 +174,7 @@ def _cmd_run(args) -> int:
 
     config = load_config(args.config)
     fsuite, _ = build_suites(config)
-    with _atomic_writer(args.out) as fh:
-        trace = engine.run(
-            fsuite,
-            config.horizon,
-            config.snapshot_every,
-            on_event=lambda ev: fh.write(records.event_line(ev) + "\n"),
-        )
-        fh.write(records.summary_line(trace.summary) + "\n")
+    write_trace(engine.run(fsuite, config.horizon, config.snapshot_every), args.out)
     return 0
 
 

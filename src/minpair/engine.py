@@ -8,8 +8,8 @@ stage-s domain nowhere inside the pair's current side, and the class
 contains a witness, converged by stage s, exceeding every stronger pair's
 restraint.  Acting inserts the least such witness into the pair's side,
 removes every weaker insertion from the opposite side, and raises the
-pair's restraint to s.  One action per stage, exactly; a stage with no
-eligible pair is quiet, and a run passes its event on but does not keep it.
+pair's restraint to s.  One action per stage, exactly; a quiet stage, with
+no eligible pair and no snapshot, gets no event: it is only a trace line.
 
 The scan is skipped when its answer cannot have changed.  It reads the
 stage (through the positions below it), the memberships and restraints
@@ -93,9 +93,9 @@ def run(
     A point n is settled at most once, at stage n + 1, with the horizon as
     the limit, and filed under its class when it converges.
 
-    on_event, when given, receives every stage's TraceEvent, quiet ones
-    included, as it is produced, so a persistence layer can stream the
-    trace; the returned trace keeps only the events that are not quiet.
+    A TraceEvent is made only at a stage with an action or a snapshot
+    (removals come only with an action): the returned trace keeps exactly
+    these, and on_event, when given, receives each as it is made.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -142,9 +142,8 @@ def run(
         snapshot = None
         if snapshot_every > 0 and s % snapshot_every == 0:
             snapshot = Snapshot(members(0), members(1))
-        event = TraceEvent(s, action, tuple(removals), snapshot)
-        if not event.quiet:
-            kept.append(event)
-        if on_event is not None:
-            on_event(event)
+        if action is not None or snapshot is not None:
+            kept.append(TraceEvent(s, action, tuple(removals), snapshot))
+            if on_event is not None:
+                on_event(kept[-1])
     return Trace(kept, TraceSummary.of(horizon, members(0), members(1), restraints))

@@ -3,14 +3,14 @@
 The engine and the reference oracle build these records, the checks replay
 them, and this module alone writes and reads them.  A trace file holds one
 canonical JSON line per stage, each record an object keyed by its fields,
-then a summary line with the schema version.  A run is mostly quiet stages:
-each is written from one template, a line that is exactly the next quiet
-line is read without parsing, and a trace in memory keeps only the other
-events.  Every other line is read by `suites.load_json` and through field
-tables built from each record's fields with the config schema's parsers,
-so an error, a repeated field too, names the line and the field's JSON
-path.  It imports no construction code, so `verify` and `psi` never load
-the engine.
+then a summary line with the schema version.  A run is mostly quiet stages,
+and a quiet stage exists only as a line: `iter_lines` writes it from one
+template, a line that is exactly the next quiet line is read without
+parsing, and a trace in memory keeps only the other events.  Every other
+line is read by `suites.load_json` and through field tables built from
+each record's fields with the config schema's parsers, so an error, a
+repeated field too, names the line and the field's JSON path.  It
+imports no construction code, so `verify` and `psi` never load the engine.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ class Trace(NamedTuple):
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The event of every stage below the horizon, read-only: a stage
-        that keeps none gets a quiet event made on the spot."""
+        that keeps none gets a quiet event made on the spot.  Only the tests
+        and perfbench/traced_cli.py read this view."""
         kept = {ev.stage: ev for ev in self.kept}
         return tuple(kept.get(s) or TraceEvent(s, None, ()) for s in range(self.summary.horizon))
 
@@ -110,20 +111,25 @@ _QUIET_HEAD, _, _QUIET_TAIL = canon(TraceEvent("", None, [], None)._asdict()).pa
 
 def event_line(ev: TraceEvent) -> str:
     """The event as one line, each nested record an object too (JSON would
-    otherwise write a record as a list)."""
-    if ev.quiet:
-        return f"{_QUIET_HEAD}{ev.stage}{_QUIET_TAIL}"
+    otherwise write a record as a list); a quiet event gives the template."""
     action, snapshot = (None if rec is None else rec._asdict() for rec in (ev.action, ev.snapshot))
     removals = [rm._asdict() for rm in ev.removals]
     return canon(TraceEvent(ev.stage, action, removals, snapshot)._asdict())
 
 
-def summary_line(summary: TraceSummary) -> str:
-    return canon({"summary": summary._asdict()})
+def iter_lines(trace: Trace):
+    """Each stage's line, the quiet template between kept events, then the summary's."""
+    s = 0  # the first stage not yet written
+    for ev in trace.kept:
+        yield from (f"{_QUIET_HEAD}{q}{_QUIET_TAIL}" for q in range(s, ev.stage))
+        yield event_line(ev)
+        s = ev.stage + 1
+    yield from (f"{_QUIET_HEAD}{q}{_QUIET_TAIL}" for q in range(s, trace.summary.horizon))
+    yield canon({"summary": trace.summary._asdict()})
 
 
 def trace_lines(trace: Trace) -> list[str]:
-    return [event_line(ev) for ev in trace.events] + [summary_line(trace.summary)]
+    return list(iter_lines(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -440,21 +440,21 @@ def test_run_unwritable_output_exits_2(scenario_config_path, capsys):
 
 
 def test_interrupted_run_leaves_no_trace(tmp_path, scenario_config_path, monkeypatch):
-    real_run = engine.run
+    """A write that fails after some lines leaves neither the trace nor its temp file."""
+    lines, written = records.iter_lines, []
 
-    def interrupted_run(suite, horizon, snapshot_every=0, mutation=None, on_event=None):
-        def write_then_fail(ev):
-            on_event(ev)
-            if ev.stage == 2:
+    def interrupted_lines(trace):
+        for line in lines(trace):
+            if len(written) == 3:
                 raise RuntimeError("interrupted")
+            written.append(line)
+            yield line
 
-        return real_run(suite, horizon, snapshot_every, mutation, write_then_fail)
-
-    monkeypatch.setattr(engine, "run", interrupted_run)
+    monkeypatch.setattr(records, "iter_lines", interrupted_lines)
     out = tmp_path / "out.trace"
     with pytest.raises(RuntimeError):
         main(["run", "--config", scenario_config_path, "--out", str(out)])
-    assert not out.exists()
+    assert len(written) == 3 and not out.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 

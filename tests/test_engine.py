@@ -181,6 +181,22 @@ def test_run_settles_each_point_at_most_once():
     assert len(calls) <= 4000 and max(calls.values()) == 1
 
 
+def test_run_makes_events_only_for_kept_stages(monkeypatch):
+    """A TraceEvent is made only at a stage with an action or a snapshot,
+    exactly the events the trace keeps: a quiet stage is only a line."""
+    from config_gen import random_config
+
+    made, event = [], engine.TraceEvent
+    monkeypatch.setattr(engine, "TraceEvent", lambda *args: made.append(args) or event(*args))
+    for seed in range(10):
+        raw = random_config(seed, 3200)
+        fsuite, _ = make_suites(raw)
+        for mutation in (None, *MUTATIONS):
+            made.clear()
+            trace = run(fsuite, 3200, raw["snapshot_every"], mutation)
+            assert len(made) == len(trace.kept) < 3200, (seed, mutation)
+
+
 def test_run_rejects_an_unknown_mutation_at_horizon_zero():
     with pytest.raises(ValueError):
         run(scenario_suite(), 0, mutation="bogus")

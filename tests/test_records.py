@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from minpair.analysis import CheckResult
-from minpair.engine import Action, Removal, TraceEvent
-from minpair.records import Snapshot, TraceSummary
+from config_gen import random_config
+from conftest import make_suites
+from minpair.analysis import CheckResult, reference_run
+from minpair.engine import MUTATIONS, Action, Removal, TraceEvent, run
+from minpair.records import Snapshot, Trace, TraceSummary, canon, event_line, trace_lines
 from minpair.graphs import CofiniteOnes, ExplicitGraph
 from minpair.operators import Axiom, EnumOperator
 
@@ -68,3 +70,32 @@ def test_frozen_records_reject_assignment(record, field):
 def test_malformed_records_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+def dense_lines(trace):
+    """The writer's specification: `event_line` of each event of the dense
+    `Trace.events` view, then the canonical summary line."""
+    return [event_line(ev) for ev in trace.events] + [canon({"summary": trace.summary._asdict()})]
+
+
+def writer_cases():
+    for seed in range(10):
+        raw = random_config(seed, 400)
+        fsuite, _ = make_suites(raw)
+        for snapshot_every in (0, 37):
+            yield reference_run(fsuite, 400, snapshot_every)
+            for mutation in (None, *MUTATIONS):
+                yield run(fsuite, 400, snapshot_every, mutation)
+    summary = TraceSummary.of(6, (1,), (), {0: 0})
+    last = TraceEvent(5, None, (), Snapshot((1,), ()))
+    yield Trace([TraceEvent(0, Action(0, 0, 1, 0), ()), last], summary)
+    yield Trace([TraceEvent(0, None, ()), TraceEvent(3, None, (), None), last], summary)
+    yield Trace([], TraceSummary.of(0, (), (), {}))
+
+
+def test_trace_lines_equal_the_dense_rendering():
+    """Quiet stages written from the template give the bytes of rendering a
+    quiet event of every stage, kept events at the first and last stage
+    and kept quiet events too."""
+    for trace in writer_cases():
+        assert trace_lines(trace) == dense_lines(trace)
