@@ -3,8 +3,9 @@
 Config files are strict JSON, read by `suites.load_json` and checked
 against the schema in `minpair.suites`: unknown and repeated fields are
 rejected so experiment files stay self-documenting.  Trace lines are
-written and read by `minpair.records`, which owns their format; this
-module opens the files and replaces them atomically.  Exit codes: 0 all
+written and read by `minpair.records`, which owns their format and reads
+the binary file, quiet lines as bytes before any decoding; this module
+opens the files and replaces them atomically.  Exit codes: 0 all
 checks pass (inconclusive does not fail), 1 a check failed, 2 config or
 runtime error, 3 malformed trace.
 """
@@ -103,26 +104,12 @@ def _atomic_writer(path: str | Path):
 
 def write_trace(trace: Trace, path: str | Path) -> None:
     with _atomic_writer(path) as fh:
-        fh.writelines(line + "\n" for line in records.iter_lines(trace))
+        fh.writelines(records.iter_lines(trace))
 
 
 def read_trace(path: str | Path) -> Trace:
     with open(path, "rb") as fh:
-        return records.parse_trace(_lines(fh, path))
-
-
-def _lines(fh, path):
-    """The lines of the file's UTF-8 text, split as `str.splitlines` splits
-    them, read one line of bytes at a time: a line's bytes end at b"\n" and
-    hold whole characters, and splitting one again gives what splitting the
-    whole text gives there."""
-    for raw in fh:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            at = fh.tell() - len(raw) + err.start  # the file is read up to the line's end
-            raise TraceFormatError(f"{path}: not UTF-8 at byte {at}") from None
-        yield from text.splitlines()
+        return records.parse_trace(fh, path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ them, and this module alone writes and reads them.  A trace file holds one
 canonical JSON line per stage, each record an object keyed by its fields,
 then a summary line with the schema version.  A run is mostly quiet stages,
 and a quiet stage exists only as a line: `iter_lines` writes it from one
-template, a line that is exactly the next quiet line is read without
-parsing, and a trace in memory keeps only the other events.  Every other
-line is read by `suites.load_json` and through field tables built from
-each record's fields with the config schema's parsers, so an error, a
-repeated field too, names the line and the field's JSON path.  It
-imports no construction code, so `verify` and `psi` never load the engine.
+template, `parse_trace` counts a byte line that is exactly the next quiet
+line before it decodes anything, and a trace in memory keeps only the other
+events.  Every other line is read by `suites.load_json` and through field
+tables built from each record's fields with the config schema's parsers, so
+an error, a repeated field too, names the line and the field's JSON path.
+It imports no construction code, so `verify` and `psi` never load the engine.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ def canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# A quiet stage, one with no action, removal or snapshot, has the canonical
-# line of TraceEvent(stage, None, [], None): this head, the stage, this tail.
-_QUIET_HEAD, _, _QUIET_TAIL = canon(TraceEvent("", None, [], None)._asdict()).partition('""')
-
-
 def event_line(ev: TraceEvent) -> str:
     """The event as one line, each nested record an object too (JSON would
     otherwise write a record as a list); a quiet event gives the template."""
@@ -117,19 +112,26 @@ def event_line(ev: TraceEvent) -> str:
     return canon(TraceEvent(ev.stage, action, removals, snapshot)._asdict())
 
 
+# A quiet stage, one with no action, removal or snapshot, has the canonical line
+# of TraceEvent(stage, None, (), None): this head, the stage, this tail; read as bytes too.
+_QUIET_HEAD, _, _QUIET_TAIL = (event_line(TraceEvent("", None, ())) + "\n").partition('""')
+_QUIET_BYTES = f"{_QUIET_HEAD}%d{_QUIET_TAIL}".encode()
+
+
 def iter_lines(trace: Trace):
-    """Each stage's line, the quiet template between kept events, then the summary's."""
+    """Each stage's line and newline, the quiet template between kept events, then the summary's."""
     s = 0  # the first stage not yet written
     for ev in trace.kept:
         yield from (f"{_QUIET_HEAD}{q}{_QUIET_TAIL}" for q in range(s, ev.stage))
-        yield event_line(ev)
+        yield event_line(ev) + "\n"
         s = ev.stage + 1
     yield from (f"{_QUIET_HEAD}{q}{_QUIET_TAIL}" for q in range(s, trace.summary.horizon))
-    yield canon({"summary": trace.summary._asdict()})
+    yield canon({"summary": trace.summary._asdict()}) + "\n"
 
 
 def trace_lines(trace: Trace) -> list[str]:
-    return list(iter_lines(trace))
+    """The lines `iter_lines` yields, without their newlines."""
+    return [line[:-1] for line in iter_lines(trace)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,36 +175,43 @@ def _record_of(raw) -> TraceEvent | TraceSummary:
     return summary
 
 
-def parse_trace(lines) -> Trace:
-    """The trace spelled by lines, keeping the events that are not quiet.
-    A line that is exactly the quiet line of the next stage is counted
-    without parsing; any other line goes through `load_json` and the field
-    tables.  The events must carry stages 0, 1, ... in turn, one for each
-    stage below the summary's horizon."""
+def parse_trace(fh, path) -> Trace:
+    """The trace in the binary file fh, read from path, keeping the events
+    that are not quiet.  A byte line that is exactly the next stage's quiet
+    line is counted undecoded; any other is decoded (an error names its file
+    offset) and split as `str.splitlines` splits text, and each line that is
+    not blank goes through `load_json` and the field tables.  The events must
+    carry stages 0, 1, ... in turn, one for each stage below the horizon."""
     kept: list[TraceEvent] = []
-    stages = 0  # the event lines read so far
+    stages = i = 0  # the event lines, and all lines, read so far
     summary: TraceSummary | None = None
-    for i, line in enumerate(lines, 1):
-        if line == f"{_QUIET_HEAD}{stages}{_QUIET_TAIL}" and summary is None:
-            stages += 1
-            continue
-        if not line.strip():
+    for raw in fh:
+        if summary is None and raw == _QUIET_BYTES % stages:
+            i, stages = i + 1, stages + 1
             continue
         try:
-            raw = load_json(line)
-            if summary is not None:
-                raise SpecError("records after the summary line")
-            got = _record_of(raw)
-        except SpecError as err:
-            raise TraceFormatError(f"line {i}: {err}") from None
-        if isinstance(got, TraceSummary):
-            summary = got
-            continue
-        if got.stage != stages:
-            raise TraceFormatError(f"event {stages} carries stage {got.stage}")
-        stages += 1
-        if not got.quiet:
-            kept.append(got)
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            at = fh.tell() - len(raw) + err.start  # the file is read up to the line's end
+            raise TraceFormatError(f"{path}: not UTF-8 at byte {at}") from None
+        for i, line in enumerate(text.splitlines(), i + 1):
+            if not line.strip():
+                continue
+            try:
+                value = load_json(line)
+                if summary is not None:
+                    raise SpecError("records after the summary line")
+                got = _record_of(value)
+            except SpecError as err:
+                raise TraceFormatError(f"line {i}: {err}") from None
+            if isinstance(got, TraceSummary):
+                summary = got
+                continue
+            if got.stage != stages:
+                raise TraceFormatError(f"event {stages} carries stage {got.stage}")
+            stages += 1
+            if not got.quiet:
+                kept.append(got)
     if summary is None:
         raise TraceFormatError("missing summary line")
     if stages != summary.horizon:

@@ -126,6 +126,8 @@ def tagged(raw, path: str, kinds: dict, *context):
     if not isinstance(kind, str) or kind not in kinds:
         raise SpecError(f"{path}.kind: unknown kind '{kind}'")
     build, table = kinds[kind]
+    if callable(table):  # a table that parses with the context, as delayed's does
+        table = table(*context)
     return _build(build, context, {k: v for k, v in raw.items() if k != "kind"}, path, table)
 
 
@@ -268,9 +270,9 @@ def _undefined_on_class(config_seed: int, e: int, value: int) -> Settle:
     return lambda n, limit: None if class_index(n) == e else (value, 0)
 
 
-def _delayed(config_seed: int, inner: Callable[[int], Settle], delay: tuple[int, int]) -> Settle:
+def _delayed(config_seed: int, inner: Settle, delay: tuple[int, int]) -> Settle:
     """Postpones an inner functional: nothing converges at stages <= a*n + b."""
-    inner, (a, b) = inner(config_seed), delay
+    a, b = delay
 
     def settle(n, limit):
         hit = inner(n, limit)
@@ -322,12 +324,13 @@ def _entries(raw, path: str) -> dict[int, tuple[int, int]]:
     return table
 
 
-def _inner(raw, path: str) -> Callable[[int], Settle]:
-    """delayed's inner record, compiled at seed 0 here, so that its errors name
-    path, as a function of the seed.  Reusing the seed-0 rule keeps nested
-    delays from compiling their inner records twice per level."""
-    at_0 = tagged(raw, path, FUNCTIONAL_KINDS, 0)
-    return lambda seed: at_0 if seed == 0 else tagged(raw, path, FUNCTIONAL_KINDS, seed)
+def _delayed_table(config_seed: int) -> dict:
+    """delayed's fields: the inner record is compiled at the config's seed as
+    it is parsed, once, so that its errors name its path."""
+    return {
+        "inner": (lambda raw, path: tagged(raw, path, FUNCTIONAL_KINDS, config_seed),),
+        "delay": (record(_row, DELAY),),
+    }
 
 
 FUNCTIONAL_KINDS = {
@@ -337,7 +340,7 @@ FUNCTIONAL_KINDS = {
         {"table": (list_of(bit),), "fill": (one_of("cycle", "zero", "one"), "cycle")},
     ),
     "undefined_on_class": (_undefined_on_class, {"e": (natural,), "value": (bit, 1)}),
-    "delayed": (_delayed, {"inner": (_inner,), "delay": (record(_row, DELAY),)}),
+    "delayed": (_delayed, _delayed_table),
     "random_partial": (
         _random_partial,
         {

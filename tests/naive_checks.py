@@ -8,11 +8,20 @@ helper shared with `minpair.analysis`.  `structural` gives each check's
 verdict and first counterexample as `check_structural` reports them, and
 `capture` the verdict and detail of `check_capture`; the tests hold each
 pair equal.
+
+`read_trace` is the trace reader in two loops, decoding every line first:
+`lines` decodes and splits the file, and `parse_trace` compares each line
+with the quiet line of the next stage as text.  The tests hold
+`records.parse_trace`, which matches quiet lines as bytes, to its result
+or its error.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+from minpair.records import Trace, TraceEvent, TraceFormatError, TraceSummary, _record_of, canon
+from minpair.suites import SpecError, load_json
 
 # The README's "Reports" section, in report order.
 NAMES = (
@@ -229,3 +238,64 @@ def capture(trace, suite, e, side, horizon) -> tuple[str, dict]:
     if captured:
         return "pass", {"witness": captured[0], "actionable_stage": s}
     return "fail", {"actionable_stage": s, "eligible": eligible}
+
+
+# -- the trace reader
+
+_QUIET_HEAD, _, _QUIET_TAIL = canon(TraceEvent("", None, [], None)._asdict()).partition('""')
+
+
+def lines(fh, path):
+    """The lines of the file's UTF-8 text, split as `str.splitlines` splits
+    them, read one line of bytes at a time: a line's bytes end at b"\n" and
+    hold whole characters, and splitting one again gives what splitting the
+    whole text gives there."""
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            at = fh.tell() - len(raw) + err.start  # the file is read up to the line's end
+            raise TraceFormatError(f"{path}: not UTF-8 at byte {at}") from None
+        yield from text.splitlines()
+
+
+def parse_trace(lines) -> Trace:
+    """The trace spelled by lines, keeping the events that are not quiet.
+    A line that is exactly the quiet line of the next stage is counted
+    without parsing; any other line goes through `load_json` and the field
+    tables.  The events must carry stages 0, 1, ... in turn, one for each
+    stage below the summary's horizon."""
+    kept: list[TraceEvent] = []
+    stages = 0  # the event lines read so far
+    summary: TraceSummary | None = None
+    for i, line in enumerate(lines, 1):
+        if line == f"{_QUIET_HEAD}{stages}{_QUIET_TAIL}" and summary is None:
+            stages += 1
+            continue
+        if not line.strip():
+            continue
+        try:
+            raw = load_json(line)
+            if summary is not None:
+                raise SpecError("records after the summary line")
+            got = _record_of(raw)
+        except SpecError as err:
+            raise TraceFormatError(f"line {i}: {err}") from None
+        if isinstance(got, TraceSummary):
+            summary = got
+            continue
+        if got.stage != stages:
+            raise TraceFormatError(f"event {stages} carries stage {got.stage}")
+        stages += 1
+        if not got.quiet:
+            kept.append(got)
+    if summary is None:
+        raise TraceFormatError("missing summary line")
+    if stages != summary.horizon:
+        raise TraceFormatError(f"trace has {stages} events for horizon {summary.horizon}")
+    return Trace(kept, summary)
+
+
+def read_trace(fh, path) -> Trace:
+    """The trace in the binary file fh, read from path."""
+    return parse_trace(lines(fh, path))

@@ -1097,7 +1097,7 @@ def test_edited_quiet_line_reads_as_json_reads_it(tmp_path, monkeypatch, config,
             return records, main(argv)
 
     by_template = outcome()
-    monkeypatch.setattr(records, "_QUIET_HEAD", "\n")  # no line holds one: all go to json.loads
+    monkeypatch.setattr(records, "_QUIET_BYTES", b"\n%d")  # matches no byte line: all go to json.loads
     assert by_template == outcome()
     assert by_template[1] == (0 if same_record(lines[stage], quiet) else 3)
 
