@@ -385,8 +385,8 @@ def check_capture(
     Once the stronger pairs are quiet their restraint bound is frozen, so
     the first such stage is the least settle stage of a class member above
     the bound (or the first quiet stage, if later).  `least_settle` finds it
-    and stops there, so the check settles no class point at or above that
-    stage, only the side's members.
+    and stops there (rep.derived keeps it for the other side), so the check
+    settles no class point at or above that stage, only the side's members.
     """
     rep = replay_to(trace, horizon, rep)
     p = position(e, side)
@@ -395,7 +395,10 @@ def check_capture(
     least = None  # (stage, n) of least_settle above the frozen bound
     if start < horizon:
         bound = _stronger_restraint_bound(rep.restraints_entering[start], p)
-        least = least_settle(partial(suite.settle, limit=horizon), e, bound, horizon)
+        key = (suite, e, bound, horizon)  # (e, 0) and (e, 1) often share it
+        if key not in rep.derived:
+            rep.derived[key] = least_settle(partial(suite.settle, limit=horizon), e, bound, horizon)
+        least = rep.derived[key]
     if least is None:
         check = CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")
         return _report([check])

@@ -3,14 +3,14 @@
 It jumps from action to action: between two actions the memberships and
 restraints are frozen, so the next actor, its stage and its witness follow
 from the settle stages alone.  It imports only the arithmetic, the trace
-records and the suites, shares no code with the engine's arrival queue,
-actor scan or side state, and exists purely to cross-validate the engine
-trace for trace (`verify --checks oracle`).
+records and the suites, shares no code or state with the engine, keeps no
+settle memo, and exists purely to cross-validate the engine trace for
+trace (`verify --checks oracle`).
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 
 from .arith import class_index, class_members, position
 from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
@@ -18,20 +18,18 @@ from .suites import FunctionalSuite, least_settle
 
 
 def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0) -> Trace:
-    """Independent transcription of the stage rule that jumps from action
-    to action.
+    """Independent transcription of the stage rule, from action to action.
 
-    Memberships and restraints change only at actions, so between two
-    actions each requirement's stronger-restraint bound and its held state
-    are frozen.  An unheld requirement p = (e, side) is then first eligible
-    at the largest of: the next stage, p + 1, and the least settle stage of
-    a class-e point above its bound (`least_settle`, which capture reads
-    too).  The least p with the least such stage
-    acts there, with the least class point above the bound settled by then
-    as its witness; every stage before it is quiet.  Every index below
-    suite.classes is scanned; an index past them diverges, so it never
-    acts.  The trace keeps the actions and the snapshots, and must be
-    identical to the engine's.
+    Between two actions the memberships and restraints are frozen, and so
+    is each requirement's stronger-restraint bound and held state.  An
+    unheld p = (e, side) is then first eligible at the largest of: the next
+    stage, p + 1, and the least settle stage of a class-e point above its
+    bound (`least_settle`, which capture reads too).  The least p with the
+    least such stage acts there, with the least class point above the bound
+    settled by then as its witness; the stages before it are quiet.  An
+    index past suite.classes diverges, so it never acts.  Points are settled
+    again when a scan revisits them, so memory follows the kept events, not
+    the horizon.  The trace must be identical to the engine's.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -39,9 +37,10 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
     members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
     restraints: dict[int, int] = {}
 
-    settle = cache(partial(suite.settle, limit=horizon))  # points are revisited
-    # p -> least_settle above p's bound.  Bounds only rise, so an entry
-    # stays right while its point is above p's bound.
+    settle = partial(suite.settle, limit=horizon)
+    # p -> least_settle above p's bound.  Bounds only rise, so an entry stays
+    # right while its point is above p's bound, and None stays right, also for
+    # (e, 1) once (e, 0) has it: (e, 1)'s bound is at least every (e, 0) bound.
     least: dict[int, tuple[int, int] | None] = {}
     acted: dict[int, tuple[Action, tuple[Removal, ...], Snapshot]] = {}  # stage -> event
     s = 0
@@ -53,7 +52,9 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
             strongest = max(strongest, restraints.get(p, 0))
             if any(class_index(m) == e for m in members[side]):
                 continue
-            if p not in least or least[p] is not None and least[p][1] <= bound:
+            if least.get(position(e, 0), ()) is None:
+                least[p] = None
+            elif p not in least or least[p] is not None and least[p][1] <= bound:
                 least[p] = least_settle(settle, e, bound, horizon)
             if least[p] is None:
                 continue

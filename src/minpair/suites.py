@@ -528,7 +528,7 @@ class FunctionalSuite:
     settle is the one primitive and query is derived from it, so the stage
     bound (nothing converges unless n < s) and stability (once converged,
     the same bit at every later stage) hold by construction.  Nothing is
-    cached: a caller that revisits points keeps its own memo.
+    cached, here or by a caller: a point that is revisited is settled again.
     """
 
     def __init__(self, rules: Sequence[Settle]):

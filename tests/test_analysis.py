@@ -588,6 +588,22 @@ def test_capture_settles_no_point_at_or_above_its_actionable_stage():
     assert verdicts["pass"] >= 50 and verdicts["fail"] >= 50, verdicts
 
 
+def test_capture_scans_a_class_once_for_both_sides():
+    """Work budget: on `random_config(32, 3200)`, whose class 0 (a machine)
+    never halts, capture of (0, 0) and of (0, 1) on one replay share one
+    least-settle scan: 1599 settle calls in all, not 3198."""
+    raw = random_config(32, 3200)
+    fsuite = make_suites(raw)[0]
+    trace = engine.run(fsuite, 3200, raw["snapshot_every"])
+    rep = replay(trace)
+    settle, calls = fsuite.settle, []
+    fsuite.settle = lambda e, n, limit: calls.append(n) or settle(e, n, limit)
+    for side in (0, 1):
+        check = check_capture(trace, fsuite, 0, side, 3200, rep).find("capture")
+        assert check.verdict == "inconclusive"
+    assert len(calls) == 1599
+
+
 # -- preservation check --------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,11 +31,21 @@ def case(functionals: list, horizon: int, snapshot_every: int = 7) -> dict:
     }
 
 
+def table(*entries) -> dict:
+    return {"kind": "table_partial", "entries": [list(entry) for entry in entries]}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.builds(random_config, st.integers(0, 59), st.integers(0, 200)))
 # class 0 never settles, so its scan runs to the horizon
 @example(case([{"kind": "empty"}, TOTAL, TOTAL], 200))
 @example(case([{"kind": "undefined_on_class", "e": 0}, TOTAL, delayed(0, 20)], 200))
+# (1, 0) rescans above (0, 0)'s restraint and finds nothing while (1, 1) is
+# unheld, so (1, 1) takes (1, 0)'s None in place of its stale entry
+@example(case([TOTAL, table([2, 0, 5]), TOTAL], 200))
+# (1, 1) has scanned when (0, 1)'s action at stage 100 injures (1, 0), whose
+# rescan above the new bound finds nothing: (1, 1) must not act at stage 150
+@example(case([table([1, 0, 2], [3, 0, 100]), table([6, 0, 10], [14, 0, 150])], 200))
 # the least settle stage lies far beyond the current stage, or beyond the horizon
 @example(case([delayed(1, 150), TOTAL, delayed(0, 90), delayed(2, 500)], 200))
 @example(case([TOTAL, TOTAL], 0))
@@ -48,10 +59,6 @@ def test_interval_oracle_matches_naive_oracle_and_engine(raw):
     for mutation in engine.MUTATIONS:
         mutated = engine.run(make_suites(raw)[0], horizon, every, mutation=mutation)
         assert (mutated != interval) == (mutated != naive)
-
-
-def table(*entries) -> dict:
-    return {"kind": "table_partial", "entries": [list(entry) for entry in entries]}
 
 
 # Suites on which the engine's skipped scans must still find every actor,
@@ -100,6 +107,41 @@ def test_reference_matches_engine_at_horizon_3200(seed):
     assert reference_run(fsuite, 3200, raw["snapshot_every"]) == engine.run(
         fsuite, 3200, raw["snapshot_every"]
     )
+
+
+@pytest.mark.parametrize(
+    "never", [{"kind": "empty"}, {"kind": "machine", "program": [["decjz", 2, 0]]}]
+)
+def test_reference_settles_a_class_that_never_settles_once(never):
+    """Work budget: when (0, 0)'s scan finds nothing, (0, 1) takes its None
+    unscanned, so at horizon 3200 `reference_run` settles each of the 1599
+    class-0 points below stage 3199 exactly once (3198 calls if (0, 1)
+    scanned too)."""
+    fsuite = make_suites(case([never, TOTAL], 3200))[0]
+    settle, calls = fsuite.settle, []
+    fsuite.settle = lambda e, n, limit: calls.append((e, n)) or settle(e, n, limit)
+    trace = reference_run(fsuite, 3200)
+    assert [ev.action.e for ev in trace.kept] == [1, 1]
+    counts = Counter(n for e, n in calls if e == 0)
+    assert len(counts) == 1599 and set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_reference_memory_follows_kept_events_not_stages(seed):
+    """`reference_run` keeps no settle result, so at horizon 32000 its
+    tracemalloc peak stays under 0.5 MiB on seeds 0 and 4; a memo of every
+    settled point peaked at 0.94 and 1.99 MiB."""
+    import tracemalloc
+
+    raw = random_config(seed, 32000)
+    fsuite = make_suites(raw)[0]
+    tracemalloc.start()
+    try:
+        reference_run(fsuite, 32000, raw["snapshot_every"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def verify_verdicts(tmp_path, trace_path, config_path) -> dict[str, str]:
