@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import partial
 from typing import Mapping, NamedTuple
 
 from .arith import class_index, class_members, position
@@ -397,7 +396,7 @@ def check_capture(
         bound = _stronger_restraint_bound(rep.restraints_entering[start], p)
         key = (suite, e, bound, horizon)  # (e, 0) and (e, 1) often share it
         if key not in rep.derived:
-            rep.derived[key] = least_settle(partial(suite.settle, limit=horizon), e, bound, horizon)
+            rep.derived[key] = least_settle(suite, e, bound, horizon)
         least = rep.derived[key]
     if least is None:
         check = CheckResult.of("capture", "inconclusive", reason="no actionable stage in horizon")

@@ -10,8 +10,6 @@ trace (`verify --checks oracle`).
 
 from __future__ import annotations
 
-from functools import partial
-
 from .arith import class_index, class_members, position
 from .records import Action, Removal, Snapshot, Trace, TraceEvent, TraceSummary
 from .suites import FunctionalSuite, least_settle
@@ -37,7 +35,6 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
     members: tuple[dict[int, tuple[int, int, int]], ...] = ({}, {})  # n -> (e, side, stage)
     restraints: dict[int, int] = {}
 
-    settle = partial(suite.settle, limit=horizon)
     # p -> least_settle above p's bound.  Bounds only rise, so an entry stays
     # right while its point is above p's bound, and None stays right, also for
     # (e, 1) once (e, 0) has it: (e, 1)'s bound is at least every (e, 0) bound.
@@ -55,7 +52,7 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
             if least.get(position(e, 0), ()) is None:
                 least[p] = None
             elif p not in least or least[p] is not None and least[p][1] <= bound:
-                least[p] = least_settle(settle, e, bound, horizon)
+                least[p] = least_settle(suite, e, bound, horizon)
             if least[p] is None:
                 continue
             t = max(s, p + 1, least[p][0])
@@ -65,7 +62,7 @@ def reference_run(suite: FunctionalSuite, horizon: int, snapshot_every: int = 0)
             break
         t, p, e, side, bound = chosen
         for witness in class_members(e, horizon, bound):
-            hit = settle(e, witness)
+            hit = suite.settle(e, witness, horizon)
             if hit is not None and hit[1] <= t:
                 break
         opposite = members[1 - side]

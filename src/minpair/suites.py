@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -46,11 +47,15 @@ class SpecError(ValueError):
 # to (parse, default) when it may be absent.  A parser takes the raw value and
 # its JSON path and returns the checked value, or raises SpecError naming the
 # path.  A default is parsed like a given value (so each config gets its own
-# lists), except None, which stands for "absent".
+# lists), except None, which stands for "absent".  A natural has at most half the
+# digits that Python prints (sys.get_int_max_str_digits(), 0 for any), less one,
+# so that a pair code of two naturals, and a position 2e + 1, still print.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)() // 2 - 1  # -1: no bound
+_NAT_END = 10**_DIGITS if _DIGITS >= 0 else float("inf")
 
 
 def _is_nat(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < _NAT_END
 
 
 def _is_bit(x) -> bool:
@@ -443,10 +448,14 @@ def _compiles(compile_spec):
 def _rational(raw, path: str) -> Fraction:
     from fractions import Fraction  # only end_to_end checks load it
 
-    try:
-        return Fraction(str(raw))
+    try:  # the exponent is bounded before Fraction expands it, then its numerator and denominator
+        if not 0 <= _DIGITS < abs(int(str(raw).lower().partition("e")[2] or 0)):
+            q = Fraction(str(raw))
+            if _is_nat(abs(q.numerator)) and _is_nat(q.denominator):
+                return q
     except (ValueError, ZeroDivisionError):
-        raise SpecError(f"{path}: must be a rational") from None
+        pass
+    raise SpecError(f"{path}: must be a rational")
 
 
 class EndToEndSpec(NamedTuple):
@@ -552,17 +561,17 @@ class FunctionalSuite:
         return None if hit is None else hit[0]
 
 
-def least_settle(settle, e: int, bound: int, horizon: int) -> tuple[int, int] | None:
-    """(stage, n): the least settle stage below the horizon of a class-e
-    point above bound, and the least point that settles then; None if no
-    such point settles before the horizon.  settle(e, n) returns what
-    FunctionalSuite.settle returns.  The scan stops at the first point that
-    the stage bound keeps from settling before the best stage found."""
-    best, stop = None, horizon
+def least_settle(
+    suite: FunctionalSuite, e: int, bound: int, horizon: int
+) -> tuple[int, int] | None:
+    """(stage, n): the least settle stage below the horizon of a class-e point above bound,
+    and the least point that settles then; None if no such point settles before the horizon.
+    The scan stops at the first point that the stage bound keeps from settling before the best."""
+    best, stop, settle = None, horizon, suite.settle
     for n in class_members(e, horizon, bound):
         if n + 1 >= stop:  # n and every later point settle after stage n
             break
-        hit = settle(e, n)
+        hit = settle(e, n, horizon)
         if hit is not None and hit[1] < stop:
             best, stop = (hit[1], n), hit[1]
     return best

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -486,6 +487,55 @@ def test_malformed_input_exits_without_traceback(tmp_path, scenario_config_path,
     assert main(["verify", "--trace", str(path if bad == "trace" else trace), "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("minpair: ")
+
+
+NINES = 10**4300 - 1  # as many digits as Python prints: 2e + 1 or a pair code has more
+
+
+@pytest.mark.parametrize(
+    "number, command",
+    [
+        (number, command)
+        for number in ("1e5000", "1e-5000", "1e99999999", "premise", "trace")
+        for command in ("run", "verify", "psi")
+        if (number, command) != ("trace", "run")  # run reads no trace
+    ],
+)
+def test_numbers_too_long_to_print_exit_2_or_3(tmp_path, capsys, number, command):
+    """An end_to_end threshold that expands past what Python prints, an
+    axiom premise of NINES, or a trace whose pair e = NINES acts twice: each
+    command exits 2 for the config or 3 for the trace within a second, with
+    one line that names the JSON path (`run` reads no trace).  These raised
+    a ValueError where a number was printed, or hung in Fraction."""
+    demo = Path("configs/parity_demo.json")
+    raw = json.loads(demo.read_text(encoding="utf-8"))
+    path, code = "config.checks.end_to_end[0].threshold", 2
+    if number == "premise":
+        raw["suite"]["operators"][0]["axioms"][0]["premise"] = [[NINES, 1]]
+        path = "config.suite.operators[0].axioms[0].premise[0][0]"
+    elif number != "trace":
+        raw["checks"]["end_to_end"][0]["threshold"] = number
+    trace = tmp_path / "t.trace"
+    if number == "trace":
+        config = str(Path("configs/injury.json"))
+        assert main(["run", "--config", config, "--out", str(trace)]) == 0
+        text = re.sub(r'"e":\d+', f'"e":{NINES}', trace.read_text(encoding="utf-8"))
+        trace.write_text(text.replace('"side":1', '"side":0'), encoding="utf-8")
+        path, code = "line 6: event.action.e", 3
+    else:
+        config = write_config(tmp_path / "config.json", raw)
+        assert main(["run", "--config", str(demo), "--out", str(trace)]) == 0
+    capsys.readouterr()
+    argv = {
+        "run": ["run", "--config", config, "--out", str(tmp_path / "out.trace")],
+        "verify": ["verify", "--trace", str(trace), "--config", config, "--report", str(tmp_path / "r.json")],
+        "psi": ["psi", "--trace", str(trace), "--config", config, "--e0", "0", "--e1", "1", "--bound", "9"],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("minpair: ") and err.count("\n") == 1 and path in err, err
 
 
 def test_use_bound_breach_exits_2_with_one_line_in_every_command(tmp_path, capsys):
@@ -1221,7 +1271,7 @@ def mutate_field(data, root: dict, mutation: str) -> None:
     elif mutation == "negative":
         node[key] = -data.draw(st.integers(1, 10**30))
     elif mutation == "huge":
-        huge = [TOO_LONG] if key == "horizon" else [2**64, 10**30, TOO_LONG]
+        huge = [TOO_LONG] if key == "horizon" else [2**64, 10**30, TOO_LONG, Raw("9" * 4300), "1e5000"]
         node[key] = data.draw(st.sampled_from(huge))
     else:
         depth = data.draw(st.sampled_from([3, 800, 100_000]))

@@ -3,14 +3,18 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from config_gen import random_functional
+from config_gen import random_config, random_functional
+from conftest import make_suites
 from minpair import analysis, suites
+from minpair.arith import class_members, pair, position
 from minpair.cli import build_suites, load_config, main, parse_config, read_trace
 from minpair.operators import Axiom
 from minpair.suites import (
@@ -371,3 +375,46 @@ def test_query_is_derived_from_settle(seed, horizon):
             want = None if s < stage else hit[0]
             assert fsuite.query(0, n, s) == want
             assert stepwise.query(0, n, s) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 59), horizon=st.integers(0, 400))
+def test_least_settle_is_the_least_settle_stage_and_stops_early(seed, horizon):
+    """For every e up to and including `classes` and every bound 0..H,
+    `least_settle` is the least (stage, n) over the class-e points above the
+    bound that settle before the horizon, or None.  It settles the class
+    points above the bound in order, each only while n + 1 is below the best
+    stage found so far, and stops at the first point that is not."""
+    fsuite = make_suites(random_config(seed, horizon))[0]
+    for e in range(fsuite.classes + 1):
+        hits = {n: fsuite.settle(e, n, horizon) for n in class_members(e, horizon)}
+        calls = []
+        counted = SimpleNamespace(settle=lambda *args: calls.append(args) or hits[args[1]])
+        for bound in range(horizon + 1):
+            calls.clear()
+            got = suites.least_settle(counted, e, bound, horizon)
+            settled = [(hit[1], n) for n, hit in hits.items() if hit and n > bound]
+            assert got == min((hit for hit in settled if hit[0] < horizon), default=None)
+            members = list(class_members(e, horizon, bound))
+            assert calls == [(e, n, horizon) for n in members[: len(calls)]]
+            best = horizon
+            for _, n, _ in calls:
+                assert n + 1 < best
+                best = min(best, hits[n][1]) if hits[n] else best
+            assert best == (horizon if got is None else got[0])
+            assert len(calls) == len(members) or members[len(calls)] + 1 >= best
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="Python prints ints of any length"
+)
+def test_the_largest_natural_prints_paired_with_itself_and_as_a_position():
+    """A natural has at most half the digits that Python prints, less one, so
+    the largest one the schema takes prints as pair(n, n) and as 2n + 1."""
+    limit = sys.get_int_max_str_digits()
+    largest = 10 ** (limit // 2 - 1) - 1
+    assert suites.natural(largest, "n") == largest
+    with pytest.raises(SpecError, match="^n: must be a natural$"):
+        suites.natural(largest + 1, "n")
+    assert len(str(pair(largest, largest))) <= limit
+    assert len(str(position(largest, 1))) <= limit
