@@ -3,9 +3,9 @@
 It jumps from action to action: between two actions the memberships and
 restraints are frozen, so the next actor, its stage and its witness follow
 from the settle stages alone.  It imports only the arithmetic, the trace
-records and the suites, shares no code or state with the engine, keeps no
-settle memo, and exists purely to cross-validate the engine trace for
-trace (`verify --checks oracle`).
+records and the suites, and shares only `suite.settle` and `least_settle`
+with the rest: no engine code or state, and no settle memo.  It exists
+purely to cross-validate the engine trace for trace (`verify --checks oracle`).
 """
 
 from __future__ import annotations
