@@ -566,7 +566,7 @@ def least_settle(
 ) -> tuple[int, int] | None:
     """(stage, n): the least settle stage below the horizon of a class-e point above bound,
     and the least point that settles then; None if no such point settles before the horizon.
-    The scan stops at the first point that the stage bound keeps from settling before the best."""
+    The scan stops at the first point the stage bound keeps from settling before the best stage."""
     best, stop, settle = None, horizon, suite.settle
     for n in class_members(e, horizon, bound):
         if n + 1 >= stop:  # n and every later point settle after stage n

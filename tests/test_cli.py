@@ -517,7 +517,7 @@ def test_numbers_too_long_to_print_exit_2_or_3(tmp_path, capsys, number, command
         raw["checks"]["end_to_end"][0]["threshold"] = number
     trace = tmp_path / "t.trace"
     if number == "trace":
-        config = str(Path("configs/injury.json"))
+        config = "configs/injury.json"
         assert main(["run", "--config", config, "--out", str(trace)]) == 0
         text = re.sub(r'"e":\d+', f'"e":{NINES}', trace.read_text(encoding="utf-8"))
         trace.write_text(text.replace('"side":1', '"side":0'), encoding="utf-8")
