@@ -30,9 +30,9 @@ bound, which the other pair's bound is not below.  Under skip_restraints
 every bound is 0, an injured pair may take an old point, and every point is
 settled and kept.
 
-Membership indexing convention: the state entering stage s reflects all
-actions of stages < s; a snapshot taken at stage s shows the state after
-the stage's action.  Restraints are never lowered or reset.
+Indexing: the state entering stage s reflects the actions of stages < s, and
+a snapshot at stage s is the members after its action: one Snapshot serves
+until the next action.  Restraints are never lowered or reset.
 
 The mutation hooks deliberately break one clause each (skip removals, skip
 the restraint filter, remove from the wrong side) so the verification
@@ -57,10 +57,9 @@ def _find_actor(
 ) -> tuple[int, int, int, int] | None:
     """Least eligible (position, e, side, witness) at stage s.
 
-    A pair (e, side) is held when the side has a class-e member: only
-    that pair inserts one, always a converged witness, and convergence is
-    stable.  Refills `watch` and
-    drops from `settled` the points that can no longer be witnesses.
+    A pair (e, side) is held when the side has a class-e member: only that pair
+    inserts one, always a converged witness, and convergence is stable.  Refills
+    `watch` and drops from `settled` the points that can no longer be witnesses.
     """
     watch.clear()
     strongest = 0  # running max of restraints over positions already scanned
@@ -109,11 +108,9 @@ def run(
     arrivals: dict[int, list[tuple[int, int]]] = {}  # settle stage -> (e, n)
     watch: dict[int, int] = {}  # class e -> least bound of its unheld pairs at the last scan
 
-    def members(side: int) -> tuple[int, ...]:
-        return tuple(sorted(n for n, _ in sides[side].values()))
-
     actor = None
     kept = []
+    post = Snapshot((), ())  # the members of both sides after the last action
     for s in range(horizon):
         n = s - 1  # the newest point: it can first converge now
         e = class_index(n) if n > 0 else classes  # 0 is in no class
@@ -139,11 +136,10 @@ def run(
                     removals.append(Removal(n, target, c, target, at))
             restraints[p] = s
             action = Action(e, side, witness, s)
-        snapshot = None
-        if snapshot_every > 0 and s % snapshot_every == 0:
-            snapshot = Snapshot(members(0), members(1))
+            post = Snapshot(*(tuple(sorted(n for n, _ in members.values())) for members in sides))
+        snapshot = post if snapshot_every > 0 and s % snapshot_every == 0 else None
         if action is not None or snapshot is not None:
             kept.append(TraceEvent(s, action, tuple(removals), snapshot))
             if on_event is not None:
                 on_event(kept[-1])
-    return Trace(kept, TraceSummary.of(horizon, members(0), members(1), restraints))
+    return Trace(kept, TraceSummary.of(horizon, *post, restraints))

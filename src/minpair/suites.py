@@ -67,7 +67,8 @@ def _object(pairs: list) -> dict:
     and kept by `tagged`) maps to the first such name, for `fields` to reject."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        obj[None] = next(name for i, (name, _) in enumerate(pairs) if name in dict(pairs[:i]))
+        seen = set()  # one scan: `seen.add` returns None, so a name is kept only when repeated
+        obj[None] = next(name for name, _ in pairs if name in seen or seen.add(name))
     return obj
 
 

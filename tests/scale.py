@@ -10,11 +10,17 @@ about 2n steps.  `--horizon` puts every config at one horizon and `--only`
 keeps the named configs, for a quick check.
 
 Each command runs in a fresh process, `python -m minpair.cli` with
-PYTHONPATH set to a tree's `src`: `run`, then the default `verify` of the
-trace it wrote.  Wall time runs from spawn to `os.wait4`, and the peak RSS
-is the child's `ru_maxrss`.  Linux keeps the spawner's own high-water mark
-in that figure, so this script imports no minpair and hashes in a child.  In every round each
-config runs under both trees, and the tree that goes first alternates.
+PYTHONPATH set to a copy of a tree's `src`: `run`, then the default
+`verify` of the trace it wrote.  Both trees compile from source, as the
+benchmark's children do: each copy is made under this run's temporary
+directory without `__pycache__`, and every child gets
+PYTHONDONTWRITEBYTECODE=1, so no child reads a warm or stale cache of
+either tree.  (A PYTHONPYCACHEPREFIX would move the stdlib's cache too, and
+every child would compile the stdlib modules it imports as well.)  Wall
+time runs from spawn to `os.wait4`, and the peak RSS is the child's
+`ru_maxrss`.  Linux keeps the spawner's own high-water mark in that figure,
+so this script imports no minpair and hashes in a child.  In every round
+each config runs under both trees, and the tree that goes first alternates.
 
 The output records every sample and the median; the sha256 of each trace
 and report, with the report's `meta` paths reduced to file names; whether
@@ -29,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,7 +63,9 @@ for path in sys.argv[1:]:
 """
 METHOD = (
     "each command a fresh process (python -m minpair.cli) spawned by this stdlib script,"
-    " which imports neither minpair nor hashlib; wall time from spawn to os.wait4, peak"
+    " which imports neither minpair nor hashlib; each tree compiles from source: its src"
+    " is copied without __pycache__ into a temporary directory and every child gets"
+    " PYTHONDONTWRITEBYTECODE=1; wall time from spawn to os.wait4, peak"
     " RSS = the child's ru_maxrss; every round runs each config under both trees, the"
     " first tree alternating; verify is the default verify of the trace the same tree wrote"
 )
@@ -76,7 +85,7 @@ def corpus() -> dict[str, dict]:
 
 def spawn(tree: Path, *argv) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and exit code of `minpair argv` under tree/src."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [sys.executable, "-m", "minpair.cli", *map(str, argv)]
     with open(os.devnull, "wb") as null:
         start = time.perf_counter()
@@ -86,6 +95,12 @@ def spawn(tree: Path, *argv) -> tuple[float, float, int]:
         _, status, usage = os.wait4(pid, 0)
         wall = time.perf_counter() - start
     return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
+
+
+def copy_source(tree: Path, into: Path) -> Path:
+    """A copy of tree/src under into/src with no `__pycache__`; returns into."""
+    shutil.copytree(tree / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return into
 
 
 def sha256s(*paths: Path) -> list[str]:
@@ -147,7 +162,7 @@ def compare(trees: dict[str, Path], config: dict, first: int, rounds: int, work:
     verdicts = reference = samples["change"][0]["verdicts"]
     if config["horizon"] != REFERENCE_HORIZON:
         at_reference = {**config, "horizon": REFERENCE_HORIZON}
-        reference = measure(ROOT, at_reference, work / "reference")["verdicts"]
+        reference = measure(trees["change"], at_reference, work / "reference")["verdicts"]
     result = {tree: summarize(runs) for tree, runs in samples.items()}
     digests = {(s["trace_sha256"], s["report_sha256"]) for runs in samples.values() for s in runs}
     fast_and_small = all(
@@ -189,8 +204,9 @@ def main(argv=None) -> int:
     if args.horizon is not None:
         configs = {name: {**config, "horizon": args.horizon} for name, config in configs.items()}
     with tempfile.TemporaryDirectory() as tmp:
+        copies = {tree: copy_source(trees[tree], Path(tmp) / "trees" / tree) for tree in trees}
         results = {
-            name: compare(trees, config, i, args.rounds, Path(tmp))
+            name: compare(copies, config, i, args.rounds, Path(tmp))
             for i, (name, config) in enumerate(configs.items())
         }
     meta = {

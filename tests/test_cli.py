@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -693,6 +694,34 @@ def test_repeated_trace_field_is_rejected(tmp_path, scenario_trace, capsys, name
     assert main(["verify", "--trace", str(path), "--config", "configs/scenario.json"]) == 3
     err = capsys.readouterr().err
     assert err == f"minpair: malformed trace: line {index + 1}: {where}: duplicate field\n"
+
+
+@pytest.mark.parametrize("document", ["config", "trace"])
+def test_a_repeat_after_40000_fields_is_found_in_one_scan(
+    tmp_path, scenario_trace, capsys, document
+):
+    """A record of 40 000 fields whose last field repeats an earlier one exits
+    2 (config) or 3 (trace) with the repeat's path within 5 s; rebuilding the
+    fields before each field to look for the repeat took about a minute."""
+    padding = "".join(f'"pad{i}":0,' for i in range(40000))
+    if document == "config":
+        functional = '{"kind": "total_const", "value": 0, ' + padding + '"value": 1}'
+        text = '{"horizon": 5, "suite": {"functionals": [' + functional + '], "operators": []}}'
+        path = tmp_path / "c.json"
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "o.trace")]
+        code, err = 2, "minpair: config.suite.functionals[0].value: duplicate field\n"
+    else:
+        lines = trace_lines(scenario_trace)
+        lines[2] = lines[2].replace('"witness":1}', '"witness":1,' + padding + '"witness":1}', 1)
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "repeat.trace"
+        argv = ["verify", "--trace", str(path), "--config", "configs/scenario.json"]
+        code, err = 3, "minpair: malformed trace: line 3: event.action.witness: duplicate field\n"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == err
 
 
 def test_verify_schema_invalid_trace_exits_3(tmp_path, scenario_config_path, capsys):
@@ -1451,3 +1480,34 @@ def test_scale_script_compares_a_tree_with_itself(tmp_path):
                 timing = result[tree][command]
                 assert len(timing["s"]) == len(timing["peak_rss_mb"]) == 2
                 assert timing["exit_codes"] == [0, 0] and timing["median_s"] > 0
+
+
+def test_scale_children_compile_both_trees_from_source(tmp_path, monkeypatch):
+    """Every child of `tests/scale.py` gets PYTHONDONTWRITEBYTECODE=1 and a
+    PYTHONPATH into a copy of its tree's `src` under the run's temporary
+    directory, made without the tree's `__pycache__`."""
+    import scale
+
+    stale = tmp_path / "parent"
+    shutil.copytree(scale.ROOT / "src", stale / "src")
+    (stale / "src" / "minpair" / "__pycache__").mkdir(exist_ok=True)
+    (stale / "src" / "minpair" / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"stale")
+    spawned, real = [], os.posix_spawn
+
+    def posix_spawn(path, args, env, **kwargs):
+        if args[1:3] == ["-m", "minpair.cli"]:
+            src = Path(env["PYTHONPATH"])
+            spawned.append((env["PYTHONDONTWRITEBYTECODE"], src, (src / "minpair").exists()))
+            assert not (src / "minpair" / "__pycache__").exists()
+        return real(path, args, env, **kwargs)
+
+    monkeypatch.setattr(scale.os, "posix_spawn", posix_spawn)
+    monkeypatch.setattr(scale.tempfile, "tempdir", str(tmp_path / "run"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    (tmp_path / "run").mkdir()
+    argv = ["--parent", str(stale), "--out", str(tmp_path / "bench.json"), "--horizon", "50"]
+    assert scale.main([*argv, "--rounds", "1", "--only", "random-0"]) == 0
+    assert len(spawned) == 6  # run and verify: each tree once, and the change at 3200
+    for dont_write, src, found in spawned:
+        assert dont_write == "1" and found and src.is_relative_to(tmp_path / "run")
+    assert {src.parent.name for _, src, _ in spawned} == {"parent", "change"}

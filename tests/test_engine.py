@@ -3,12 +3,15 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from config_gen import random_config
 from conftest import make_suites
 from minpair import engine
-from minpair.analysis import replay
+from minpair.analysis import check_structural, replay
 from minpair.arith import class_index
 from minpair.engine import MUTATIONS, Action, Removal, Trace, run
+from minpair.oracle import reference_run
 
 
 def scenario_suite(value=0):
@@ -141,6 +144,22 @@ def test_snapshot_cadence_and_content():
     # post-action state at stage 40: witness 1 inserted, 6 removed
     assert snap40.side0 == (1, 2)
     assert snap40.side1 == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 59), st.integers(0, 400), st.sampled_from([1, 2, 7]))
+def test_snapshots_equal_the_replay_at_every_cadence_and_mutation(seed, horizon, every):
+    """A snapshot is the members after its stage's action, and one Snapshot
+    serves until the next action: at every cadence, honest or mutated, each
+    snapshot and the summary equal the replay, and an honest trace equals
+    the reference oracle's."""
+    fsuite = make_suites(random_config(seed, horizon))[0]
+    for mutation in (None, *MUTATIONS):
+        trace = run(fsuite, horizon, every, mutation=mutation)
+        verdicts = {c.name: c.verdict for c in check_structural(trace).checks}
+        assert verdicts["event_shape"] == verdicts["replay_summary"] == "pass", mutation
+        if mutation is None:
+            assert trace == reference_run(fsuite, horizon, every)
 
 
 def test_mutations_change_behaviour():

@@ -144,6 +144,25 @@ def test_reference_memory_follows_kept_events_not_stages(seed):
     assert peak < 2**19
 
 
+def test_engine_snapshots_share_the_members_between_actions():
+    """`engine.run` builds a Snapshot only when a stage acts, and every
+    snapshot until the next action is that object, so at horizon 32000 with a
+    snapshot at every stage the trace it keeps takes under 5 MiB on seed 4
+    (a fresh Snapshot per stage took 10.0 MiB)."""
+    import tracemalloc
+
+    fsuite = make_suites(random_config(4, 32000))[0]
+    tracemalloc.start()
+    try:
+        trace = engine.run(fsuite, 32000, 1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.kept) == 32000 and retained < 5 * 2**20
+    actions = sum(ev.action is not None for ev in trace.kept)
+    assert len({id(ev.snapshot) for ev in trace.kept}) <= actions + 1
+
+
 def verify_verdicts(tmp_path, trace_path, config_path) -> dict[str, str]:
     report_path = tmp_path / "report.json"
     main(["verify", "--trace", str(trace_path), "--config", str(config_path), "--report", str(report_path)])
