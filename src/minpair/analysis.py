@@ -1,19 +1,21 @@
 """Replay of construction traces, the structural checks and capture.
 
-Everything here is read-only over a trace: replay reconstructs the
-memberships and restraints entering each stage, kept at the stages where
-they change, the structural checks verify the invariants the construction
-promises (class bounds, single entry, witness and removal discipline, the
-opposite-side preservation lemma, quiescent finite action), and the
-capture check confirms its behavioural guarantee at a finite horizon.
+Everything here is read-only over a trace: replay keeps the events that
+change a membership or a restraint, and a walk over them rebuilds the
+state entering any stage; the structural checks verify the invariants the
+construction promises (class bounds, single entry, witness and removal
+discipline, the opposite-side preservation lemma, quiescent finite
+action), and the capture check confirms its behavioural guarantee at a
+finite horizon.
 Capture finds its actionable stage with the oracle's scan
 (`suites.least_settle`), and capture and witness discipline read a side's
 converged class members through one helper, `_converged`.
 
 `STRUCTURAL` names the structural checks in report order.  They run in one
-pass over the run's actions, each keeping its first counterexample, and a
-check fails exactly when it has one, with that counterexample as detail.
-A check's report carries no `meta`; `verify` adds its own.
+walk over the kept events with one live state, the one `_apply` keeps, and
+each keeps its first counterexample: a check fails exactly when it has
+one, with that counterexample as detail.  A check's report carries no
+`meta`; `verify` adds its own.
 
 The reference oracle (`reference_run`) lives in `oracle` and the operator
 layer (enumerations, preservation, the joint table, the diagonal set and
@@ -30,12 +32,11 @@ reflect all actions of stages < s; entering[horizon] is the final state.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .arith import class_index, class_members, position
-from .records import Action, Trace, TraceFormatError
+from .records import Action, Trace, TraceEvent, TraceFormatError
 from .suites import FunctionalSuite, least_settle
 
 # The home module of each name resolved on first use.
@@ -62,89 +63,88 @@ def __getattr__(name: str):
 # replay
 
 
-class Stepwise:
-    """A value for each stage 0..horizon, kept only where it may change:
-    values[i] holds from stages[i] (stages[0] is 0) up to stages[i + 1].
-    Indexing a stage finds its value by bisection and passes it through
-    `read`, which gives each caller a fresh copy of a mutable value.  It
-    has no length and no iteration: walk it with `runs`."""
+def _apply(ev: TraceEvent, members: tuple[dict, dict], restraints: dict[int, int]) -> list:
+    """Apply the event to the live state, and give the (side, n) of each
+    member that it removed.  restraints maps each position to the restraint
+    of its last action; members[side] maps each member, in the order they
+    entered, to the (e, side, stage) of the action that last inserted it and
+    the stage from which it has been a member."""
+    act = ev.action
+    if act is not None:
+        side = members[act.side]
+        entered = side[act.witness][3] if act.witness in side else ev.stage
+        side[act.witness] = (act.e, act.side, ev.stage, entered)
+        restraints[act.position] = act.restraint
+    return [(rm.side, rm.n) for rm in ev.removals if members[rm.side].pop(rm.n, None)]
 
-    def __init__(self, stages: list[int], values: list, horizon: int, read=None) -> None:
-        self.stages = stages
-        self.values = values
-        self.horizon = horizon
-        self.read = read
+
+class _ByStage:
+    """A replayed run's state entering each stage, indexed by the stage and
+    read through read(members, restraints) of that state."""
+
+    def __init__(self, rep: ReplayedRun, read) -> None:
+        self.rep, self.read = rep, read
 
     def __getitem__(self, s: int):
-        if not 0 <= s <= self.horizon:
-            raise IndexError(f"stage {s} outside 0..{self.horizon}")
-        value = self.values[bisect_right(self.stages, s) - 1]
-        return value if self.read is None else self.read(value)
-
-    def runs(self, start: int, stop: int):
-        """(first stage, value) for each value in force at a stage in
-        [start, stop), in stage order; the first stage is at least start."""
-        i = bisect_right(self.stages, start) - 1
-        for first, value in zip(self.stages[i:], self.values[i:]):
-            if first >= stop:
-                break
-            yield max(first, start), value
+        if not 0 <= s <= self.rep.horizon:
+            raise IndexError(f"stage {s} outside 0..{self.rep.horizon}")
+        for _, members, restraints in self.rep.walk(s):
+            pass
+        return self.read(members, restraints)
 
 
 class ReplayedRun(NamedTuple):
     horizon: int
-    entering: Stepwise  # stage -> (side 0, side 1) members, as frozensets
-    restraints_entering: Stepwise  # stage -> {position: restraint}
+    events: list[TraceEvent]  # the kept events with an action or removals, in stage order
     actions: list[tuple[int, Action]]  # (stage, action), in stage order
     derived: dict  # what the checks derive from this run, each computed once (see `joint`)
 
-    def final(self) -> tuple[frozenset[int], frozenset[int]]:
-        return self.entering[self.horizon]
+    def walk(self, stop: int):
+        """(s, members, restraints) entering stage 0, then entering each stage
+        s <= stop just after one of the events, in stage order.  The state is
+        live: the dicts of `_apply`, updated in place between yields."""
+        members: tuple[dict, dict] = ({}, {})
+        restraints: dict[int, int] = {}
+        yield 0, members, restraints
+        for ev in self.events:
+            if ev.stage >= stop:
+                return
+            _apply(ev, members, restraints)
+            yield ev.stage + 1, members, restraints
+
+    @property
+    def entering(self) -> _ByStage:
+        """stage -> (side 0, side 1) members entering it, as frozensets."""
+        return _ByStage(self, lambda members, _: tuple(map(frozenset, members)))
+
+    @property
+    def restraints_entering(self) -> _ByStage:
+        """stage -> {position: restraint} entering it."""
+        return _ByStage(self, lambda _, restraints: restraints)
 
 
 def replay(trace: Trace) -> ReplayedRun:
-    """Reconstruct the state entering each stage from the events alone.
+    """The run the events spell: its actions, and the kept events that
+    change a membership or a restraint, from which `ReplayedRun.walk`
+    rebuilds the state entering any stage.
 
     Permissive on content (forged traces replay too; the checkers judge
     them) but strict on shape: the kept events must come in increasing
-    stage order, below the horizon.  Memberships and restraints change only
-    at events with an action or removals, so the state is kept only after
-    those.
+    stage order, below the horizon.
     """
     horizon = trace.summary.horizon
-    cur: tuple[set[int], set[int]] = (set(), set())
-    stages = [0]
-    members = [(frozenset(), frozenset())]
-    restraint_tables: list[dict[int, int]] = [{}]
-    restraints: dict[int, int] = {}
-    actions = []
+    events = []
     last = -1  # the stage of the event before
     for ev in trace.kept:
         if not last < ev.stage < horizon:
             raise TraceFormatError(f"event at stage {ev.stage} out of order for horizon {horizon}")
-        last = s = ev.stage
-        if ev.action is None and not ev.removals:
-            continue
-        act = ev.action
-        if act is not None:
-            if act.side not in (0, 1) or act.witness < 0 or act.e < 0:
-                raise TraceFormatError(f"event {s}: malformed action fields")
-            actions.append((s, act))
-            cur[act.side].add(act.witness)
-            restraints[act.position] = act.restraint
-        for rm in ev.removals:
-            if rm.side in (0, 1):
-                cur[rm.side].discard(rm.n)
-        stages.append(s + 1)
-        members.append((frozenset(cur[0]), frozenset(cur[1])))
-        restraint_tables.append(dict(restraints))
-    return ReplayedRun(
-        horizon,
-        Stepwise(stages, members, horizon),
-        Stepwise(stages, restraint_tables, horizon, dict),
-        actions,
-        {},
-    )
+        last, act = ev.stage, ev.action
+        if act is not None and (act.side not in (0, 1) or act.witness < 0 or act.e < 0):
+            raise TraceFormatError(f"event {last}: malformed action fields")
+        if act is not None or ev.removals:
+            events.append(ev)
+    actions = [(ev.stage, ev.action) for ev in events if ev.action is not None]
+    return ReplayedRun(horizon, events, actions, {})
 
 
 def replay_to(trace: Trace, horizon: int, rep: ReplayedRun | None = None) -> ReplayedRun:
@@ -210,23 +210,23 @@ def _stronger_restraint_bound(restraints: Mapping[int, int], p: int) -> int:
     return max((v for q, v in restraints.items() if q < p), default=0)
 
 
-def _witness_fault(
-    rep: ReplayedRun, suite: FunctionalSuite | None, s: int, act: Action
-) -> str | None:
-    """Why the witness of the action at stage s breaks witness discipline, or None."""
+def _witness_fault(state: tuple, suite: FunctionalSuite | None, s: int, act: Action) -> str | None:
+    """Why the witness of the action at stage s breaks witness discipline, or
+    None; state is (members, restraints) entering stage s."""
+    members, restraints = state
     if act.position >= s:
         return "pair position not below stage"
     if class_index(act.witness) != act.e:
         return "witness outside its class"
-    if act.witness in rep.entering[s][act.side]:
+    if act.witness in members[act.side]:
         return "witness already a member"
-    if act.witness <= _stronger_restraint_bound(rep.restraints_entering[s], act.position):
+    if act.witness <= _stronger_restraint_bound(restraints, act.position):
         return "witness under a stronger restraint"
     if suite is None:
         return None
     if suite.query(act.e, act.witness, s) is None:
         return "witness not converged"
-    if _converged(suite, rep.entering[s][act.side], act.e, s):
+    if _converged(suite, members[act.side], act.e, s):
         return "class already satisfied"
     return None
 
@@ -236,17 +236,15 @@ def _converged(suite: FunctionalSuite, members, e: int, s: int) -> list[int]:
     return sorted(m for m in members if class_index(m) == e and suite.query(e, m, s) is not None)
 
 
-def _removal_fault(
-    removals: tuple, s: int, act: Action, opposite: frozenset[int], inserted: dict
-) -> dict | None:
-    """What breaks removal discipline at the action of stage s, with these
-    removals, or None: each removal must hit a current opposite-side member
-    inserted earlier by a strictly weaker pair, and no victim may be missed.
-    opposite holds the opposite side's members entering stage s, and
-    inserted maps each to the (e, side, stage) of the action that last
-    inserted it."""
+def _removal_fault(ev: TraceEvent, opposite: dict) -> dict | None:
+    """What breaks removal discipline at the action of the event, or None:
+    each removal must hit a current opposite-side member inserted earlier by
+    a strictly weaker pair, and no victim may be missed.  opposite is the
+    opposite side's members entering the event's stage, as `_apply` keeps
+    them."""
+    s, act = ev.stage, ev.action
     gone = set()  # the members that this event's earlier removals took
-    for rm in removals:
+    for rm in ev.removals:
         if rm.side != 1 - act.side:
             reason = "wrong side"
         elif rm.by_position <= act.position:
@@ -255,18 +253,29 @@ def _removal_fault(
             reason = "inserted_at not earlier"
         elif rm.n not in opposite or rm.n in gone:
             reason = "not a current member"
-        elif inserted[rm.n] != (rm.by_e, rm.by_side, rm.inserted_at):
+        elif opposite[rm.n][:3] != (rm.by_e, rm.by_side, rm.inserted_at):
             reason = "provenance mismatch"
         else:
             gone.add(rm.n)
             continue
         return {"n": rm.n, "reason": reason}
-    recorded = [rm.n for rm in removals]
+    recorded = [rm.n for rm in ev.removals]
     if recorded != sorted(recorded):
         return {"reason": "removals not in canonical order"}
-    if recorded != sorted(n for n in opposite if position(*inserted[n][:2]) > act.position):
+    if recorded != sorted(n for n in opposite if position(*opposite[n][:2]) > act.position):
         return {"reason": "removals disagree with weaker opposite-side members"}
     return None
+
+
+def _first_lacking(rep: ReplayedRun, post, side: int, since: int, stop: int) -> int:
+    """The first stage u with since <= u <= stop at which the side lacks a
+    member of post; the caller knows that there is one."""
+    first = None
+    for u, members, _ in rep.walk(stop):
+        if u > since and first is not None:
+            break  # first lacks a member, and the state at first holds up to u
+        first = None if post <= members[side].keys() else max(u, since)
+    return first
 
 
 def check_structural(
@@ -274,73 +283,63 @@ def check_structural(
 ) -> VerificationReport:
     """Verify every structural invariant of a run against its full trace.
 
-    With a suite, witness discipline additionally confirms each witness was
-    converged and its class held no converged member at the action stage.
-    Pass rep, the replay of the trace, to share one replay between checks.
+    A check that has its first counterexample is not evaluated again where
+    that costs more than a comparison.  With a suite, witness discipline
+    additionally confirms each witness was converged and its class held no
+    converged member at the action stage.  Pass rep, the replay of the
+    trace, to share one replay between checks.
     """
     rep = replay(trace) if rep is None else rep
-    T = rep.horizon
     bad: dict[str, dict] = {}  # check name -> its first counterexample
-
-    # event shape: removals only ride on actions; snapshots match replay
+    state = members, restraints = ({}, {}), {}  # entering the stage of ev, then after it
+    classes = (Counter(), Counter())  # side -> class -> its members on the side
+    stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
     for ev in trace.kept:
-        if ev.action is None and ev.removals:
-            bad.setdefault("event_shape", {"stage": ev.stage, "reason": "removals without action"})
-        elif ev.snapshot is not None and ev.snapshot != tuple(
-            tuple(sorted(side)) for side in rep.entering[ev.stage + 1]
-        ):
-            bad.setdefault(
-                "event_shape", {"stage": ev.stage, "reason": "snapshot disagrees with replay"}
-            )
+        s, act = ev.stage, ev.action
+        if act is None and ev.removals:  # removals only ride on actions
+            bad.setdefault("event_shape", {"stage": s, "reason": "removals without action"})
+        if act is not None:
+            side, other = act.side, 1 - act.side
+            if "witness_discipline" not in bad and (reason := _witness_fault(state, suite, s, act)):
+                bad["witness_discipline"] = {"stage": s, "reason": reason}
+            # restraint discipline: set to exactly the acting stage, only by actions
+            if act.restraint != s:
+                bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
+            if "removal_discipline" not in bad and (fault := _removal_fault(ev, members[other])):
+                bad["removal_discipline"] = {"stage": s, **fault}
+            since = 1 + max((at[-1] for q, at in stages_at.items() if q < act.position), default=-1)
+            stages_at.setdefault(act.position, []).append(s)
+            e = class_index(act.witness)
+            if act.witness not in members[side]:
+                classes[side][e] += 1
+        for gone in _apply(ev, members, restraints):
+            classes[gone[0]][class_index(gone[1])] -= 1
+        if act is not None:
+            # per-class bound: at most one member of each valuation class per
+            # side, and never 0; only the witness's class can break it here
+            if classes[side][e] > (e is not None):
+                bad.setdefault("class_bound", {"stage": s + 1, "side": side, "class": e})
+            # key lemma: after this action the opposite side is contained in
+            # its state at every stage back to the last stronger action; its
+            # members entered in stage order, so the last to enter decides
+            last = next(reversed(members[other].values()), None)
+            if "key_lemma" not in bad and last is not None and last[3] >= since:
+                u = _first_lacking(rep, members[other].keys(), other, since, s)
+                bad["key_lemma"] = {"stage": s, "since": u, "side": other}
+        if ev.snapshot is not None and ev.snapshot != tuple(tuple(sorted(m)) for m in members):
+            bad.setdefault("event_shape", {"stage": s, "reason": "snapshot disagrees with replay"})
 
-    # the summary must equal the replayed final state
+    # the summary must equal the final state
     summary = trace.summary
-    final0, final1 = (tuple(sorted(side)) for side in rep.final())
-    restraints = tuple(sorted(rep.restraints_entering[T].items()))
-    if (summary.side0, summary.side1, summary.restraints) != (final0, final1, restraints):
+    final = (*(tuple(sorted(m)) for m in members), tuple(sorted(restraints.items())))
+    if (summary.side0, summary.side1, summary.restraints) != final:
         bad["replay_summary"] = {}
-
-    # per-class bound: at most one member of each valuation class per side
-    for s, sides in rep.entering.runs(0, T + 1):
-        for side, members in enumerate(sides):
-            classes = set()
-            for n in members:
-                e = class_index(n)
-                if e is None or e in classes:
-                    bad.setdefault("class_bound", {"stage": s, "side": side, "class": e})
-                classes.add(e)
 
     # single entry: an element enters a given side at most once, so each
     # membership changes at most twice over the run
     entries = Counter((act.side, act.witness) for _, act in rep.actions)
     for side, n in sorted(key for key, count in entries.items() if count > 1):
         bad.setdefault("dce_single_entry", {"side": side, "n": n})
-
-    removals = {ev.stage: ev.removals for ev in trace.kept}
-    stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
-    inserted: tuple[dict, dict] = ({}, {})  # side -> n -> (e, side, stage) of its last insertion
-    for s, act in rep.actions:
-        p, other = act.position, 1 - act.side
-        reason = _witness_fault(rep, suite, s, act)
-        if reason:
-            bad.setdefault("witness_discipline", {"stage": s, "reason": reason})
-        # restraint discipline: set to exactly the acting stage, only by actions
-        if act.restraint != s:
-            bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
-        fault = _removal_fault(removals[s], s, act, rep.entering[s][other], inserted[other])
-        if fault:
-            bad.setdefault("removal_discipline", {"stage": s, **fault})
-        inserted[act.side][act.witness] = (act.e, act.side, s)
-        # key lemma: after this action the opposite side is contained in its
-        # state at every stage back to the last stronger action; equivalently
-        # each of those stages' descriptions extends to the new one
-        since = 1 + max((at[-1] for q, at in stages_at.items() if q < p), default=-1)
-        post = rep.entering[s + 1][other]
-        for u, sides in rep.entering.runs(since, s + 1):
-            if not post <= sides[other]:
-                bad.setdefault("key_lemma", {"stage": s, "since": u, "side": other})
-                break
-        stages_at.setdefault(p, []).append(s)
 
     # finite action: once every stronger pair has stopped, a pair acts at
     # most once more

@@ -47,11 +47,11 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
     op's axioms becomes visible, so evaluate runs only there and at stage 0.
     """
     visible = {stage for stage, _ in op.staged_axioms}
-    runs = dict(rep.entering.runs(0, horizon + 1))
+    runs = {s: frozenset(members[side]) for s, members, _ in rep.walk(horizon)}
     changes = []
     before = None
     for s in sorted(runs.keys() | {v for v in visible if v <= horizon}):
-        now = runs[s][side] if s in runs else before
+        now = runs.get(s, before)
         if s == 0 or s in visible or now != before:
             changes.append((s, analysis.evaluate(op, CofiniteOnes.of(now), s)))
         before = now

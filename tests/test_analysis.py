@@ -109,32 +109,35 @@ def test_replay_entering_series(scenario_suite, scenario_trace):
     assert rep.restraints_entering[5] == {0: 2, 1: 4}
 
 
-def dense_states(trace):
-    """(memberships, restraints) entering every stage 0..horizon, rebuilt
-    stage by stage from the events."""
-    members: tuple[dict, dict] = ({}, {})
-    restraints: dict[int, int] = {}
-    states = []
-    for ev in trace.events:
-        states.append(((frozenset(members[0]), frozenset(members[1])), dict(restraints)))
-        if ev.action is not None:
-            members[ev.action.side][ev.action.witness] = ev.stage
-            restraints[ev.action.position] = ev.action.restraint
-        for rm in ev.removals:
-            if rm.side in (0, 1):
-                members[rm.side].pop(rm.n, None)
-    states.append(((frozenset(members[0]), frozenset(members[1])), dict(restraints)))
-    return states
+def entering_in_order(trace):
+    """For each stage 0..horizon, (members, restraints) entering it, as
+    `naive_checks.entering` rebuilds them stage by stage, each side's
+    members listed in the order they entered, each with its provenance and
+    the stage from which it has been a member."""
+    states = naive_checks.entering(trace)
+    entered: tuple[dict, dict] = ({}, {})  # side -> n -> the stage it entered
+    ordered = []
+    for s, (members, restraints) in enumerate(states):
+        sides = []
+        for side in (0, 1):
+            for n in members[side]:
+                if s == 0 or n not in states[s - 1][0][side]:
+                    entered[side][n] = s - 1
+            rows = [(n, (*members[side][n], entered[side][n])) for n in members[side]]
+            sides.append(sorted(rows, key=lambda row: row[1][3]))
+        ordered.append((sides, restraints))
+    return ordered
 
 
-# small witnesses and victims, so that forged events meet real members
+# small witnesses and victims, so that forged events meet real members;
+# sides are bits, as the trace reader gives them
 forged_actions = st.builds(
     Action, st.integers(0, 3), st.integers(0, 1), st.integers(0, 8), st.integers(0, 200)
 )
 forged_removals = st.builds(
     Removal,
     st.integers(0, 8),
-    st.integers(0, 2),  # side 2 removes nothing
+    st.integers(0, 1),
     st.integers(0, 3),
     st.integers(0, 1),
     st.integers(0, 200),
@@ -144,37 +147,42 @@ forged_events = st.tuples(
 )
 
 
+def with_forgeries(trace, forgeries):
+    """The trace with each forged (stage, action, removals) event below its
+    horizon in place of that stage's event."""
+    events = {ev.stage: ev for ev in trace.kept}
+    for stage, action, removals in forgeries:
+        if stage < trace.summary.horizon:
+            events[stage] = TraceEvent(stage, action, tuple(removals))
+    return Trace([events[s] for s in sorted(events) if not events[s].quiet], trace.summary)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 59), st.integers(0, 200), st.lists(forged_events, max_size=6))
 def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
-    """replay keeps state only where it may change; every stage still reads
-    the state that a stage-by-stage rebuild gives, forged traces included."""
+    """replay keeps only the events with an action or removals; its walk
+    yields the state after each of them, and every stage reads the state
+    that a stage-by-stage rebuild gives, members in the order they entered,
+    forged traces included."""
     raw = random_config(seed, horizon)
     trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
-    events = {ev.stage: ev for ev in trace.kept}
-    for stage, action, removals in forgeries:
-        if stage < horizon:
-            events[stage] = TraceEvent(stage, action, tuple(removals))
-    trace = Trace([events[s] for s in sorted(events)], trace.summary)
+    trace = with_forgeries(trace, forgeries)
     rep = replay(trace)
-    states = dense_states(trace)
-    assert rep.entering.horizon == rep.restraints_entering.horizon == horizon
+    states = entering_in_order(trace)
+    assert rep.events == [ev for ev in trace.kept if ev.action is not None or ev.removals]
+    walked = {
+        s: ([list(side.items()) for side in members], dict(restraints))
+        for s, members, restraints in rep.walk(horizon)
+    }
+    assert list(walked) == [0] + [ev.stage + 1 for ev in rep.events]
     for s, (members, restraints) in enumerate(states):
-        assert rep.entering[s] == members
-        assert type(rep.entering[s][0]) is frozenset
-        got = rep.restraints_entering[s]
-        assert type(got) is dict and got == restraints
-        got[0] = -1  # each read is a fresh dict
+        # the walk's state where it yields one, else no change from the stage before
+        assert walked.get(s, states[s - 1]) == (members, restraints)
+        assert rep.entering[s] == tuple(frozenset(n for n, _ in side) for side in members)
         assert rep.restraints_entering[s] == restraints
-    assert rep.entering[horizon] == rep.final() == states[-1][0]
     for outside in (-1, horizon + 1):
         with pytest.raises(IndexError):
             rep.entering[outside]
-    for start in {0, horizon // 3, horizon}:
-        runs = list(rep.entering.runs(start, horizon + 1))
-        ends = [first for first, _ in runs[1:]] + [horizon + 1]
-        spread = [members for (first, members), end in zip(runs, ends) for _ in range(first, end)]
-        assert spread == [members for members, _ in states[start:]]
 
 
 def test_replay_rejects_events_out_of_stage_order(scenario_trace):
@@ -361,8 +369,71 @@ TWO_VIOLATIONS = [
 ]
 
 
+# the structural walk's rare paths, in the shape of TWO_VIOLATIONS
+RARE_PATHS = {
+    # stage 5 removes victim 2 twice; stage 7 removes from its own side
+    "removal_discipline-duplicate_removal": (
+        "removal_discipline",
+        acts(
+            (4, 1, 1, 2, 4),
+            (5, 0, 0, 1, 5, Removal(2, 1, 1, 1, 4), Removal(2, 1, 1, 1, 4)),
+            (7, 0, 1, 3, 7, Removal(9, 1, 0, 0, 5)),
+        ),
+        {"stage": 5, "n": 2, "reason": "not a current member"},
+        5,
+    ),
+    # stage 3 inserts 3 and removes its class-mate 1 from side 0, which
+    # keeps the bound; side 0 breaks it from stage 6, side 1 from stage 9
+    "class_bound-mate_removed_by_the_insertion": (
+        "class_bound",
+        acts(
+            (2, 0, 0, 1, 2),
+            (3, 0, 0, 3, 3, Removal(1, 0, 0, 0, 2)),
+            (5, 0, 0, 5, 5),
+            (7, 1, 1, 2, 7),
+            (8, 1, 1, 6, 8),
+        ),
+        {"stage": 6, "side": 0, "class": 0},
+        5,
+    ),
+    # side 1 holds 1 entering stages 3-4, lacks it entering 5-6 and holds
+    # it again from 7, so the lemma of stage 8, back to stage 3, fails at 5
+    "key_lemma-since_after_a_reentry": (
+        "key_lemma",
+        acts(
+            (2, 0, 1, 1, 2),
+            (4, 2, 0, 4, 4, Removal(1, 1, 0, 1, 2)),
+            (6, 3, 1, 1, 6),
+            (8, 1, 0, 2, 8),
+            (10, 1, 0, 6, 10),
+        ),
+        {"stage": 8, "since": 5, "side": 1},
+        8,
+    ),
+    # side 1 inserts its member 1 again at stages 4 and 10, which keeps the
+    # stage it entered: the lemma holds at stage 6, and first fails at 12,
+    # where 4, which entered at stage 8, is missing back to stage 3
+    "key_lemma-a_member_inserted_again": (
+        "key_lemma",
+        acts(
+            (2, 0, 1, 1, 2),
+            (4, 3, 1, 1, 4),
+            (6, 1, 0, 2, 6),
+            (8, 2, 1, 4, 8),
+            (10, 3, 1, 1, 10),
+            (12, 1, 0, 6, 12),
+            (14, 1, 0, 10, 14),
+        ),
+        {"stage": 12, "since": 3, "side": 1},
+        12,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "name, events, first, drop", TWO_VIOLATIONS, ids=[case[0] for case in TWO_VIOLATIONS]
+    "name, events, first, drop",
+    [*TWO_VIOLATIONS, *RARE_PATHS.values()],
+    ids=[*(case[0] for case in TWO_VIOLATIONS), *RARE_PATHS],
 )
 def test_structural_reports_the_first_counterexample(name, events, first, drop):
     """Of two violations of one check, the report names the first one in the
@@ -373,6 +444,34 @@ def test_structural_reports_the_first_counterexample(name, events, first, drop):
     check = check_structural(other).find(name)
     assert check.verdict == "fail" and dict(check.detail) != first
 
+
+
+def test_structural_memory_follows_the_events_not_their_square(tmp_path):
+    """Work budget: on a forged trace whose stages 1-4000 each insert the
+    next odd number into side 0, check_structural peaks under 4 MiB under
+    tracemalloc (a copy of each side at every change point took about
+    334 MiB), and `verify --checks structural` of the trace exits 1."""
+    import tracemalloc
+
+    horizon = 4001
+    kept = [TraceEvent(s, Action(0, 0, 2 * s + 1, s), ()) for s in range(1, horizon)]
+    side0 = [2 * s + 1 for s in range(1, horizon)]
+    trace = forged(kept, side0=side0, restraints=((0, horizon - 1),), horizon=horizon)
+    tracemalloc.start()
+    try:
+        report = check_structural(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert dict(report.find("class_bound").detail) == {"stage": 3, "side": 0, "class": 0}
+    with open("configs/injury.json", encoding="utf-8") as fh:
+        raw = dict(json.load(fh), horizon=horizon)
+    config = tmp_path / "forged.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    write_trace(trace, tmp_path / "forged.trace")
+    argv = ["verify", "--trace", str(tmp_path / "forged.trace"), "--config", str(config)]
+    assert main([*argv, "--checks", "structural", "--report", str(tmp_path / "r.json")]) == 1
 
 
 def test_readme_lists_the_structural_checks():
@@ -458,8 +557,9 @@ EDITS = (
 
 def test_structural_matches_its_naive_specification():
     """check_structural gives the verdicts and first counterexamples of
-    `tests/naive_checks.py` on engine traces under every mutation, as run
-    and with random edits; most cases reach a failing check."""
+    `tests/naive_checks.py` on engine traces under every mutation, as run,
+    with random edits and with forged events; most cases reach a failing
+    check."""
     failing = []
 
     @settings(max_examples=400, deadline=None, database=None)
@@ -472,12 +572,13 @@ def test_structural_matches_its_naive_specification():
             st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6), st.integers(-3, 3)),
             max_size=4,
         ),
+        st.lists(forged_events, max_size=3),
     )
-    def compare(seed, horizon, mutation, with_suite, edits):
+    def compare(seed, horizon, mutation, with_suite, edits, forgeries):
         raw = random_config(seed, horizon)
         fsuite = make_suites(raw)[0]
         trace = engine.run(fsuite, horizon, raw["snapshot_every"], mutation=mutation)
-        trace = edited(trace, edits)
+        trace = with_forgeries(edited(trace, edits), forgeries)
         suite = fsuite if with_suite else None
         report = check_structural(trace, suite)
         got = {c.name: (c.verdict, dict(c.detail)) for c in report.checks}
@@ -577,7 +678,7 @@ def test_capture_settles_no_point_at_or_above_its_actionable_stage():
             for side in (0, 1):
                 kept = [ev for ev in trace.kept if not (ev.action and ev.action[:2] == (e, side))]
                 for run in (trace, Trace(kept, trace.summary)):
-                    members = replay(run).final()[side]
+                    members = replay(run).entering[horizon][side]
                     calls.clear()
                     check = check_capture(run, fsuite, e, side, horizon).find("capture")
                     verdicts[check.verdict] += 1
