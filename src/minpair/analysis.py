@@ -1,12 +1,12 @@
 """Replay of construction traces, the structural checks and capture.
 
 Everything here is read-only over a trace: replay keeps the events that
-change a membership or a restraint, and a walk over them rebuilds the
-state entering any stage; the structural checks verify the invariants the
-construction promises (class bounds, single entry, witness and removal
-discipline, the opposite-side preservation lemma, quiescent finite
-action), and the capture check confirms its behavioural guarantee at a
-finite horizon.
+change a membership or a restraint, and one pass over them
+(`ReplayedRun.states`) gives the state entering each stage of an ascending
+list; the structural checks verify the invariants the construction
+promises (class bounds, single entry, witness and removal discipline, the
+opposite-side preservation lemma, quiescent finite action), and the
+capture check confirms its behavioural guarantee at a finite horizon.
 Capture finds its actionable stage with the oracle's scan
 (`suites.least_settle`), and capture and witness discipline read a side's
 converged class members through one helper, `_converged`.
@@ -33,6 +33,7 @@ reflect all actions of stages < s; entering[horizon] is the final state.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .arith import class_index, class_members, position
@@ -88,9 +89,8 @@ class _ByStage:
     def __getitem__(self, s: int):
         if not 0 <= s <= self.rep.horizon:
             raise IndexError(f"stage {s} outside 0..{self.rep.horizon}")
-        for _, members, restraints in self.rep.walk(s):
-            pass
-        return self.read(members, restraints)
+        for _, members, restraints in self.rep.states([s]):
+            return self.read(members, restraints)
 
 
 class ReplayedRun(NamedTuple):
@@ -99,18 +99,16 @@ class ReplayedRun(NamedTuple):
     actions: list[tuple[int, Action]]  # (stage, action), in stage order
     derived: dict  # what the checks derive from this run, each computed once (see `joint`)
 
-    def walk(self, stop: int):
-        """(s, members, restraints) entering stage 0, then entering each stage
-        s <= stop just after one of the events, in stage order.  The state is
-        live: the dicts of `_apply`, updated in place between yields."""
-        members: tuple[dict, dict] = ({}, {})
-        restraints: dict[int, int] = {}
-        yield 0, members, restraints
-        for ev in self.events:
-            if ev.stage >= stop:
-                return
-            _apply(ev, members, restraints)
-            yield ev.stage + 1, members, restraints
+    def states(self, stages):
+        """(s, members, restraints) entering each stage s of the ascending
+        iterable, in one pass over the events.  The state is live: the dicts
+        of `_apply`, updated in place between yields."""
+        members, restraints, i = ({}, {}), {}, 0
+        for s in stages:
+            while i < len(self.events) and self.events[i].stage < s:
+                _apply(self.events[i], members, restraints)
+                i += 1
+            yield s, members, restraints
 
     @property
     def entering(self) -> _ByStage:
@@ -125,7 +123,7 @@ class ReplayedRun(NamedTuple):
 
 def replay(trace: Trace) -> ReplayedRun:
     """The run the events spell: its actions, and the kept events that
-    change a membership or a restraint, from which `ReplayedRun.walk`
+    change a membership or a restraint, from which `ReplayedRun.states`
     rebuilds the state entering any stage.
 
     Permissive on content (forged traces replay too; the checkers judge
@@ -270,12 +268,8 @@ def _removal_fault(ev: TraceEvent, opposite: dict) -> dict | None:
 def _first_lacking(rep: ReplayedRun, post, side: int, since: int, stop: int) -> int:
     """The first stage u with since <= u <= stop at which the side lacks a
     member of post; the caller knows that there is one."""
-    first = None
-    for u, members, _ in rep.walk(stop):
-        if u > since and first is not None:
-            break  # first lacks a member, and the state at first holds up to u
-        first = None if post <= members[side].keys() else max(u, since)
-    return first
+    stages = chain([since], (ev.stage + 1 for ev in rep.events if since <= ev.stage < stop))
+    return next(u for u, members, _ in rep.states(stages) if not post <= members[side].keys())
 
 
 def check_structural(
@@ -293,7 +287,9 @@ def check_structural(
     bad: dict[str, dict] = {}  # check name -> its first counterexample
     state = members, restraints = ({}, {}), {}  # entering the stage of ev, then after it
     classes = (Counter(), Counter())  # side -> class -> its members on the side
-    stages_at: dict[int, list[int]] = {}  # pair position -> its action stages so far
+    # the pairs that have acted since every stronger pair last did, each as
+    # (position, the stages of those actions); positions and stages ascend
+    acted: list[tuple[int, list[int]]] = []
     for ev in trace.kept:
         s, act = ev.stage, ev.action
         if act is None and ev.removals:  # removals only ride on actions
@@ -307,8 +303,12 @@ def check_structural(
                 bad.setdefault("restraint_discipline", {"stage": s, "recorded": act.restraint})
             if "removal_discipline" not in bad and (fault := _removal_fault(ev, members[other])):
                 bad["removal_discipline"] = {"stage": s, **fault}
-            since = 1 + max((at[-1] for q, at in stages_at.items() if q < act.position), default=-1)
-            stages_at.setdefault(act.position, []).append(s)
+            while acted and acted[-1][0] > act.position:
+                acted.pop()  # a weaker pair, whose late actions this one ends
+            if not acted or acted[-1][0] < act.position:
+                acted.append((act.position, []))
+            since = acted[-2][1][-1] + 1 if len(acted) > 1 else 0
+            acted[-1][1].append(s)
             e = class_index(act.witness)
             if act.witness not in members[side]:
                 classes[side][e] += 1
@@ -342,13 +342,10 @@ def check_structural(
         bad.setdefault("dce_single_entry", {"side": side, "n": n})
 
     # finite action: once every stronger pair has stopped, a pair acts at
-    # most once more
-    stronger_last = -1
-    for p, stages in sorted(stages_at.items()):
-        late = tuple(u for u in stages if u > stronger_last)
+    # most once more; a pair not in `acted` has not acted since they stopped
+    for p, late in acted:
         if len(late) > 1:
-            bad.setdefault("finite_action", {"position": p, "stages": late})
-        stronger_last = max(stronger_last, stages[-1])
+            bad.setdefault("finite_action", {"position": p, "stages": tuple(late)})
 
     return _report(
         [

@@ -16,13 +16,15 @@ replaces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
+from heapq import merge
+from itertools import accumulate, groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis
 from .analysis import CheckResult, ReplayedRun, VerificationReport, _report, replay_to
 from .arith import class_index, unpair
-from .graphs import CofiniteOnes, ExplicitGraph, check_description
+from .graphs import ExplicitGraph, check_description
 from .records import Trace
 from .suites import FunctionalSuite, OperatorSuite
 
@@ -39,31 +41,41 @@ if TYPE_CHECKING:
 Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
 
 
-def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
-    """Each change point up to the horizon, stage 0 first, with the set
-    evaluate(op, the side's description graph, stage) from it on.
+class _Description(NamedTuple):
+    members: Container[int]  # a side's, live: its graph is undefined on them, 1 elsewhere
 
-    The set can only change where the side's membership changes or one of
-    op's axioms becomes visible, so evaluate runs only there and at stage 0.
+    def value_at(self, n: int) -> int | None:
+        return None if n in self.members else 1
+
+
+def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
+    """Each stage up to the horizon where the set evaluate(op, the side's
+    description graph, stage) changes, stage 0 first, with the set from it on.
+
+    The set can only change where the side's membership changes (its size
+    or its last member to enter does) or one of op's axioms becomes
+    visible, so evaluate runs only there and at stage 0.
     """
-    visible = {stage for stage, _ in op.staged_axioms}
-    runs = {s: frozenset(members[side]) for s, members, _ in rep.walk(horizon)}
-    changes = []
+    visible = {stage for stage, _ in op.staged_axioms if stage <= horizon}
+    after = (ev.stage + 1 for ev in rep.events if ev.stage < horizon)
+    changes: Changes = []
     before = None
-    for s in sorted(runs.keys() | {v for v in visible if v <= horizon}):
-        now = runs.get(s, before)
-        if s == 0 or s in visible or now != before:
-            changes.append((s, analysis.evaluate(op, CofiniteOnes.of(now), s)))
-        before = now
+    for s, members, _ in rep.states(s for s, _ in groupby(merge([0], sorted(visible), after))):
+        now = members[side]
+        key = len(now), next(reversed(now), None)
+        if s in visible or key != before:
+            outputs = analysis.evaluate(op, _Description(now), s)
+            if not changes or outputs != changes[-1][1]:
+                changes.append((s, outputs))
+        before = key
     return changes
 
 
 def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | None:
     """First stage in [start, horizon] whose enumerated set lacks x, or None."""
-    if start > horizon:
-        return None
     i = bisect_right(changes, start, key=lambda change: change[0]) - 1
-    return next((max(s, start) for s, outputs in changes[i:] if x not in outputs), None)
+    lacking = (max(s, start) for s, outputs in changes[i:] if x not in outputs)
+    return next(lacking, None) if start <= horizon else None
 
 
 def _joint_changes(
@@ -85,8 +97,7 @@ def _joint_changes(
     sides = memo[ops[0], 0, horizon], memo[ops[1], 1, horizon]
     if (*ops, horizon) not in memo:
         by_stage = [dict(changes) for changes in sides]
-        now: list[frozenset[int]] = [frozenset(), frozenset()]
-        first: dict[int, int] = {}
+        now, first = [frozenset(), frozenset()], {}
         for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
             now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
             first |= dict.fromkeys((now[0] & now[1]) - first.keys(), s)
@@ -113,12 +124,8 @@ def check_preservation(
     sides, found = _joint_changes(rep, operators, e0, e1, horizon)
     actions = [(s, act.position) for s, act in rep.actions]
     # protector[i]: the least (position, stage) among the actions from the i-th on
-    protector = [None]
-    for u, q in reversed(actions):
-        protector.append(min((q, u), protector[-1] or (q, u)))
-    protector.reverse()
-    for x in sorted(found):
-        s = found[x]
+    protector = [*accumulate(((q, u) for u, q in reversed(actions)), min)][::-1] + [None]
+    for x, s in sorted(found.items()):
         protect = protector[bisect_left(actions, s, key=lambda action: action[0])]
         start = s if protect is None else protect[1] + 1
         first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
@@ -175,17 +182,12 @@ def derive_diagonal(
     candidate has converged to a different bit — the realized evidence that
     the candidate does not describe this set.
     """
-    rep = replay_to(trace, horizon)
-    members = rep.entering[horizon][side]
-    bits = []
-    disagreements = []
+    members = replay_to(trace, horizon).entering[horizon][side]
+    bits, disagreements = [], []
     for n in range(bound):
         e = class_index(n)
         candidate = suite.query(e, n, horizon) if e is not None else None
-        if n in members and candidate is not None:
-            bits.append(1 - candidate)
-        else:
-            bits.append(1)
+        bits.append(1 - candidate if n in members and candidate is not None else 1)
         if candidate is not None and candidate != bits[n]:
             disagreements.append((n, candidate, bits[n]))
     return DiagonalSet(tuple(bits), tuple(disagreements))

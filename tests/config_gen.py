@@ -82,3 +82,30 @@ def random_config(seed: int, horizon: int = 200) -> dict:
         "seed": seed,
         "suite": {"functionals": functionals, "operators": []},
     }
+
+
+def forged_trace(family: str, actions: int):
+    """A forged trace of horizon actions + 1 whose stages 1..actions each
+    act, with no removals, and whose summary is its final state.
+
+    "new-position": stage s inserts 2s + 1 into side 0 for pair (s - 1, 0),
+    at a new position, weaker than every one before.  "alternating": stage s
+    inserts 2s + 1 into side s % 2 for class 0.  Both break structural
+    checks; they measure what the checks cost per action.  minpair is
+    imported here, not at the top, because `tests/scale.py` imports this
+    module and no minpair.
+    """
+    from minpair.records import Action, Trace, TraceEvent, TraceSummary
+
+    kept, members, restraints = [], ([], []), {}
+    for s in range(1, actions + 1):
+        if family == "new-position":
+            act = Action(s - 1, 0, 2 * s + 1, s)
+        elif family == "alternating":
+            act = Action(0, s % 2, 2 * s + 1, s)
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        kept.append(TraceEvent(s, act, ()))
+        members[act.side].append(act.witness)
+        restraints[act.position] = s
+    return Trace(kept, TraceSummary.of(actions + 1, *map(tuple, members), restraints))

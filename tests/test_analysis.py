@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_checks
-from config_gen import random_config
+from config_gen import forged_trace, random_config
 from conftest import guarded_operators, make_suites, operators
 from minpair import analysis, engine
 from minpair.analysis import (
@@ -158,26 +158,30 @@ def with_forgeries(trace, forgeries):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 59), st.integers(0, 200), st.lists(forged_events, max_size=6))
-def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries):
-    """replay keeps only the events with an action or removals; its walk
-    yields the state after each of them, and every stage reads the state
-    that a stage-by-stage rebuild gives, members in the order they entered,
-    forged traces included."""
+@given(
+    st.integers(0, 59),
+    st.integers(0, 200),
+    st.lists(forged_events, max_size=6),
+    st.sets(st.integers(0, 200)),
+)
+def test_replay_at_change_points_matches_every_stage(seed, horizon, forgeries, picked):
+    """replay keeps only the events with an action or removals; one pass of
+    `states` over them gives, entering each stage of an ascending list (every
+    stage, or any subset of them), the state that a stage-by-stage rebuild
+    gives, members in the order they entered, forged traces included."""
     raw = random_config(seed, horizon)
     trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
     trace = with_forgeries(trace, forgeries)
     rep = replay(trace)
     states = entering_in_order(trace)
     assert rep.events == [ev for ev in trace.kept if ev.action is not None or ev.removals]
-    walked = {
-        s: ([list(side.items()) for side in members], dict(restraints))
-        for s, members, restraints in rep.walk(horizon)
-    }
-    assert list(walked) == [0] + [ev.stage + 1 for ev in rep.events]
+    for stages in (range(horizon + 1), sorted(s for s in picked if s <= horizon)):
+        got = [
+            (s, ([list(side.items()) for side in members], dict(restraints)))
+            for s, members, restraints in rep.states(stages)
+        ]
+        assert got == [(s, states[s]) for s in stages]
     for s, (members, restraints) in enumerate(states):
-        # the walk's state where it yields one, else no change from the stage before
-        assert walked.get(s, states[s - 1]) == (members, restraints)
         assert rep.entering[s] == tuple(frozenset(n for n, _ in side) for side in members)
         assert rep.restraints_entering[s] == restraints
     for outside in (-1, horizon + 1):
@@ -587,6 +591,17 @@ def test_structural_matches_its_naive_specification():
 
     compare()
     assert len(failing) >= 200
+    # the acting pairs' chain: 300 ever weaker pairs; and pair position 3
+    # acting twice before the stronger position 0 acts, then position 2
+    # acting twice after every stronger pair has stopped
+    rows = [(1, 0, 1, 1, 1), (3, 1, 1, 2, 3), (5, 1, 1, 6, 5), (7, 0, 0, 3, 7)]
+    rows += [(9, 1, 1, 10, 9), (11, 1, 0, 14, 11), (13, 1, 0, 18, 13)]
+    for trace in (forged_trace("new-position", 300), quiet_but(15, acts(*rows))):
+        report = check_structural(trace)
+        assert {c.name: (c.verdict, dict(c.detail)) for c in report.checks} == (
+            naive_checks.structural(trace)
+        )
+    assert dict(report.find("finite_action").detail) == {"position": 2, "stages": (11, 13)}
 
 
 # -- capture check -----------------------------------------------------------
@@ -935,6 +950,30 @@ def test_preservation_window_opens_after_strongest_later_action():
     assert dict(check.detail) == {"output": 7, "found_at": 0, "violated_at": 8, "window_start": 8}
     # cut at stage 7 the window opens past the horizon, so nothing can violate it
     check = check_preservation(forged(late), osuite, 0, 1, 7).find("preservation")
+    assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})
+
+
+def test_preservation_memory_and_evaluations_follow_the_events(monkeypatch):
+    """Work budget: on 4000 alternating class-0 actions (`forged_trace`),
+    check_preservation with `configs/injury.json`'s operators peaks under
+    4 MiB under tracemalloc, where a copy of a side at every change point
+    peaked at 167.6 MiB, and evaluates an operator at most 4003 times: at
+    stage 0, where its side's membership changes and at its axiom's stage."""
+    import tracemalloc
+
+    with open("configs/injury.json", encoding="utf-8") as fh:
+        _, osuite = make_suites(json.load(fh))
+    trace = forged_trace("alternating", 4000)
+    calls, real = [], analysis.evaluate
+    monkeypatch.setattr(analysis, "evaluate", lambda *args: calls.append(1) or real(*args))
+    tracemalloc.start()
+    try:
+        check = check_preservation(trace, osuite, 0, 1, 4001).find("preservation")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(calls) <= 4003
     assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})
 
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -1455,18 +1456,24 @@ def test_corpus_digest_repeats_its_digests():
     assert len(set(first)) == 2 and all(re.fullmatch("[0-9a-f]{64}", d) for d in first)
 
 
-def test_scale_script_compares_a_tree_with_itself(tmp_path):
+def test_scale_script_compares_a_tree_with_itself(tmp_path, monkeypatch):
     """`tests/scale.py` with this tree as its own parent, at horizon 200 on
-    two configs: every field is there, and the outputs are identical."""
-    import time
-
+    two configs: every field is there, and the outputs are identical.  It
+    spawns 20 commands: per config, run and verify for each tree in each of
+    two rounds, and once more at the reference horizon 3200."""
     import scale
 
+    commands, real = Counter(), scale.spawn
+
+    def spawn(tree, command, *argv):
+        commands[command] += 1
+        return real(tree, command, *argv)
+
+    monkeypatch.setattr(scale, "spawn", spawn)
     out = tmp_path / "bench.json"
-    start = time.perf_counter()
     argv = ["--parent", str(scale.ROOT), "--out", str(out), "--horizon", "200", "--rounds", "2"]
     assert scale.main([*argv, "--only", "random-0,parity_demo"]) == 0
-    assert time.perf_counter() - start < 5
+    assert commands == {"run": 10, "verify": 10}
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert {"machine", "python", "nproc", "git_sha", "method"} <= set(bench["meta"])
     assert list(bench["configs"]) == ["random-0", "parity_demo"]
