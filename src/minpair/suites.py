@@ -14,10 +14,10 @@ use-within-stage bound as it is built.  An index past the end of a family
 diverges everywhere, or has no axioms.
 `least_settle` is the one scan for the least settle stage of a class point
 above a bound, which the reference oracle and capture both read; the stage
-bound lets it stop early.  The config schema, one field table per
-record, lives here too; it compiles every spec to check it, operators at
-stage bound 0.  So does `load_json`, the one JSON reader, of configs and
-trace lines alike.
+bound lets it stop early.  The config schema, one field table per record
+(functional kinds per seed, operator kinds per stage bound), lives here too;
+it compiles every spec to check it, at seed 0 and stage bound 0.  So does
+`load_json`, the one JSON reader, of configs and trace lines alike.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class SpecError(ValueError):
 # A table maps each field of a JSON object to (parse,) when it is required or
 # to (parse, default) when it may be absent.  A parser takes the raw value and
 # its JSON path and returns the checked value, or raises SpecError naming the
-# path.  A default is parsed like a given value (so each config gets its own
-# lists), except None, which stands for "absent".  A natural has at most half the
-# digits that Python prints (sys.get_int_max_str_digits(), 0 for any), less one,
-# so that a pair code of two naturals, and a position 2e + 1, still print.
+# path.  A default is parsed like a given value, so each config gets its own
+# lists.  A natural has at most half the digits that Python prints
+# (sys.get_int_max_str_digits(), 0 for any), less one, so that a pair code of
+# two naturals, and a position 2e + 1, still print.
 _DIGITS = getattr(sys, "get_int_max_str_digits", int)() // 2 - 1  # -1: no bound
 _NAT_END = 10**_DIGITS if _DIGITS >= 0 else float("inf")
 
@@ -72,6 +72,11 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+def _shown(name) -> str:
+    """A name read from input, on one line: a string's unprintable characters escaped."""
+    return repr(name)[1:-1] if isinstance(name, str) else str(name)
+
+
 def load_json(text: str, document: str = ""):
     """The JSON value of a config `document`, or of a trace line; a SpecError names a
     document's syntax error by line and column, and its other errors by the document."""
@@ -91,10 +96,10 @@ def fields(raw, path: str, table: dict) -> dict:
         raise SpecError(f"{path}: must be an object")
     at = f"{path}." if path else ""
     if None in raw:  # `load_json` read a field twice
-        raise SpecError(f"{at}{raw[None]}: duplicate field")
+        raise SpecError(f"{at}{_shown(raw[None])}: duplicate field")
     for name in raw:
         if name not in table:
-            raise SpecError(f"{at}{name}: unknown field")
+            raise SpecError(f"{at}{_shown(name)}: unknown field")
     got = {}
     for name, entry in table.items():  # (parse,) or (parse, default)
         parse = entry[0]
@@ -103,15 +108,15 @@ def fields(raw, path: str, table: dict) -> dict:
         elif len(entry) == 1:
             raise SpecError(f"{at}{name}: missing field")
         else:
-            got[name] = None if entry[1] is None else parse(entry[1], at + name)
+            got[name] = parse(entry[1], at + name)
     return got
 
 
-def _build(build, context: tuple, raw, path: str, table: dict):
-    """build(*context, **fields); a SpecError from build (a check across fields) names path."""
+def _build(build, raw, path: str, table: dict):
+    """build(**fields); a SpecError from build (a check across fields) names path."""
     got = fields(raw, path, table)
     try:
-        return build(*context, **got)
+        return build(**got)
     except SpecError as err:
         raise SpecError(f"{path}: {err}") from None
 
@@ -122,19 +127,17 @@ def _row(**got) -> tuple:
 
 def record(build, table: dict):
     """Parser of a JSON object with the fields of `table`, made into build(**fields)."""
-    return lambda raw, path: _build(build, (), raw, path, table)
+    return lambda raw, path: _build(build, raw, path, table)
 
 
-def tagged(raw, path: str, kinds: dict, *context):
+def tagged(raw, path: str, kinds: dict):
     """The value of a kind-tagged JSON object: its "kind" picks the (build, table)
     entry of `kinds`, and its other fields go through table into build."""
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
-        raise SpecError(f"{path}.kind: unknown kind '{kind}'")
+        raise SpecError(f"{path}.kind: unknown kind '{_shown(kind)}'")
     build, table = kinds[kind]
-    if callable(table):  # a table that parses with the context, as delayed's does
-        table = table(*context)
-    return _build(build, context, {k: v for k, v in raw.items() if k != "kind"}, path, table)
+    return _build(build, {k: v for k, v in raw.items() if k != "kind"}, path, table)
 
 
 def _checked(test, what: str):
@@ -179,7 +182,8 @@ def items(*parses):
 
     def parse_items(raw, path):
         if not isinstance(raw, list) or len(raw) != len(parses):
-            raise SpecError(f"{path}: must be a list of {len(parses)} items")
+            many = "item" if len(parses) == 1 else "items"
+            raise SpecError(f"{path}: must be a list of {len(parses)} {many}")
         return [parse(item, f"{path}[{i}]") for i, (parse, item) in enumerate(zip(parses, raw))]
 
     return parse_items
@@ -205,15 +209,14 @@ def run_machine(
     larger budget never changes the outcome of a halted run.
     """
     regs: dict[int, int] = {0: value}
-    pc = 0
-    steps = 0
-    while steps < max_steps:
-        if pc < 0 or pc >= len(program):
-            return True, steps, regs.get(0, 0) & 1
+    pc = steps = 0
+    while 0 <= pc < len(program):
+        if steps >= max_steps:
+            return False, steps, 0
         ins = program[pc]
         steps += 1
         if ins.op == "halt":
-            return True, steps, regs.get(0, 0) & 1
+            break
         if ins.op == "inc":
             regs[ins.reg] = regs.get(ins.reg, 0) + 1
             pc += 1
@@ -223,9 +226,7 @@ def run_machine(
             else:
                 regs[ins.reg] -= 1
                 pc += 1
-    if pc < 0 or pc >= len(program):
-        return True, steps, regs.get(0, 0) & 1
-    return False, steps, 0
+    return True, steps, regs[0] & 1
 
 
 # The instruction table: each opcode's number of operands, all naturals (register, address).
@@ -235,7 +236,7 @@ OPERANDS = {"halt": 0, "inc": 1, "decjz": 2}
 def _instruction(raw, path: str) -> Instruction:
     op = raw[0] if isinstance(raw, list) and raw else None
     if not isinstance(op, str) or op not in OPERANDS:
-        raise SpecError(f"{path}[0]: unknown opcode '{op}'")
+        raise SpecError(f"{path}[0]: unknown opcode '{_shown(op)}'")
     return Instruction(*items(_json, *[natural] * OPERANDS[op])(raw, path))
 
 
@@ -252,13 +253,13 @@ def parse_program(raw, path: str = "program") -> tuple[Instruction, ...]:
 # n never converges.  Only machines read the limit: they run for at most
 # `limit` steps, so their None means "not by stage limit".  The stage bound
 # n < s is added by FunctionalSuite.settle, in one place.  Each builder takes
-# the config's seed first; only random_partial reads it.
+# only its kind's fields.
 
 
 Settle = Callable[[int, int], "tuple[int, int] | None"]
 
 
-def _total_fn(config_seed: int, table: list[int], fill: str) -> Settle:
+def _total_fn(table: list[int], fill: str) -> Settle:
     """Finite table of bits continued by a fill rule beyond its end."""
     if fill == "cycle" and not table:
         raise SpecError("cycle fill needs a nonempty table")
@@ -271,12 +272,12 @@ def _total_fn(config_seed: int, table: list[int], fill: str) -> Settle:
     return settle
 
 
-def _undefined_on_class(config_seed: int, e: int, value: int) -> Settle:
+def _undefined_on_class(e: int, value: int) -> Settle:
     """Diverges exactly on one valuation class, constant elsewhere."""
     return lambda n, limit: None if class_index(n) == e else (value, 0)
 
 
-def _delayed(config_seed: int, inner: Settle, delay: tuple[int, int]) -> Settle:
+def _delayed(inner: Settle, delay: tuple[int, int]) -> Settle:
     """Postpones an inner functional: nothing converges at stages <= a*n + b."""
     a, b = delay
 
@@ -287,9 +288,8 @@ def _delayed(config_seed: int, inner: Settle, delay: tuple[int, int]) -> Settle:
     return settle
 
 
-def _random_partial(config_seed: int, density: float, values: str, seed: int | None) -> Settle:
+def _random_partial(density: float, values: str, seed: int) -> Settle:
     """Pseudo-random domain of a target density, deterministic per seed."""
-    seed = config_seed if seed is None else seed
 
     def settle(n, limit):
         rng = random.Random(f"rp:{seed}:{n}")
@@ -301,12 +301,12 @@ def _random_partial(config_seed: int, density: float, values: str, seed: int | N
     return settle
 
 
-def _table_partial(config_seed: int, entries: dict[int, tuple[int, int]]) -> Settle:
+def _table_partial(entries: dict[int, tuple[int, int]]) -> Settle:
     """Explicit finite domain with a per-point first visible stage."""
     return lambda n, limit: entries.get(n)
 
 
-def _machine(config_seed: int, program: tuple[Instruction, ...]) -> Settle:
+def _machine(program: tuple[Instruction, ...]) -> Settle:
     """Register machine with step budget s: n converges once the machine
     halts on it, at the stage equal to its step count; the bit is r0 mod 2."""
 
@@ -318,6 +318,8 @@ def _machine(config_seed: int, program: tuple[Instruction, ...]) -> Settle:
 
 
 _density = _checked(lambda x: type(x) in (int, float) and 0 <= x <= 1, "a number in [0, 1]")
+_fill = one_of("cycle", "zero", "one")
+_values = one_of("zero", "one", "parity", "random")
 DELAY = {"a": (natural,), "b": (natural,)}
 
 
@@ -330,41 +332,32 @@ def _entries(raw, path: str) -> dict[int, tuple[int, int]]:
     return table
 
 
-def _delayed_table(config_seed: int) -> dict:
-    """delayed's fields: the inner record is compiled at the config's seed as
-    it is parsed, once, so that its errors name its path."""
+def functional_kinds(seed: int) -> dict:
+    """Each functional kind's (build, table) at a config's seed, the seed of every
+    random_partial that names none; delayed's inner record is compiled as it is parsed."""
+
+    def inner(raw, path):
+        return compile_functional(raw, seed, path)
+
     return {
-        "inner": (lambda raw, path: tagged(raw, path, FUNCTIONAL_KINDS, config_seed),),
-        "delay": (record(_row, DELAY),),
+        "total_const": (lambda value: _total_fn([value], "cycle"), {"value": (bit,)}),
+        "total_fn": (_total_fn, {"table": (list_of(bit),), "fill": (_fill, "cycle")}),
+        "undefined_on_class": (_undefined_on_class, {"e": (natural,), "value": (bit, 1)}),
+        "delayed": (_delayed, {"inner": (inner,), "delay": (record(_row, DELAY),)}),
+        "random_partial": (
+            _random_partial,
+            {"density": (_density,), "values": (_values, "one"), "seed": (integer, seed)},
+        ),
+        "empty": (lambda: _table_partial({}), {}),
+        "table_partial": (_table_partial, {"entries": (_entries,)}),
+        "machine": (_machine, {"program": (parse_program,)}),
     }
-
-
-FUNCTIONAL_KINDS = {
-    "total_const": (lambda seed, value: _total_fn(seed, [value], "cycle"), {"value": (bit,)}),
-    "total_fn": (
-        _total_fn,
-        {"table": (list_of(bit),), "fill": (one_of("cycle", "zero", "one"), "cycle")},
-    ),
-    "undefined_on_class": (_undefined_on_class, {"e": (natural,), "value": (bit, 1)}),
-    "delayed": (_delayed, _delayed_table),
-    "random_partial": (
-        _random_partial,
-        {
-            "density": (_density,),
-            "values": (one_of("zero", "one", "parity", "random"), "one"),
-            "seed": (integer, None),  # None: the config's seed
-        },
-    ),
-    "empty": (lambda seed: _table_partial(seed, {}), {}),
-    "table_partial": (_table_partial, {"entries": (_entries,)}),
-    "machine": (_machine, {"program": (parse_program,)}),
-}
 
 
 def compile_functional(spec, default_seed: int = 0, path: str = "functional") -> Settle:
     """Compile one tagged record into its settle rule; default_seed is the
     seed of every random_partial that names none."""
-    return tagged(spec, path, FUNCTIONAL_KINDS, default_seed)
+    return tagged(spec, path, functional_kinds(default_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +373,14 @@ def _code(second):
 AXIOM = {"stage": (natural,), "premise": (list_of(_code(bit)),), "output": (_code(natural),)}
 
 
-def _axioms_operator(stage_bound: int, axioms: list[dict]) -> EnumOperator:
+def _axioms_operator(axioms: list[dict]) -> EnumOperator:
     from .operators import Axiom, EnumOperator, validate_use_bound  # loaded only for operators
 
     staged = [(a["stage"], Axiom.of(a["premise"], a["output"])) for a in axioms]
     return validate_use_bound(EnumOperator.from_staged(staged))
 
 
-def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> EnumOperator:
+def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> EnumOperator:
     """Machine operators enumerate axiom codes by dovetailing: code c (coding
     premise bitmask and output) enters at the least stage s with c < s, the
     machine accepting c (halting with output bit 1) within s steps, and the
@@ -407,16 +400,19 @@ def _machine_operator(stage_bound: int, program: tuple[Instruction, ...]) -> Enu
     return validate_use_bound(EnumOperator.from_staged(staged))
 
 
-OPERATOR_KINDS = {
-    "axioms": (_axioms_operator, {"axioms": (list_of(record(dict, AXIOM)),)}),
-    "machine": (_machine_operator, {"program": (parse_program,)}),
-}
+def operator_kinds(stage_bound: int) -> dict:
+    """Each operator kind's (build, table); a machine is enumerated up to stage_bound."""
+    machine = partial(_machine_operator, stage_bound=stage_bound)
+    return {
+        "axioms": (_axioms_operator, {"axioms": (list_of(record(dict, AXIOM)),)}),
+        "machine": (machine, {"program": (parse_program,)}),
+    }
 
 
 def compile_operator(spec, stage_bound: int, path: str = "operator") -> EnumOperator:
     """Compile one tagged record into an operator, enumerated up to stage_bound;
     an axiom visible before its use is a SpecError that names path."""
-    return tagged(spec, path, OPERATOR_KINDS, stage_bound)
+    return tagged(spec, path, operator_kinds(stage_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +426,11 @@ TARGET_KINDS = {
 }
 
 
-def _target(raw, path: str) -> dict:
-    """The tagged target record, checked by building its bit function."""
-    tagged(raw, path, TARGET_KINDS)
-    return raw
-
-
-def _compiles(compile_spec):
-    """Parser that keeps a spec which compile_spec(spec, 0, path) accepts."""
+def _compiles(kinds: dict):
+    """Parser that keeps a tagged spec which `kinds` compiles."""
 
     def parse(raw, path):
-        compile_spec(raw, 0, path)
+        tagged(raw, path, kinds)
         return raw
 
     return parse
@@ -506,17 +496,17 @@ CHECK_RECORDS = {
             "e1": (natural,),
             "bound": (positive,),
             "threshold": (_rational,),
-            "target": (_target,),
+            "target": (_compiles(TARGET_KINDS),),
         },
     ),
 }
 
 CHECKS = {name: (list_of(record(*entry)), []) for name, entry in CHECK_RECORDS.items()}
 SUITE = {
-    "functionals": (list_of(_compiles(compile_functional)),),
+    "functionals": (list_of(_compiles(functional_kinds(0))),),
     # at stage bound 0 a machine operator enumerates nothing, but an axioms operator
     # builds and checks every axiom, as it does again when a check reads it
-    "operators": (list_of(_compiles(compile_operator)), []),
+    "operators": (list_of(_compiles(operator_kinds(0))), []),
 }
 
 CONFIG = {

@@ -1,13 +1,19 @@
-"""The quadratic transcription of the stage rule, kept as the specification.
+"""The quadratic transcription of the stage rule, and the literal reading of
+each kind of functional, kept as the specification.
 
 reference_run here recomputes memberships, provenance and restraints from
 the event history at every stage and scans every class point at every
 stage.  It is the direct reading of the stage rule that the interval
 oracle `minpair.analysis.reference_run` and the engine are both tested
-against.
+against.  run_machine is the register-machine interpreter that
+`minpair.suites.run_machine` is tested against, and literal_query reads a
+functional spec's bit at a stage off README's table of kinds, with no
+settle rule, as every query of a compiled suite is tested against.
 """
 
 from __future__ import annotations
+
+import random
 
 from minpair.arith import class_index, class_members, position
 from minpair.engine import (
@@ -19,7 +25,79 @@ from minpair.engine import (
     TraceSummary,
 )
 from minpair.records import TRACE_SCHEMA
-from minpair.suites import FunctionalSuite
+from minpair.suites import FunctionalSuite, Instruction, parse_program
+
+
+def run_machine(
+    program: tuple[Instruction, ...], value: int, max_steps: int
+) -> tuple[bool, int, int]:
+    """Run with register 0 = value and a step budget.
+
+    Returns (halted, steps_used, output_bit); output is register 0 mod 2.
+    Running off either end of the program halts.  Halting is stable: a
+    larger budget never changes the outcome of a halted run.
+    """
+    regs: dict[int, int] = {0: value}
+    pc = 0
+    steps = 0
+    while steps < max_steps:
+        if pc < 0 or pc >= len(program):
+            return True, steps, regs.get(0, 0) & 1
+        ins = program[pc]
+        steps += 1
+        if ins.op == "halt":
+            return True, steps, regs.get(0, 0) & 1
+        if ins.op == "inc":
+            regs[ins.reg] = regs.get(ins.reg, 0) + 1
+            pc += 1
+        else:  # decjz
+            if regs.get(ins.reg, 0) == 0:
+                pc = ins.target
+            else:
+                regs[ins.reg] -= 1
+                pc += 1
+    if pc < 0 or pc >= len(program):
+        return True, steps, regs.get(0, 0) & 1
+    return False, steps, 0
+
+
+def literal_query(spec: dict, n: int, s: int, seed: int = 0) -> int | None:
+    """The bit of functional `spec` on n at stage s, or None, as README's table
+    of kinds reads: nothing converges before stage n + 1, and `seed` is the
+    config's, for a random_partial that names none."""
+    if s < n + 1:
+        return None
+    kind = spec["kind"]
+    if kind == "total_const":
+        return spec["value"]
+    if kind == "total_fn":
+        table, fill = spec["table"], spec.get("fill", "cycle")
+        if n < len(table) or fill == "cycle":
+            return table[n % len(table)]
+        return 0 if fill == "zero" else 1
+    if kind == "undefined_on_class":
+        return None if class_index(n) == spec["e"] else spec.get("value", 1)
+    if kind == "delayed":
+        if s <= spec["delay"]["a"] * n + spec["delay"]["b"]:
+            return None
+        return literal_query(spec["inner"], n, s, seed)
+    if kind == "random_partial":
+        rng = random.Random(f"rp:{spec.get('seed', seed)}:{n}")
+        if rng.random() >= spec["density"]:
+            return None
+        values = spec.get("values", "one")
+        bit = rng.getrandbits(1)
+        return {"zero": 0, "one": 1, "parity": n & 1, "random": bit}[values]
+    if kind == "table_partial":
+        for point, bit, from_stage in spec["entries"]:
+            if point == n:
+                return bit if s >= from_stage else None
+        return None
+    if kind == "empty":
+        return None
+    assert kind == "machine", kind
+    halted, _, out = run_machine(parse_program(spec["program"]), n, s)
+    return out if halted else None
 
 
 def _members_from_events(events: list[TraceEvent], side: int) -> dict[int, tuple[int, int, int]]:

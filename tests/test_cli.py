@@ -132,6 +132,8 @@ def broken_configs():
     yield f"{path}[0]-unknown", program, lambda p: p.__setitem__(0, ["jmp"]), (f"{path}[0][0]", "jmp")
     yield f"{path}[0]-missing", program, lambda p: p.__setitem__(0, ["inc"]), (f"{path}[0]",)
     yield f"{path}[1]-wrong", program, lambda p: p.__setitem__(1, ["decjz", 1, -1]), (f"{path}[1][2]",)
+    halt = (f"{path}[0]: must be a list of 1 item",)
+    yield f"{path}[0]-operand", program, lambda p: p.__setitem__(0, ["halt", 1]), halt
     path, where = "config.suite.functionals[0]", ("suite", "functionals", 0)
     yield f"{path}-kind", where, lambda obj: obj.update(kind="wibble"), (f"{path}.kind", "wibble")
 
@@ -646,6 +648,7 @@ TRACE_EDITS = {
         "summary.restraints[0]: must be a list of 2 items",
     ),
     "extra-key": (2, ("action", "extra"), 1, "event.action.extra: unknown field"),
+    "line-break-key": (2, ("action", "\n"), 1, "event.action.\\n: unknown field"),
     "removal-missing-key": (
         2,
         ("removals",),

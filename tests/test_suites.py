@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive_oracle
 from config_gen import random_config, random_functional
 from conftest import make_suites
 from minpair import analysis, suites
@@ -18,11 +19,12 @@ from minpair.arith import class_members, pair, position
 from minpair.cli import build_suites, load_config, main, parse_config, read_trace
 from minpair.operators import Axiom
 from minpair.suites import (
-    FUNCTIONAL_KINDS,
+    Instruction,
     SpecError,
     build_suite,
     compile_functional,
     compile_operator,
+    functional_kinds,
     parse_program,
     run_machine,
 )
@@ -102,6 +104,24 @@ def test_run_machine_steps():
         assert halted and out == 0
 
 
+# up to 6 instructions over registers 0-2, jump targets from before the start to past the end
+INSTRUCTION = st.one_of(
+    st.builds(Instruction, st.just("halt")),
+    st.builds(Instruction, st.just("inc"), st.integers(0, 2)),
+    st.builds(Instruction, st.just("decjz"), st.integers(0, 2), st.integers(-2, 8)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    program=st.lists(INSTRUCTION, max_size=6).map(tuple),
+    value=st.integers(0, 20),
+    budget=st.integers(0, 200),
+)
+def test_run_machine_matches_its_specification(program, value, budget):
+    assert run_machine(program, value, budget) == naive_oracle.run_machine(program, value, budget)
+
+
 def test_machine_operator_enumeration():
     op = compile_operator({"kind": "machine", "program": ACCEPT_CODE_2}, 30)
     # the machine accepts exactly code 2 = pair of empty premise mask and output 1,
@@ -155,6 +175,8 @@ def test_unknown_kind_rejected():
         compile_functional({"kind": "random_partial", "density": 1.5, "values": "one", "seed": 0})
     with pytest.raises(SpecError):
         compile_operator({"kind": "mystery"}, 10)
+    with pytest.raises(SpecError, match=r"^program\[0\]: must be a list of 1 item$"):
+        parse_program([["halt", 1]])
     for unhashable in ([], {}):  # an unhashable kind is unknown too
         with pytest.raises(SpecError):
             compile_functional({"kind": unhashable})
@@ -164,8 +186,7 @@ def test_unknown_kind_rejected():
 
 def test_readme_functional_kinds_match_the_schema():
     """README's table of functional kinds lists exactly the kinds and fields
-    of FUNCTIONAL_KINDS, and marks with `?` exactly the fields with a default;
-    a kind whose table is made with the config's seed is read at seed 0."""
+    of functional_kinds(0), and marks with `?` exactly the fields with a default."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("| kind | fields | meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
     documented = {}
@@ -174,8 +195,7 @@ def test_readme_functional_kinds_match_the_schema():
         names = [re.match(r"\w+\??", chunk).group() for chunk in re.findall(r"`([^`]*)`", spelled)]
         documented[kind.strip().strip("`")] = {n.rstrip("?"): n.endswith("?") for n in names}
     schema = {}
-    for kind, (_, table) in FUNCTIONAL_KINDS.items():
-        table = table(0) if callable(table) else table
+    for kind, (_, table) in functional_kinds(0).items():
         schema[kind] = {name: len(entry) == 2 for name, entry in table.items()}
     assert documented == schema
 
@@ -310,9 +330,9 @@ def test_nested_delays_compile_each_level_a_bounded_number_of_times(monkeypatch)
     the depth, or double it per level."""
     depth, compiles, real = 12, [], suites.tagged
 
-    def counting(raw, path, kinds, *context):
-        compiles.append(kinds)
-        return real(raw, path, kinds, *context)
+    def counting(raw, path, kinds):
+        compiles.append("delayed" in kinds)  # a functional record
+        return real(raw, path, kinds)
 
     monkeypatch.setattr(suites, "tagged", counting)
     spec = {"kind": "random_partial", "density": 0.5}
@@ -322,7 +342,7 @@ def test_nested_delays_compile_each_level_a_bounded_number_of_times(monkeypatch)
         compiles.clear()
         raw = {"horizon": 10, "seed": seed, "suite": {"functionals": [spec]}}
         build_suites(parse_config(json.dumps(raw)))
-        assert compiles.count(FUNCTIONAL_KINDS) <= 2 * (depth + 1)
+        assert compiles.count(True) <= 2 * (depth + 1)
 
 
 def test_queries_are_pure_under_randomized_schedules():
@@ -375,6 +395,7 @@ def test_query_is_derived_from_settle(seed, horizon):
             want = None if s < stage else hit[0]
             assert fsuite.query(0, n, s) == want
             assert stepwise.query(0, n, s) == want
+            assert naive_oracle.literal_query(spec, n, s) == want
 
 
 @settings(max_examples=60, deadline=None)
