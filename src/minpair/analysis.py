@@ -33,6 +33,7 @@ reflect all actions of stages < s; entering[horizon] is the final state.
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -237,9 +238,9 @@ def _converged(suite: FunctionalSuite, members, e: int, s: int) -> list[int]:
 def _removal_fault(ev: TraceEvent, opposite: dict) -> dict | None:
     """What breaks removal discipline at the action of the event, or None:
     each removal must hit a current opposite-side member inserted earlier by
-    a strictly weaker pair, and no victim may be missed.  opposite is the
-    opposite side's members entering the event's stage, as `_apply` keeps
-    them."""
+    a strictly weaker pair, in canonical order (the caller checks that none
+    is missed).  opposite is the opposite side's members entering the
+    event's stage, as `_apply` keeps them."""
     s, act = ev.stage, ev.action
     gone = set()  # the members that this event's earlier removals took
     for rm in ev.removals:
@@ -260,8 +261,6 @@ def _removal_fault(ev: TraceEvent, opposite: dict) -> dict | None:
     recorded = [rm.n for rm in ev.removals]
     if recorded != sorted(recorded):
         return {"reason": "removals not in canonical order"}
-    if recorded != sorted(n for n in opposite if position(*opposite[n][:2]) > act.position):
-        return {"reason": "removals disagree with weaker opposite-side members"}
     return None
 
 
@@ -287,6 +286,7 @@ def check_structural(
     bad: dict[str, dict] = {}  # check name -> its first counterexample
     state = members, restraints = ({}, {}), {}  # entering the stage of ev, then after it
     classes = (Counter(), Counter())  # side -> class -> its members on the side
+    inserted = ([], [])  # side -> lazy max-heap of its insertions, as (-position, stage, n)
     # the pairs that have acted since every stronger pair last did, each as
     # (position, the stages of those actions); positions and stages ascend
     acted: list[tuple[int, list[int]]] = []
@@ -315,6 +315,15 @@ def check_structural(
         for gone in _apply(ev, members, restraints):
             classes[gone[0]][class_index(gone[1])] -= 1
         if act is not None:
+            # removal discipline, once each removal took a distinct weaker
+            # member in order: no weaker member is left
+            heappush(inserted[side], (-act.position, s, act.witness))
+            heap, left = inserted[other], members[other]
+            while heap and not (heap[0][2] in left and left[heap[0][2]][2] == heap[0][1]):
+                heappop(heap)  # its member is gone, or was inserted again since
+            if heap and -heap[0][0] > act.position:
+                reason = "removals disagree with weaker opposite-side members"
+                bad.setdefault("removal_discipline", {"stage": s, "reason": reason})
             # per-class bound: at most one member of each valuation class per
             # side, and never 0; only the witness's class can break it here
             if classes[side][e] > (e is not None):

@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
         selected = {name.strip() for name in args.checks.split(",") if name.strip()}
         unknown = selected - set(KNOWN_CHECKS)
         if unknown:
-            raise SpecError(f"unknown check '{sorted(unknown)[0]}'")
+            raise SpecError(f"unknown check '{suites._shown(sorted(unknown)[0])}'")
         selected.add("structural")
     for name in suites.CHECK_RECORDS:
         if name in selected and not configured[name]:

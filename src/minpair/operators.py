@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import PartialGraph, contains
-from .suites import SpecError
 
 
 class _AxiomFields(NamedTuple):
@@ -67,23 +66,6 @@ class EnumOperator(NamedTuple):
 
 
 EMPTY_OPERATOR = EnumOperator(())
-
-
-def validate_use_bound(op: EnumOperator) -> EnumOperator:
-    """The operator, unless an axiom is visible at a stage smaller than its
-    use, which is a SpecError.
-
-    Construction-facing operators must respect the convention that nothing
-    observed at stage s reaches beyond s; the restraint argument silently
-    leans on it.
-    """
-    for stage, axiom in op.staged_axioms:
-        if axiom.premise and axiom.use > stage:
-            raise SpecError(
-                f"axiom with premise max {axiom.premise[-1]} (use {axiom.use}) "
-                f"visible at stage {stage}"
-            )
-    return op
 
 
 def evaluate(op: EnumOperator, graph: PartialGraph, stage: int) -> frozenset[int]:

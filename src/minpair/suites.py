@@ -9,7 +9,7 @@ derived from it, so both conventions hold by construction.  Entries are
 written in a small synthetic description language (tagged records, parsed
 from config files) or as register-machine programs run with a step budget
 equal to the stage.  build_suite compiles a whole family, each operator
-when it is first read, and each operator is checked for the
+when it is first read, and each `axioms` operator is checked for the
 use-within-stage bound as it is built.  An index past the end of a family
 diverges everywhere, or has no axioms.
 `least_settle` is the one scan for the least settle stage of a class point
@@ -374,10 +374,14 @@ AXIOM = {"stage": (natural,), "premise": (list_of(_code(bit)),), "output": (_cod
 
 
 def _axioms_operator(axioms: list[dict]) -> EnumOperator:
-    from .operators import Axiom, EnumOperator, validate_use_bound  # loaded only for operators
+    from .operators import Axiom, EnumOperator  # loaded only for operators
 
-    staged = [(a["stage"], Axiom.of(a["premise"], a["output"])) for a in axioms]
-    return validate_use_bound(EnumOperator.from_staged(staged))
+    op = EnumOperator.from_staged((a["stage"], Axiom.of(a["premise"], a["output"])) for a in axioms)
+    for stage, axiom in op.staged_axioms:  # the restraint argument leans on this bound
+        if axiom.use > stage:
+            premise = f"premise max {axiom.premise[-1]} (use {axiom.use})"
+            raise SpecError(f"axiom with {premise} visible at stage {stage}")
+    return op
 
 
 def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> EnumOperator:
@@ -385,7 +389,7 @@ def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> Enu
     premise bitmask and output) enters at the least stage s with c < s, the
     machine accepting c (halting with output bit 1) within s steps, and the
     premise use within s.  Enumeration is cut off at stage_bound."""
-    from .operators import Axiom, EnumOperator, validate_use_bound
+    from .operators import Axiom, EnumOperator
 
     staged = []
     for code in range(stage_bound):
@@ -397,7 +401,7 @@ def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> Enu
         enters = max(steps, code + 1, axiom.use)
         if enters <= stage_bound:
             staged.append((enters, axiom))
-    return validate_use_bound(EnumOperator.from_staged(staged))
+    return EnumOperator.from_staged(staged)
 
 
 def operator_kinds(stage_bound: int) -> dict:

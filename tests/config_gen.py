@@ -90,8 +90,11 @@ def forged_trace(family: str, actions: int):
 
     "new-position": stage s inserts 2s + 1 into side 0 for pair (s - 1, 0),
     at a new position, weaker than every one before.  "alternating": stage s
-    inserts 2s + 1 into side s % 2 for class 0.  Both break structural
-    checks; they measure what the checks cost per action.  minpair is
+    inserts 2s + 1 into side s % 2 for class 0.  "weaker-alternating": stage
+    s inserts 2s + 1 for pair ((s - 1) // 2, (s - 1) % 2), at position s - 1,
+    so each action sees every earlier member of the other side, all
+    inserted by stronger pairs.  All break structural checks; they measure
+    what the checks cost per action.  minpair is
     imported here, not at the top, because `tests/scale.py` imports this
     module and no minpair.
     """
@@ -103,6 +106,8 @@ def forged_trace(family: str, actions: int):
             act = Action(s - 1, 0, 2 * s + 1, s)
         elif family == "alternating":
             act = Action(0, s % 2, 2 * s + 1, s)
+        elif family == "weaker-alternating":
+            act = Action((s - 1) // 2, (s - 1) % 2, 2 * s + 1, s)
         else:
             raise ValueError(f"unknown family {family!r}")
         kept.append(TraceEvent(s, act, ()))

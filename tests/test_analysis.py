@@ -478,6 +478,36 @@ def test_structural_memory_follows_the_events_not_their_square(tmp_path):
     assert main([*argv, "--checks", "structural", "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_removal_discipline_ranks_no_opposite_side_per_action(monkeypatch):
+    """Work budget: on 8000 weaker-alternating actions (`forged_trace`), each
+    of which sees every earlier member of the other side, the elements that
+    check_structural passes to `sorted` plus its calls of `position` stay
+    under 4 x actions; ranking the opposite side at each action computed
+    about actions^2 / 4 positions.  Removal discipline passes."""
+    actions = 8000
+    trace = forged_trace("weaker-alternating", actions)
+    work, real_position = [0], analysis.position
+
+    def spend(amount):
+        work[0] += amount
+        assert work[0] < 4 * actions, "elements sorted plus positions computed"
+
+    def counted_sorted(items, **kwargs):
+        items = list(items)
+        spend(len(items))
+        return sorted(items, **kwargs)
+
+    def counted_position(*args):
+        spend(1)
+        return real_position(*args)
+
+    monkeypatch.setattr(analysis, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(analysis, "position", counted_position)
+    report = check_structural(trace)
+    assert report.find("removal_discipline").verdict == "pass"
+    assert report.find("witness_discipline").verdict == "fail"
+
+
 def test_readme_lists_the_structural_checks():
     """README "Reports" lists exactly analysis.STRUCTURAL, in report order."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -591,12 +621,17 @@ def test_structural_matches_its_naive_specification():
 
     compare()
     assert len(failing) >= 200
-    # the acting pairs' chain: 300 ever weaker pairs; and pair position 3
+    # the acting pairs' chain: 300 ever weaker pairs, on one side or
+    # alternating sides (no removal is due); and pair position 3
     # acting twice before the stronger position 0 acts, then position 2
     # acting twice after every stronger pair has stopped
     rows = [(1, 0, 1, 1, 1), (3, 1, 1, 2, 3), (5, 1, 1, 6, 5), (7, 0, 0, 3, 7)]
     rows += [(9, 1, 1, 10, 9), (11, 1, 0, 14, 11), (13, 1, 0, 18, 13)]
-    for trace in (forged_trace("new-position", 300), quiet_but(15, acts(*rows))):
+    forged = [forged_trace(family, 300) for family in ("new-position", "weaker-alternating")]
+    # 9, inserted by pair position 4, then again by the stronger position 0,
+    # leaves no weaker member for position 1 to remove
+    forged.append(quiet_but(10, acts((5, 2, 0, 9, 5), (7, 0, 0, 9, 7), (8, 0, 1, 11, 8))))
+    for trace in (*forged, quiet_but(15, acts(*rows))):
         report = check_structural(trace)
         assert {c.name: (c.verdict, dict(c.detail)) for c in report.checks} == (
             naive_checks.structural(trace)

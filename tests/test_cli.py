@@ -757,13 +757,18 @@ def test_verify_rejects_boolean_trace_fields(tmp_path, record, field, flag):
     argv = ["verify", "--trace", str(trace), "--config", "configs/injury.json", "--checks", "structural"]
     assert main(argv) == 3
 
-def test_verify_unknown_check_exits_2(tmp_path, scenario_config_path):
+def test_verify_unknown_check_exits_2(tmp_path, scenario_config_path, capsys):
     out = tmp_path / "out.trace"
     main(["run", "--config", scenario_config_path, "--out", str(out)])
     rc = main(
         ["verify", "--trace", str(out), "--config", scenario_config_path, "--checks", "sparkle"]
     )
     assert rc == 2
+    # a name read from argv is shown on one line, its newline escaped
+    capsys.readouterr()
+    argv = ["verify", "--trace", str(out), "--config", scenario_config_path]
+    assert main([*argv, "--checks", "struct\nural"]) == 2
+    assert capsys.readouterr().err == "minpair: unknown check 'struct\\nural'\n"
 
 
 def test_verify_selected_check_needs_config(tmp_path, scenario_config_path):

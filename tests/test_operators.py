@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import operators
 from minpair.arith import pair
 from minpair.graphs import CofiniteOnes, ExplicitGraph, extends
-from minpair.operators import Axiom, EnumOperator, evaluate, validate_use_bound
-from minpair.suites import SpecError
+from minpair.operators import Axiom, EnumOperator, evaluate
 
 
 def op_of(*staged):
@@ -49,15 +48,6 @@ def test_axiom_validation():
         Axiom((2, 1), 0)  # unsorted premise
     with pytest.raises(ValueError):
         Axiom.of([1], -1)
-
-
-def test_use_bound_validation():
-    exempt = op_of((0, Axiom.of([], 9)))  # an empty premise has use 0
-    assert validate_use_bound(exempt) is exempt
-    visible = op_of((12, Axiom.of([11], 9)))
-    assert validate_use_bound(visible) is visible
-    with pytest.raises(SpecError, match=r"premise max 11 \(use 12\) visible at stage 11"):
-        validate_use_bound(op_of((11, Axiom.of([11], 9))))
 
 
 # -- randomized structural properties ---------------------------------------

@@ -48,3 +48,27 @@ def test_only_suites_reads_json():
             if {"json.load", "json.loads"} & set(names):
                 readers.append(f"{path.name}:{node.lineno}")
     assert [reader.split(":")[0] for reader in readers] == ["suites.py"]
+
+
+def test_the_math_layer_imports_only_the_math_layer():
+    """`operators` and `graphs` import from no minpair module but `arith` and
+    `graphs`: the config layer (`suites`) and its errors stay out of them."""
+    reached = []
+    for path in SOURCES:
+        if path.stem not in ("operators", "graphs"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):  # each imported name, as minpair.<module>.<name>
+                package = ".".join(filter(None, ("minpair" if node.level else "", node.module)))
+                names = [f"{package}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            modules = [name.split(".")[:2] for name in names]
+            reached += [
+                f"{path.name}:{node.lineno}: {'.'.join(module)}"
+                for module in modules
+                if module[0] == "minpair" and module[1:] not in (["arith"], ["graphs"])
+            ]
+    assert reached == []

@@ -136,6 +136,16 @@ def test_operator_axioms_compile_and_respect_use_bound():
     )
     (stage, axiom), = op.staged_axioms
     assert stage == 8 and axiom.premise == (4,) and axiom.output == 22
+
+    def axioms(stage, premise):
+        return {"kind": "axioms", "axioms": [{"stage": stage, "premise": premise, "output": 9}]}
+
+    # an empty premise has use 0; a premise max of 11 has use 12, visible from stage 12
+    assert compile_operator(axioms(0, []), 0).staged_axioms == ((0, Axiom.of([], 9)),)
+    assert compile_operator(axioms(12, [11]), 0).staged_axioms == ((12, Axiom.of([11], 9)),)
+    with pytest.raises(SpecError) as err:
+        compile_operator(axioms(11, [11]), 0)
+    assert str(err.value) == "operator: axiom with premise max 11 (use 12) visible at stage 11"
     bad = {"kind": "axioms", "axioms": [{"stage": 1, "premise": [[1, 1]], "output": 0}]}
     _, osuite = build_suite([], [bad], 10)  # compiles the operator on its first read
     with pytest.raises(SpecError) as err:
