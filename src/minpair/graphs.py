@@ -4,15 +4,15 @@ Two shapes cover everything the construction touches: finite explicit
 graphs, and cofinite all-ones graphs (value 1 everywhere off a finite
 exception set, undefined on it — the shape of a side's description at any
 stage).  A graph is identified with its set of pair(n, value) codes, so
-enumeration operators can consume either shape uniformly.  Each shape is
-built from its canonical form (entries and exception sets sorted), which
-its constructor checks.
+enumeration operators can consume either shape uniformly.  An explicit
+graph is built from its canonical form (entries sorted by point), which its
+constructor checks; a cofinite graph reads its exception set in place.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import unpair
 
@@ -48,31 +48,22 @@ class ExplicitGraph:
 
 
 class CofiniteOnes:
-    """Value 1 everywhere except a finite set of undefined points."""
+    """Value 1 everywhere except a finite set of undefined points, read in place."""
 
-    __slots__ = ("exceptions", "_exc")
+    __slots__ = ("exceptions",)
 
-    def __init__(self, exceptions: tuple[int, ...]) -> None:
-        exc = set()
-        for n in exceptions:
-            if n < 0:
-                raise ValueError(f"exception point must be a natural, got {n}")
-            exc.add(n)
-        if len(exc) != len(exceptions) or list(exceptions) != sorted(exc):
-            raise ValueError("exception set must be sorted and duplicate-free")
+    def __init__(self, exceptions: Collection[int]) -> None:
         self.exceptions = exceptions
-        self._exc = frozenset(exc)
 
     @classmethod
     def of(cls, exceptions: Iterable[int]) -> "CofiniteOnes":
-        return cls(tuple(sorted(set(exceptions))))
+        return cls(frozenset(exceptions))
 
     def value_at(self, n: int) -> int | None:
-        return None if n in self._exc else 1
+        return None if n in self.exceptions else 1
 
     def defined_below(self, bound: int) -> int:
-        missing = sum(1 for n in self.exceptions if n < bound)
-        return bound - missing
+        return bound - sum(1 for n in self.exceptions if n < bound)
 
 
 PartialGraph = Union[ExplicitGraph, CofiniteOnes]

@@ -16,7 +16,7 @@ replaces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Container, Sequence
+from collections.abc import Sequence
 from heapq import merge
 from itertools import accumulate, groupby
 from typing import TYPE_CHECKING, NamedTuple
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import analysis
 from .analysis import CheckResult, ReplayedRun, VerificationReport, _report, replay_to
 from .arith import class_index, unpair
-from .graphs import ExplicitGraph, check_description
+from .graphs import CofiniteOnes, ExplicitGraph, check_description
 from .records import Trace
 from .suites import FunctionalSuite, OperatorSuite
 
@@ -41,16 +41,9 @@ if TYPE_CHECKING:
 Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
 
 
-class _Description(NamedTuple):
-    members: Container[int]  # a side's, live: its graph is undefined on them, 1 elsewhere
-
-    def value_at(self, n: int) -> int | None:
-        return None if n in self.members else 1
-
-
 def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
-    """Each stage up to the horizon where the set evaluate(op, the side's
-    description graph, stage) changes, stage 0 first, with the set from it on.
+    """Each stage up to the horizon where the set evaluate(op, CofiniteOnes(the
+    side's live members), stage) changes, stage 0 first, with the set from it on.
 
     The set can only change where the side's membership changes (its size
     or its last member to enter does) or one of op's axioms becomes
@@ -64,7 +57,7 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
         now = members[side]
         key = len(now), next(reversed(now), None)
         if s in visible or key != before:
-            outputs = analysis.evaluate(op, _Description(now), s)
+            outputs = analysis.evaluate(op, CofiniteOnes(now), s)
             if not changes or outputs != changes[-1][1]:
                 changes.append((s, outputs))
         before = key

@@ -206,26 +206,42 @@ def run_machine(
 
     Returns (halted, steps_used, output_bit); output is register 0 mod 2.
     Running off either end of the program halts.  Halting is stable: a
-    larger budget never changes the outcome of a halted run.
+    larger budget never changes the outcome of a halted run.  A run that
+    never halts may stop early, at a certificate (Brent 1980): the 1st, 2nd,
+    4th, ... backward jump (a zero branch to at most its own pc) saves its
+    target and the registers, and a later one to that target certifies when
+    no register is below its saved value and each register tested zero
+    since equals it.  The path between the two then repeats forever.
     """
-    regs: dict[int, int] = {0: value}
+    dense = {0: 0}  # register -> its index in regs, in order of first use
+    code = [(ins.op, dense.setdefault(ins.reg, len(dense)), ins.target) for ins in program]
+    regs = [value] + [0] * (len(dense) - 1)
+    saved, target, below, zeroed, jumps = regs.copy(), None, 0, set(), 0  # below: regs < saved
     pc = steps = 0
-    while 0 <= pc < len(program):
+    while 0 <= pc < len(code):
         if steps >= max_steps:
             return False, steps, 0
-        ins = program[pc]
+        op, r, to = code[pc]
         steps += 1
-        if ins.op == "halt":
-            break
-        if ins.op == "inc":
-            regs[ins.reg] = regs.get(ins.reg, 0) + 1
+        if op == "inc":
+            regs[r] += 1
+            below -= regs[r] == saved[r]
             pc += 1
-        else:  # decjz
-            if regs.get(ins.reg, 0) == 0:
-                pc = ins.target
-            else:
-                regs[ins.reg] -= 1
-                pc += 1
+        elif op == "halt":
+            break
+        elif regs[r]:  # decjz
+            regs[r] -= 1
+            below += regs[r] + 1 == saved[r]
+            pc += 1
+        else:
+            zeroed.add(r)
+            if to <= pc:
+                jumps += 1
+                if jumps & (jumps - 1) == 0:
+                    saved, target, below, zeroed = regs.copy(), to, 0, set()
+                elif to == target and not below and all(regs[z] == saved[z] for z in zeroed):
+                    return False, steps, 0
+            pc = to
     return True, steps, regs[0] & 1
 
 

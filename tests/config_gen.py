@@ -93,8 +93,12 @@ def forged_trace(family: str, actions: int):
     inserts 2s + 1 into side s % 2 for class 0.  "weaker-alternating": stage
     s inserts 2s + 1 for pair ((s - 1) // 2, (s - 1) % 2), at position s - 1,
     so each action sees every earlier member of the other side, all
-    inserted by stronger pairs.  All break structural checks; they measure
-    what the checks cost per action.  minpair is
+    inserted by stronger pairs.  "weaker-in-class" acts for the same pairs
+    with witness (2s + 1) * 2**e, in its class and above every stronger
+    restraint: it passes every structural check without a suite, and with
+    one fails witness discipline at stage 1 (no witness converges).  The
+    others break structural checks.  All measure what the checks cost per
+    action.  minpair is
     imported here, not at the top, because `tests/scale.py` imports this
     module and no minpair.
     """
@@ -108,6 +112,8 @@ def forged_trace(family: str, actions: int):
             act = Action(0, s % 2, 2 * s + 1, s)
         elif family == "weaker-alternating":
             act = Action((s - 1) // 2, (s - 1) % 2, 2 * s + 1, s)
+        elif family == "weaker-in-class":
+            act = Action((s - 1) // 2, (s - 1) % 2, (2 * s + 1) << (s - 1) // 2, s)
         else:
             raise ValueError(f"unknown family {family!r}")
         kept.append(TraceEvent(s, act, ()))

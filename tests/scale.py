@@ -3,11 +3,11 @@
 Usage: python tests/scale.py --parent DIR --out BENCH_<pr>.json
            [--rounds N] [--horizon H] [--only NAME,...]
 
-The scale corpus is `random_config` seeds 0-9 at horizon 320000,
-`configs/parity_demo.json` at 80000, and `random_config` seeds 32 and 56
-and two register machines at 3200: one loops forever, one halts on n after
-about 2n steps.  `--horizon` puts every config at one horizon and `--only`
-keeps the named configs, for a quick check.
+The scale corpus is `random_config` seeds 0-9, 32 and 56 at horizon
+320000, `configs/parity_demo.json` at 80000, and two register machines:
+one loops forever, at 320000, and one halts on n after about 2n steps, at
+3200.  `--horizon` puts every config at one horizon and `--only` keeps the
+named configs, for a quick check.
 
 Each command runs in a fresh process, `python -m minpair.cli` with
 PYTHONPATH set to a copy of a tree's `src`: `run`, then the default
@@ -48,9 +48,9 @@ from config_gen import random_config
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_HORIZON = 3200
 LIMIT_S, LIMIT_MB = 10, 100
-MACHINES = {
-    "machine-loop": [["inc", 1], ["decjz", 2, 0]],
-    "machine-slow-halt": [["decjz", 0, 2], ["decjz", 1, 0], ["halt"]],
+MACHINES = {  # name -> (program, horizon)
+    "machine-loop": ([["inc", 1], ["decjz", 2, 0]], 320000),
+    "machine-slow-halt": ([["decjz", 0, 2], ["decjz", 1, 0], ["halt"]], 3200),
 }
 SHA256 = """
 import hashlib, sys
@@ -74,12 +74,12 @@ METHOD = (
 def corpus() -> dict[str, dict]:
     """name -> config, for every config of the scale corpus."""
     parity = json.loads((ROOT / "configs" / "parity_demo.json").read_text(encoding="utf-8"))
-    configs = {f"random-{seed}": random_config(seed, 320000) for seed in range(10)}
+    seeds = (*range(10), 32, 56)
+    configs = {f"random-{seed}": random_config(seed, 320000) for seed in seeds}
     configs["parity_demo"] = {**parity, "horizon": 80000}
-    configs.update({f"random-{seed}": random_config(seed, 3200) for seed in (32, 56)})
-    for name, program in MACHINES.items():
+    for name, (program, horizon) in MACHINES.items():
         functionals = [{"kind": "machine", "program": program}]
-        configs[name] = {"horizon": 3200, "suite": {"functionals": functionals, "operators": []}}
+        configs[name] = {"horizon": horizon, "suite": {"functionals": functionals, "operators": []}}
     return configs
 
 

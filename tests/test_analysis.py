@@ -508,6 +508,43 @@ def test_removal_discipline_ranks_no_opposite_side_per_action(monkeypatch):
     assert report.find("witness_discipline").verdict == "fail"
 
 
+def test_stronger_restraint_bound_sees_logarithmically_many_restraints(monkeypatch):
+    """Work budget: with a suite, witness discipline reads the stronger
+    restraint bound only while it has no counterexample, so every earlier
+    action had a converged witness w of its class e, 2**e <= w < H, and no
+    call sees more than 2 (floor(log2 H) + 1) restraints.  Checked on
+    `random_config` seeds 0-9 at horizon 800, with capture of every pair,
+    and on 4000 weaker-in-class actions (`forged_trace`), whose witnesses
+    lie in their class above every stronger restraint: without a suite each
+    action scans every earlier one, and so would a walk that kept scanning
+    after the first fault."""
+    seen, real = [], analysis._stronger_restraint_bound
+
+    def counted(restraints, p):
+        seen.append(len(restraints))
+        return real(restraints, p)
+
+    monkeypatch.setattr(analysis, "_stronger_restraint_bound", counted)
+    for seed in range(10):
+        raw = random_config(seed, 800)
+        fsuite = make_suites(raw)[0]
+        trace = engine.run(fsuite, 800, raw["snapshot_every"])
+        rep = replay(trace)
+        assert check_structural(trace, fsuite, rep).passed
+        for e in range(fsuite.classes + 1):
+            for side in (0, 1):
+                check_capture(trace, fsuite, e, side, 800, rep)
+        assert max(seen) <= 2 * (800).bit_length()
+    trace = forged_trace("weaker-in-class", 4000)
+    seen.clear()
+    assert check_structural(trace).find("witness_discipline").verdict == "pass"
+    assert max(seen) == 3999
+    seen.clear()
+    report = check_structural(trace, const_suite(horizon=4001))
+    assert report.find("witness_discipline").verdict == "fail"
+    assert max(seen) <= 2 * (4001).bit_length()
+
+
 def test_readme_lists_the_structural_checks():
     """README "Reports" lists exactly analysis.STRUCTURAL, in report order."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -72,8 +72,6 @@ def test_graph_constructors_validate():
         ExplicitGraph(((3, 1), (3, 0)))  # point mapped twice
     with pytest.raises(ValueError):
         ExplicitGraph.from_map({1: 2})
-    with pytest.raises(ValueError):
-        CofiniteOnes((5, 2))  # not sorted
 
 
 def test_check_description_all_ones():

@@ -14,7 +14,7 @@ from minpair.analysis import CheckResult, reference_run
 from minpair.cli import read_trace, write_trace
 from minpair.engine import MUTATIONS, Action, Removal, TraceEvent, run
 from minpair.records import Snapshot, Trace, TraceSummary, canon, event_line, trace_lines
-from minpair.graphs import CofiniteOnes, ExplicitGraph
+from minpair.graphs import ExplicitGraph
 from minpair.operators import Axiom, EnumOperator
 
 
@@ -65,9 +65,6 @@ def test_frozen_records_reject_assignment(record, field):
         lambda: ExplicitGraph(((1, 2),)),  # value not a bit
         lambda: ExplicitGraph(((-1, 0),)),  # negative point
         lambda: ExplicitGraph(((3, 1), (3, 0))),  # point mapped twice
-        lambda: CofiniteOnes((-1,)),
-        lambda: CofiniteOnes((2, 2)),
-        lambda: CofiniteOnes((5, 2)),  # not sorted
         lambda: Axiom((-1,), 0),
         lambda: Axiom((2, 1), 0),  # premise not sorted
         lambda: Axiom((1, 1), 0),  # premise repeats a code

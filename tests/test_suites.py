@@ -104,22 +104,47 @@ def test_run_machine_steps():
         assert halted and out == 0
 
 
-# up to 6 instructions over registers 0-2, jump targets from before the start to past the end
+# up to 6 instructions over registers 0, 1 and one of 2149 digits, jump
+# targets from before the start to past the end
+REGISTER = st.sampled_from((0, 1, 10**2148))
 INSTRUCTION = st.one_of(
     st.builds(Instruction, st.just("halt")),
-    st.builds(Instruction, st.just("inc"), st.integers(0, 2)),
-    st.builds(Instruction, st.just("decjz"), st.integers(0, 2), st.integers(-2, 8)),
+    st.builds(Instruction, st.just("inc"), REGISTER),
+    st.builds(Instruction, st.just("decjz"), REGISTER, st.integers(-2, 8)),
 )
+PROGRAM = st.lists(INSTRUCTION, max_size=6).map(tuple)
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    program=st.lists(INSTRUCTION, max_size=6).map(tuple),
-    value=st.integers(0, 20),
-    budget=st.integers(0, 200),
-)
+@given(program=PROGRAM, value=st.integers(0, 20), budget=st.integers(0, 200))
 def test_run_machine_matches_its_specification(program, value, budget):
-    assert run_machine(program, value, budget) == naive_oracle.run_machine(program, value, budget)
+    """Both interpreters agree on halting, and on a halted run's steps and
+    output; an unhalted run may stop early, at its certificate."""
+    got = run_machine(program, value, budget)
+    want = naive_oracle.run_machine(program, value, budget)
+    assert got[0] == want[0]
+    if got[0]:
+        assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(program=PROGRAM, value=st.integers(0, 20), budget=st.integers(1, 200))
+def test_run_machine_certifies_only_machines_that_never_halt(program, value, budget):
+    """A run that stops unhalted before its budget B does not halt within 20 B
+    steps of the specification interpreter either."""
+    halted, steps, _ = run_machine(program, value, budget)
+    if not halted and steps < budget:
+        assert not naive_oracle.run_machine(program, value, 20 * budget)[0]
+
+
+def test_a_machine_loop_is_certified_within_16_steps():
+    """Work budget: a loop that grows a register and jumps back on a register
+    that stays zero is certified within 16 steps on every input below 1000,
+    at budget 10**6; without the certificate each run spent its budget."""
+    loop = parse_program([["inc", 1], ["decjz", 2, 0]])
+    for n in range(1000):
+        halted, steps, _ = run_machine(loop, n, 10**6)
+        assert not halted and steps <= 16, (n, steps)
 
 
 def test_machine_operator_enumeration():
