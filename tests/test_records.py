@@ -65,6 +65,9 @@ def test_frozen_records_reject_assignment(record, field):
         lambda: ExplicitGraph(((1, 2),)),  # value not a bit
         lambda: ExplicitGraph(((-1, 0),)),  # negative point
         lambda: ExplicitGraph(((3, 1), (3, 0))),  # point mapped twice
+        lambda: ExplicitGraph(((0, -1),)),  # negative value
+        lambda: ExplicitGraph(((0, 1), (2, 0), (0, 1))),  # point repeated, same value
+        lambda: EnumOperator.from_staged([(-1, Axiom.of([], 0))]),  # negative stage
         lambda: Axiom((-1,), 0),
         lambda: Axiom((2, 1), 0),  # premise not sorted
         lambda: Axiom((1, 1), 0),  # premise repeats a code
