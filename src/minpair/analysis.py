@@ -66,18 +66,23 @@ def __getattr__(name: str):
 
 
 def _apply(ev: TraceEvent, members: tuple[dict, dict], restraints: dict[int, int]) -> list:
-    """Apply the event to the live state, and give the (side, n) of each
-    member that it removed.  restraints maps each position to the restraint
-    of its last action; members[side] maps each member, in the order they
-    entered, to the (e, side, stage) of the action that last inserted it and
-    the stage from which it has been a member."""
-    act = ev.action
+    """Apply the event to the live state, and give its membership changes in
+    order: (side, n, 1) for the witness if it entered (a member inserted
+    again does not), then (side, n, -1) for each member removed.  restraints
+    maps each position to the restraint of its last action; members[side]
+    maps each member, in the order they entered, to the (e, side, stage) of
+    the action that last inserted it and the stage from which it has been a
+    member."""
+    act, changes = ev.action, []
     if act is not None:
         side = members[act.side]
+        if act.witness not in side:
+            changes.append((act.side, act.witness, 1))
         entered = side[act.witness][3] if act.witness in side else ev.stage
         side[act.witness] = (act.e, act.side, ev.stage, entered)
         restraints[act.position] = act.restraint
-    return [(rm.side, rm.n) for rm in ev.removals if members[rm.side].pop(rm.n, None)]
+    gone = [(rm.side, rm.n, -1) for rm in ev.removals if members[rm.side].pop(rm.n, None)]
+    return changes + gone
 
 
 class _ByStage:
@@ -310,10 +315,8 @@ def check_structural(
             since = acted[-2][1][-1] + 1 if len(acted) > 1 else 0
             acted[-1][1].append(s)
             e = class_index(act.witness)
-            if act.witness not in members[side]:
-                classes[side][e] += 1
-        for gone in _apply(ev, members, restraints):
-            classes[gone[0]][class_index(gone[1])] -= 1
+        for changed, n, step in _apply(ev, members, restraints):
+            classes[changed][class_index(n)] += step
         if act is not None:
             # removal discipline, once each removal took a distinct weaker
             # member in order: no weaker member is left

@@ -1,11 +1,12 @@
 """The operator layer: enumerations, preservation, the joint table, the
 diagonal set and the end-to-end check.
 
-Each side evaluates its operator only where its enumerated set can
-change.  The preservation window for a joint output found at stage s opens
-just after the first action (at a stage >= s) of the strongest pair acting
-at any stage >= s, because that action's removals restore the opposite
-side and its restraint then shields the restored premise.
+A side's enumeration counts each axiom's premise points that are members,
+so a membership change costs only the axioms that name its point.  The
+preservation window for a joint output found at stage s opens just after
+the first action (at a stage >= s) of the strongest pair acting at any
+stage >= s, because that action's removals restore the opposite side and
+its restraint then shields the restored premise.
 
 `replay` (by way of `analysis.replay_to`), `evaluate` and
 `synthesize_joint` are called through the `analysis` module, whose
@@ -16,13 +17,14 @@ replaces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from heapq import merge
 from itertools import accumulate, groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analysis
-from .analysis import CheckResult, ReplayedRun, VerificationReport, _report, replay_to
+from .analysis import CheckResult, ReplayedRun, VerificationReport, _apply, _report, replay_to
 from .arith import class_index, unpair
 from .graphs import CofiniteOnes, ExplicitGraph, check_description
 from .records import Trace
@@ -45,22 +47,51 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
     """Each stage up to the horizon where the set evaluate(op, CofiniteOnes(the
     side's live members), stage) changes, stage 0 first, with the set from it on.
 
-    The set can only change where the side's membership changes (its size
-    or its last member to enter does) or one of op's axioms becomes
-    visible, so evaluate runs only there and at stage 0.
+    A premise code pair(n, v) lies on CofiniteOnes(members) exactly when
+    v = 1 and n is no member, so an axiom with a bit other than 1 never
+    fires, and any other, once visible, fires exactly while none of its
+    points is a member.  Counters as in Dowling and Gallier's linear-time
+    Horn propagation, run both ways since members also leave, keep that per
+    axiom and per output; evaluate runs once, at stage 0, before any member.
     """
-    visible = {stage for stage, _ in op.staged_axioms if stage <= horizon}
+    kept = []  # (stage, output) of each axiom by the horizon whose premise bits are all 1
+    naming = defaultdict(list)  # point -> the kept axioms that name it
+    for stage, axiom in op.staged_axioms:  # ascending by stage
+        if stage > horizon:
+            break
+        points = [unpair(code) for code in axiom.premise]
+        if all(v == 1 for _, v in points):
+            for n, _ in points:
+                naming[n].append(len(kept))
+            kept.append((stage, axiom.output))
+    blocked = [0] * len(kept)  # kept axiom -> how many of its points are members
+    live = Counter()  # output -> its visible kept axioms with blocked == 0
+    flipped = False  # whether an output appeared or vanished at this stage
+
+    def fire(a: int, step: int) -> None:
+        """The kept axiom a starts (step 1) or stops (step -1) firing."""
+        nonlocal flipped
+        live[kept[a][1]] += step
+        flipped |= live[kept[a][1]] == (step > 0)  # 0 -> 1 or 1 -> 0
+
+    members, restraints, i, shown = ({}, {}), {}, 0, 0  # kept[:shown] are visible
+    changes: Changes = [(0, analysis.evaluate(op, CofiniteOnes(()), 0))]
     after = (ev.stage + 1 for ev in rep.events if ev.stage < horizon)
-    changes: Changes = []
-    before = None
-    for s, members, _ in rep.states(s for s, _ in groupby(merge([0], sorted(visible), after))):
-        now = members[side]
-        key = len(now), next(reversed(now), None)
-        if s in visible or key != before:
-            outputs = analysis.evaluate(op, CofiniteOnes(now), s)
-            if not changes or outputs != changes[-1][1]:
-                changes.append((s, outputs))
-        before = key
+    for s, _ in groupby(merge((stage for stage, _ in kept), after)):
+        while i < len(rep.events) and rep.events[i].stage < s:
+            for changed, n, step in _apply(rep.events[i], members, restraints):
+                for a in naming.get(n, ()) if changed == side else ():
+                    blocked[a] += step
+                    if a < shown and blocked[a] == (step > 0):  # 0 -> 1 or 1 -> 0
+                        fire(a, -step)
+            i += 1
+        while shown < len(kept) and kept[shown][0] <= s:
+            if not blocked[shown]:
+                fire(shown, 1)
+            shown += 1
+        if flipped and (now := frozenset(+live)) != changes[-1][1]:
+            changes.append((s, now))
+        flipped = False
     return changes
 
 

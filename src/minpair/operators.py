@@ -1,8 +1,8 @@
 """Staged enumeration operators over partial-function graphs.
 
 An operator is a finite table of axioms, each a finite premise set of pair
-codes together with an output number, tagged with the stage at which it
-first appears.  Evaluating on a graph at a stage returns every output whose
+codes together with an output number, tagged with a stage from which it
+is visible.  Evaluating on a graph at a stage returns every output whose
 premise codes all lie on the graph; the use of an axiom is the least bound
 strictly above every premise code.  Evaluation is monotone both in the
 stage (axiom tables only grow) and in the oracle (larger graphs satisfy
@@ -46,22 +46,15 @@ class Axiom(_AxiomFields):
 
 
 class EnumOperator(NamedTuple):
-    """Axioms with their stages of first appearance, deduplicated."""
+    """Axioms with their stages, sorted by (stage, output, premise)."""
 
     staged_axioms: tuple[tuple[int, Axiom], ...]
 
     @classmethod
     def from_staged(cls, staged) -> "EnumOperator":
-        first: dict[Axiom, int] = {}
-        for stage, axiom in staged:
-            if stage < 0:
-                raise ValueError("stage must be a natural")
-            if axiom not in first or stage < first[axiom]:
-                first[axiom] = stage
-        canonical = sorted(
-            ((s, a) for a, s in first.items()),
-            key=lambda sa: (sa[0], sa[1].output, sa[1].premise),
-        )
+        canonical = sorted(staged, key=lambda sa: (sa[0], sa[1].output, sa[1].premise))
+        if canonical and canonical[0][0] < 0:
+            raise ValueError("stage must be a natural")
         return cls(tuple(canonical))
 
 

@@ -404,19 +404,16 @@ def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> Enu
     """Machine operators enumerate axiom codes by dovetailing: code c (coding
     premise bitmask and output) enters at the least stage s with c < s, the
     machine accepting c (halting with output bit 1) within s steps, and the
-    premise use within s.  Enumeration is cut off at stage_bound."""
+    premise use within s.  Codes and steps stop at stage_bound, so all enter by it."""
     from .operators import Axiom, EnumOperator
 
     staged = []
     for code in range(stage_bound):
         halted, steps, out = run_machine(program, code, stage_bound)
-        if not halted or out != 1:
-            continue
-        mask, output = unpair(code)
-        axiom = Axiom.of([i for i in range(mask.bit_length()) if mask >> i & 1], output)
-        enters = max(steps, code + 1, axiom.use)
-        if enters <= stage_bound:
-            staged.append((enters, axiom))
+        if halted and out == 1:
+            mask, output = unpair(code)
+            axiom = Axiom.of([i for i in range(mask.bit_length()) if mask >> i & 1], output)
+            staged.append((max(steps, code + 1, axiom.use), axiom))
     return EnumOperator.from_staged(staged)
 
 

@@ -84,6 +84,50 @@ def random_config(seed: int, horizon: int = 200) -> dict:
     }
 
 
+MACHINE_OPERATORS = (  # each accepts (halts with output bit 1 on) about every odd code
+    [["halt"]],
+    [["decjz", 0, 3], ["decjz", 0, 3], ["halt"]],
+)
+
+
+def _pair(x: int, y: int) -> int:
+    """Cantor code of (x, y), as `minpair.arith.pair` gives it."""
+    return (x + y) * (x + y + 1) // 2 + y
+
+
+def axioms_config(horizon: int, operators: int = 4, axioms: int = 2000) -> dict:
+    """`random_config(4, horizon)` with `operators` operators of `axioms`
+    random axioms each, and preservation of every ordered pair of distinct
+    operators.  An axiom has 1-3 premise points below 400 with random bits 0
+    or 1, a stage drawn uniformly from its use up to the horizon, and an
+    output below 2000."""
+    rng = random.Random(36000)
+    tables = []
+    for _ in range(operators):
+        table = []
+        for _ in range(axioms):
+            points = rng.sample(range(400), rng.randint(1, 3))
+            premise = [_pair(n, rng.randint(0, 1)) for n in points]
+            stage = rng.randint(max(premise) + 1, max(max(premise) + 1, horizon))
+            table.append({"stage": stage, "premise": premise, "output": rng.randrange(2000)})
+        tables.append({"kind": "axioms", "axioms": table})
+    pairs = [{"e0": e0, "e1": e1} for e0 in range(operators) for e1 in range(operators) if e0 != e1]
+    return _with_operators(random_config(4, horizon), tables, pairs)
+
+
+def machine_ops_config(horizon: int) -> dict:
+    """`random_config(4, horizon)` with the two `MACHINE_OPERATORS`, and
+    preservation of (0, 1) and (1, 0)."""
+    tables = [{"kind": "machine", "program": program} for program in MACHINE_OPERATORS]
+    pairs = [{"e0": 0, "e1": 1}, {"e0": 1, "e1": 0}]
+    return _with_operators(random_config(4, horizon), tables, pairs)
+
+
+def _with_operators(config: dict, operators: list, preservation: list) -> dict:
+    suite = {**config["suite"], "operators": operators}
+    return {**config, "suite": suite, "checks": {"preservation": preservation}}
+
+
 def forged_trace(family: str, actions: int):
     """A forged trace of horizon actions + 1 whose stages 1..actions each
     act, with no removals, and whose summary is its final state.

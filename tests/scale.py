@@ -1,32 +1,42 @@
 """Time `minpair run` and `verify` on the scale corpus under two source trees.
 
 Usage: python tests/scale.py --parent DIR --out BENCH_<pr>.json
-           [--rounds N] [--horizon H] [--only NAME,...]
+           [--rounds N] [--horizon H] [--only NAME,...] [--parent-horizon-cap H]
 
 The scale corpus is `random_config` seeds 0-9, 32 and 56 at horizon
-320000, `configs/parity_demo.json` at 80000, and two register machines:
-one loops forever, at 320000, and one halts on n after about 2n steps, at
-3200.  `--horizon` puts every config at one horizon and `--only` keeps the
-named configs, for a quick check.
+320000, `configs/parity_demo.json` at 80000, two register machines (one
+loops forever, at 320000, and one halts on n after about 2n steps, at
+3200), and two operator workloads at 320000: `axioms-2000`, 4 tables of
+2000 random axioms with preservation of every ordered pair, and
+`machine-ops`, two machine operators with preservation of (0, 1) and
+(1, 0) (`config_gen.axioms_config` and `machine_ops_config`).  `--horizon`
+puts every config at one horizon and `--only` keeps the named configs, for
+a quick check.  `--parent-horizon-cap H` runs the parent on each config
+above H at H instead, for a parent too slow to finish the corpus; the
+change then runs such a config at its own horizon and once more at H, and
+its outputs at H are the ones compared with the parent's.
 
 Each command runs in a fresh process, `python -m minpair.cli` with
 PYTHONPATH set to a copy of a tree's `src`: `run`, then the default
-`verify` of the trace it wrote.  Both trees compile from source, as the
-benchmark's children do: each copy is made under this run's temporary
-directory without `__pycache__`, and every child gets
-PYTHONDONTWRITEBYTECODE=1, so no child reads a warm or stale cache of
-either tree.  (A PYTHONPYCACHEPREFIX would move the stdlib's cache too, and
-every child would compile the stdlib modules it imports as well.)  Wall
-time runs from spawn to `os.wait4`, and the peak RSS is the child's
-`ru_maxrss`.  Linux keeps the spawner's own high-water mark in that figure,
-so this script imports no minpair and hashes in a child.  In every round
-each config runs under both trees, and the tree that goes first alternates.
+`verify` of the trace it wrote, which runs every check the config names.
+Both trees compile from source, as the benchmark's children do: each copy
+is made under this run's temporary directory without `__pycache__`, and
+every child gets PYTHONDONTWRITEBYTECODE=1, so no child reads a warm or
+stale cache of either tree.  (A PYTHONPYCACHEPREFIX would move the
+stdlib's cache too, and every child would compile the stdlib modules it
+imports as well.)  Wall time runs from spawn to `os.wait4`, whose usage
+also gives the child's CPU time (`ru_utime + ru_stime`) and peak RSS
+(`ru_maxrss`).  Linux keeps the spawner's own high-water mark in the RSS
+figure, so this script imports no minpair, and builds each config file and
+hashes in a child.  In every round each config runs under both trees, and
+the tree that goes first alternates.
 
 The output records every sample and the median; the sha256 of each trace
 and report, with the report's `meta` paths reduced to file names; whether
-both trees and every round gave identical outputs; and `meets_100x`: this
-tree's `run` and `verify` each take under 10 s and 100 MB, and its verdicts
-equal those it gives at horizon 3200.  Uses only the stdlib.
+both trees, at the parent's horizon, and every round gave identical
+outputs; and `meets_100x`: this tree's `run` and `verify` each take under
+10 s and 100 MB at the config's own horizon, and its verdicts equal those
+it gives at horizon 3200.  Uses only the stdlib.
 """
 
 from __future__ import annotations
@@ -41,9 +51,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from config_gen import random_config
+from config_gen import axioms_config, machine_ops_config, random_config
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_HORIZON = 3200
@@ -52,6 +64,15 @@ MACHINES = {  # name -> (program, horizon)
     "machine-loop": ([["inc", 1], ["decjz", 2, 0]], 320000),
     "machine-slow-halt": ([["decjz", 0, 2], ["decjz", 1, 0], ["halt"]], 3200),
 }
+CONFIG = """
+import json, sys
+from scale import corpus
+config = corpus()[sys.argv[1]]()
+config["horizon"] = int(sys.argv[2] or config["horizon"])
+with open(sys.argv[3], "w", encoding="utf-8") as file:
+    json.dump(config, file)
+print(config["horizon"])
+"""
 SHA256 = """
 import hashlib, sys
 for path in sys.argv[1:]:
@@ -63,28 +84,45 @@ for path in sys.argv[1:]:
 """
 METHOD = (
     "each command a fresh process (python -m minpair.cli) spawned by this stdlib script,"
-    " which imports neither minpair nor hashlib; each tree compiles from source: its src"
-    " is copied without __pycache__ into a temporary directory and every child gets"
-    " PYTHONDONTWRITEBYTECODE=1; wall time from spawn to os.wait4, peak"
-    " RSS = the child's ru_maxrss; every round runs each config under both trees, the"
-    " first tree alternating; verify is the default verify of the trace the same tree wrote"
+    " which imports neither minpair nor hashlib and builds each config file in a child;"
+    " each tree compiles from source: its src is copied without __pycache__ into a"
+    " temporary directory and every child gets PYTHONDONTWRITEBYTECODE=1; wall time from spawn to os.wait4, CPU time = the"
+    " child's ru_utime + ru_stime and peak RSS = its ru_maxrss from that os.wait4; every"
+    " round runs each config under both trees, the first tree alternating; verify is the"
+    " default verify of the trace the same tree wrote; with a parent horizon cap, the parent"
+    " runs a config above the cap at the cap, and the change runs it at its own horizon"
+    " and at the cap, where the two are compared"
 )
 
 
-def corpus() -> dict[str, dict]:
-    """name -> config, for every config of the scale corpus."""
+def corpus() -> dict[str, Callable[[], dict]]:
+    """name -> a function that builds the config, for every config of the
+    scale corpus."""
     parity = json.loads((ROOT / "configs" / "parity_demo.json").read_text(encoding="utf-8"))
     seeds = (*range(10), 32, 56)
-    configs = {f"random-{seed}": random_config(seed, 320000) for seed in seeds}
-    configs["parity_demo"] = {**parity, "horizon": 80000}
+    configs = {f"random-{seed}": partial(random_config, seed, 320000) for seed in seeds}
+    configs["parity_demo"] = partial(dict, parity, horizon=80000)
     for name, (program, horizon) in MACHINES.items():
-        functionals = [{"kind": "machine", "program": program}]
-        configs[name] = {"horizon": horizon, "suite": {"functionals": functionals, "operators": []}}
+        suite = {"functionals": [{"kind": "machine", "program": program}], "operators": []}
+        configs[name] = partial(dict, horizon=horizon, suite=suite)
+    configs["axioms-2000"] = partial(axioms_config, 320000)
+    configs["machine-ops"] = partial(machine_ops_config, 320000)
     return configs
 
 
-def spawn(tree: Path, *argv) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MB and exit code of `minpair argv` under tree/src."""
+def write_config(name: str, horizon: int | None, path: Path) -> int:
+    """Write the named config to path, at horizon if given, and give its
+    horizon.  A child builds it: the thousands of axioms of an operator
+    workload would raise the spawner's RSS, and with it every later child's
+    floor."""
+    argv = [sys.executable, "-c", CONFIG, name, str(horizon or ""), str(path)]
+    here = Path(__file__).parent
+    return int(subprocess.run(argv, cwd=here, capture_output=True, text=True, check=True).stdout)
+
+
+def spawn(tree: Path, *argv) -> tuple[float, float, float, int]:
+    """Wall seconds, CPU seconds, peak RSS in MB and exit code of `minpair
+    argv` under tree/src."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [sys.executable, "-m", "minpair.cli", *map(str, argv)]
     with open(os.devnull, "wb") as null:
@@ -94,7 +132,8 @@ def spawn(tree: Path, *argv) -> tuple[float, float, int]:
         )
         _, status, usage = os.wait4(pid, 0)
         wall = time.perf_counter() - start
-    return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
+    cpu = usage.ru_utime + usage.ru_stime
+    return wall, cpu, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
 
 
 def copy_source(tree: Path, into: Path) -> Path:
@@ -110,15 +149,14 @@ def sha256s(*paths: Path) -> list[str]:
     return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
 
 
-def measure(tree: Path, config: dict, work: Path) -> dict:
-    """One `run` and one default `verify` of a config under a tree."""
+def measure(tree: Path, config: Path, work: Path) -> dict:
+    """One `run` and one default `verify` of a config file under a tree."""
     work.mkdir(parents=True, exist_ok=True)
-    paths = {name: work / name for name in ("config.json", "trace.jsonl", "report.json")}
-    paths["config.json"].write_text(json.dumps(config), encoding="utf-8")
-    run = spawn(tree, "run", "--config", paths["config.json"], "--out", paths["trace.jsonl"])
+    paths = {name: work / name for name in ("trace.jsonl", "report.json")}
+    run = spawn(tree, "run", "--config", config, "--out", paths["trace.jsonl"])
     verify = spawn(
         tree,
-        *("verify", "--trace", paths["trace.jsonl"], "--config", paths["config.json"]),
+        *("verify", "--trace", paths["trace.jsonl"], "--config", config),
         *("--report", paths["report.json"]),
     )
     report = json.loads(paths["report.json"].read_text(encoding="utf-8"))
@@ -139,10 +177,12 @@ def summarize(samples: list[dict]) -> dict:
     """Every sample of one tree's commands on one config, with medians."""
     out = {}
     for command in ("run", "verify"):
-        walls, rss, codes = zip(*(sample[command] for sample in samples))
+        walls, cpus, rss, codes = zip(*(sample[command] for sample in samples))
         out[command] = {
             "s": [round(wall, 3) for wall in walls],
             "median_s": round(statistics.median(walls), 3),
+            "cpu_s": [round(cpu, 3) for cpu in cpus],
+            "median_cpu_s": round(statistics.median(cpus), 3),
             "peak_rss_mb": [round(mb, 1) for mb in rss],
             "max_peak_rss_mb": round(max(rss), 1),
             "exit_codes": list(codes),
@@ -152,28 +192,57 @@ def summarize(samples: list[dict]) -> dict:
     return out
 
 
-def compare(trees: dict[str, Path], config: dict, first: int, rounds: int, work: Path) -> dict:
-    """Both trees' samples on one config, and whether they agree; the tree
-    that goes first in round r is list(trees)[(first + r) % 2]."""
+def compare(
+    trees: dict[str, Path],
+    name: str,
+    first: int,
+    rounds: int,
+    work: Path,
+    horizon: int | None = None,
+    cap: int | None = None,
+) -> dict:
+    """Both trees' samples on the named config, at horizon if given, and
+    whether they agree; the tree that goes first in round r is
+    list(trees)[(first + r) % 2].  A config above the cap runs under the
+    parent at the cap, and under the change at its own horizon and then at
+    the cap."""
+
+    def at(h: int) -> Path:  # the config file at horizon h
+        path = work / f"{name}-{h}.json"
+        write_config(name, h, path)
+        return path
+
+    config = work / f"{name}.json"
+    horizon = write_config(name, horizon, config)
+    capped = at(cap) if cap is not None and horizon > cap else None
+    runs = {"parent": [capped or config], "change": [config, capped] if capped else [config]}
     samples = {tree: [] for tree in trees}
+    at_cap = []  # the change's samples at the cap
     for r in range(rounds):
         for tree in list(trees)[:: 1 if (first + r) % 2 == 0 else -1]:
-            samples[tree].append(measure(trees[tree], config, work / tree))
+            own, *lower = [measure(trees[tree], run, work / tree) for run in runs[tree]]
+            samples[tree].append(own)
+            at_cap += lower
     verdicts = reference = samples["change"][0]["verdicts"]
-    if config["horizon"] != REFERENCE_HORIZON:
-        at_reference = {**config, "horizon": REFERENCE_HORIZON}
-        reference = measure(trees["change"], at_reference, work / "reference")["verdicts"]
+    if horizon != REFERENCE_HORIZON:
+        reference = measure(trees["change"], at(REFERENCE_HORIZON), work / "reference")["verdicts"]
     result = {tree: summarize(runs) for tree, runs in samples.items()}
-    digests = {(s["trace_sha256"], s["report_sha256"]) for runs in samples.values() for s in runs}
+    if capped:
+        result["change_at_parent_horizon"] = summarize(at_cap)
+    digests = [
+        {(s["trace_sha256"], s["report_sha256"]) for s in runs}
+        for runs in (samples["parent"] + (at_cap or samples["change"]), samples["change"])
+    ]
     fast_and_small = all(
         result["change"][command]["median_s"] < LIMIT_S
         and result["change"][command]["max_peak_rss_mb"] < LIMIT_MB
         for command in ("run", "verify")
     )
     return {
-        "horizon": config["horizon"],
+        "horizon": horizon,
+        "parent_horizon": cap if capped else horizon,
         **result,
-        "identical": len(digests) == 1,
+        "identical": len(digests[0]) == len(digests[1]) == 1,
         "verdicts_equal_at_3200": verdicts == reference,
         "meets_100x": verdicts == reference and fast_and_small,
     }
@@ -196,18 +265,17 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--horizon", type=int, help="run every config at this horizon")
     parser.add_argument("--only", help="comma-separated config names to keep")
+    parser.add_argument("--parent-horizon-cap", type=int, help="the parent's largest horizon")
     args = parser.parse_args(argv)
     trees = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    configs = corpus()
-    if args.only:
-        configs = {name: configs[name] for name in args.only.split(",")}
-    if args.horizon is not None:
-        configs = {name: {**config, "horizon": args.horizon} for name, config in configs.items()}
+    names = args.only.split(",") if args.only else list(corpus())
     with tempfile.TemporaryDirectory() as tmp:
         copies = {tree: copy_source(trees[tree], Path(tmp) / "trees" / tree) for tree in trees}
         results = {
-            name: compare(copies, config, i, args.rounds, Path(tmp))
-            for i, (name, config) in enumerate(configs.items())
+            name: compare(
+                copies, name, i, args.rounds, Path(tmp), args.horizon, args.parent_horizon_cap
+            )
+            for i, name in enumerate(names)
         }
     meta = {
         "machine": f"{platform.system()} {platform.release()} {platform.machine()}",
@@ -215,6 +283,7 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "git_sha": {tree: git_sha(path) for tree, path in trees.items()},
         "rounds": args.rounds,
+        "parent_horizon_cap": args.parent_horizon_cap,
         "method": METHOD,
     }
     text = json.dumps({"meta": meta, "configs": results}, indent=1)

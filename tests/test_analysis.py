@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_checks
-from config_gen import forged_trace, random_config
+from config_gen import forged_trace, machine_ops_config, random_config
 from conftest import guarded_operators, make_suites, operators
-from minpair import analysis, engine
+from minpair import analysis, engine, joint
 from minpair.analysis import (
     TraceFormatError,
     check_capture,
@@ -997,6 +997,112 @@ def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation,
                 assert table == per_stage_joint(trace, *ops, h)
 
 
+# operators whose premises name points 1..12 with bits 0, 1 and 2, so that
+# some axioms never fire (a bit other than 1) and members block the others
+bit_operators = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.builds(
+            Axiom.of,
+            st.frozensets(st.builds(pair, st.integers(1, 12), st.integers(0, 2)), max_size=3),
+            st.integers(0, 5),
+        ),
+    ),
+    max_size=8,
+).map(EnumOperator.from_staged)
+# forged events on points 1..12: a witness is often a member already, and
+# when the flag is set the event also removes its own witness
+point_events = st.tuples(
+    st.integers(0, 40),
+    st.builds(Action, st.integers(0, 3), st.integers(0, 1), st.integers(1, 12), st.integers(0, 40)),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(0, 1)), max_size=2),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 59),
+    st.integers(0, 40),
+    st.lists(point_events, max_size=10),
+    bit_operators,
+    st.integers(0, 1),
+)
+def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w, side):
+    """The change list is evaluate's set at stage 0 and wherever it differs
+    from the stage before, on engine traces and on forged events that insert
+    a member again or insert and remove a witness at once."""
+    raw = random_config(seed, horizon)
+    trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
+    events = []
+    for stage, act, gone, own in forgeries:
+        gone = [*gone, (act.witness, act.side)] if own else gone
+        events.append((stage, act, [Removal(n, k, 0, 0, 0) for n, k in gone]))
+    rep = replay(with_forgeries(trace, events))
+    sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
+    expected = [(s, outputs) for s, outputs in enumerate(sets) if s == 0 or outputs != sets[s - 1]]
+    assert enumeration(rep, w, side, horizon) == expected
+
+
+def test_enumeration_counts_an_entry_once():
+    """A member inserted again does not enter again, and a witness inserted
+    and removed by one event does not enter: side 0 gets 3 at stages 1 and
+    2, side 1's action at stage 3 removes it, and at stage 5 one event
+    inserts and removes it."""
+    op = EnumOperator.from_staged([(0, Axiom.of([pair(3, 1)], 7))])
+    kept = [
+        TraceEvent(1, Action(0, 0, 3, 1), ()),
+        TraceEvent(2, Action(0, 0, 3, 2), ()),
+        TraceEvent(3, Action(0, 1, 5, 3), (Removal(3, 0, 0, 0, 2),)),
+        TraceEvent(5, Action(0, 0, 3, 5), (Removal(3, 0, 0, 0, 5),)),
+    ]
+    rep = replay(Trace(kept, TraceSummary.of(7, (), (5,), {0: 5, 1: 3})))
+    assert enumeration(rep, op, 0, 7) == [(0, {7}), (2, frozenset()), (4, {7})]
+    assert enumeration(rep, op, 1, 7) == [(0, {7})]
+
+
+def test_enumeration_work_follows_premises_and_membership_changes(monkeypatch):
+    """Work budget: on the two machine operators of `config_gen` at
+    H = 20 000, each side's enumeration decodes premise codes (`unpair` as
+    `joint` and `graphs` call it) at most as often as the sum of premise
+    sizes plus the sum, over the side's membership changes, of the axioms
+    with bits all 1 that name the point, and evaluates once.  The count
+    raises as soon as it passes the bound, so a scan of every visible axiom
+    at every change point fails within seconds."""
+    from minpair import graphs
+
+    horizon = 20000
+    fsuite, osuite = make_suites(machine_ops_config(horizon))
+    rep = replay(engine.run(fsuite, horizon))
+    flips = Counter()  # (side, point) -> how often its membership changed
+    before = (set(), set())
+    for _, members, _ in rep.states(sorted({ev.stage + 1 for ev in rep.events})):
+        now = tuple(set(side) for side in members)
+        flips.update((k, n) for k in (0, 1) for n in now[k] ^ before[k])
+        before = now
+    decodes, evaluations, real = [0], [], analysis.evaluate
+
+    def counting(code):
+        decodes[0] += 1
+        assert decodes[0] <= bound, f"more than {bound} premise decodes"
+        return unpair(code)
+
+    monkeypatch.setattr(joint, "unpair", counting)
+    monkeypatch.setattr(graphs, "unpair", counting)
+    monkeypatch.setattr(analysis, "evaluate", lambda *args: evaluations.append(1) or real(*args))
+    for w in (osuite.get(0), osuite.get(1)):
+        visible = [axiom.premise for stage, axiom in w.staged_axioms if stage <= horizon]
+        decoded = [[unpair(code) for code in premise] for premise in visible]
+        kept = [points for points in decoded if all(v == 1 for _, v in points)]
+        naming = Counter(n for points in kept for n, _ in points)
+        for side in (0, 1):
+            bound = sum(map(len, visible))
+            bound += sum(count * naming[n] for (k, n), count in flips.items() if k == side)
+            decodes[0], evaluations[:] = 0, []
+            changes = enumeration(rep, w, side, horizon)
+            assert len(evaluations) == 1 and len(changes) > 1
+
+
 def test_preservation_window_opens_after_strongest_later_action():
     # both operators enumerate 7 while 3 stays out of side 0 and 5 out of side 1
     osuite = OperatorSuite(
@@ -1076,15 +1182,23 @@ def test_preservation_evaluates_only_at_change_points(tmp_path, monkeypatch):
     assert check.verdict == "pass"
     assert all(1 <= calls[side] <= bounds[side] for side in (0, 1))
 
-    # one verify shares the enumerations between preservation and end_to_end
+    # one verify enumerates each side once, for preservation and end_to_end
+    # alike, and each enumeration evaluates once, at stage 0
     calls.update({0: 0, 1: 0})
+    enumerations, real_enumeration = Counter(), joint.enumeration
+
+    def enumerating(rep, op, side, horizon):
+        enumerations[side] += 1
+        return real_enumeration(rep, op, side, horizon)
+
+    monkeypatch.setattr(joint, "enumeration", enumerating)
     config = tmp_path / "parity.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     write_trace(trace, tmp_path / "parity.trace")
     argv = ["verify", "--trace", str(tmp_path / "parity.trace"), "--config", str(config)]
     argv += ["--checks", "preservation,end_to_end", "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
-    assert all(1 <= calls[side] <= bounds[side] for side in (0, 1))
+    assert enumerations == {0: 1, 1: 1} and calls == {0: 1, 1: 1}
 
 
 # -- joint table ---------------------------------------------------------------

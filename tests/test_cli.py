@@ -1486,15 +1486,45 @@ def test_scale_script_compares_a_tree_with_itself(tmp_path, monkeypatch):
     assert {"machine", "python", "nproc", "git_sha", "method"} <= set(bench["meta"])
     assert list(bench["configs"]) == ["random-0", "parity_demo"]
     for result in bench["configs"].values():
-        assert result["horizon"] == 200 and result["identical"] is True
+        assert result["horizon"] == result["parent_horizon"] == 200
+        assert result["identical"] is True and "change_at_parent_horizon" not in result
         assert result["parent"]["trace_sha256"] == result["change"]["trace_sha256"]
         assert result["parent"]["report_sha256"] == result["change"]["report_sha256"]
         assert isinstance(result["meets_100x"], bool)
         for tree in ("parent", "change"):
             for command in ("run", "verify"):
                 timing = result[tree][command]
-                assert len(timing["s"]) == len(timing["peak_rss_mb"]) == 2
+                assert len(timing["s"]) == len(timing["cpu_s"]) == len(timing["peak_rss_mb"]) == 2
                 assert timing["exit_codes"] == [0, 0] and timing["median_s"] > 0
+
+
+def test_scale_script_caps_the_parent_horizon(tmp_path, monkeypatch):
+    """`tests/scale.py --parent-horizon-cap 200` on a config at horizon 400:
+    in one round the parent runs it at 200, and the change at 400, at 200
+    and at the reference horizon 3200, each by one run and one verify; the
+    outputs at 200 are compared, and the record gives both horizons."""
+    import scale
+
+    commands, real = Counter(), scale.spawn
+
+    def spawn(tree, command, *argv):
+        config = json.loads(Path(argv[argv.index("--config") + 1]).read_text(encoding="utf-8"))
+        commands[tree.name, command, config["horizon"]] += 1
+        return real(tree, command, *argv)
+
+    monkeypatch.setattr(scale, "spawn", spawn)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(scale.ROOT), "--out", str(out), "--horizon", "400", "--rounds", "1"]
+    assert scale.main([*argv, "--only", "random-0", "--parent-horizon-cap", "200"]) == 0
+    runs = [("parent", 200), ("change", 400), ("change", 200), ("change", 3200)]
+    assert commands == {(tree, command, h): 1 for tree, h in runs for command in ("run", "verify")}
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert bench["meta"]["parent_horizon_cap"] == 200
+    result = bench["configs"]["random-0"]
+    assert (result["horizon"], result["parent_horizon"], result["identical"]) == (400, 200, True)
+    assert result["parent"]["report_sha256"] == result["change_at_parent_horizon"]["report_sha256"]
+    assert result["change"]["trace_sha256"] != result["parent"]["trace_sha256"]
+    assert result["change_at_parent_horizon"]["verify"]["exit_codes"] == [0]
 
 
 def test_scale_children_compile_both_trees_from_source(tmp_path, monkeypatch):

@@ -38,9 +38,15 @@ def test_stage_gating():
     assert evaluate(w, CofiniteOnes.of(set()), 5) == {7}
 
 
-def test_axioms_deduplicate_keeping_first_stage():
-    w = op_of((7, Axiom.of([], 1)), (3, Axiom.of([], 1)))
-    assert w.staged_axioms == ((3, Axiom.of([], 1)),)
+def test_axioms_keep_their_repeats_in_canonical_order():
+    """A repeated axiom stays repeated: its least-stage copy comes first, and
+    a later copy is visible only where that one already is."""
+    w = op_of((7, Axiom.of([], 1)), (3, Axiom.of([2], 0)), (3, Axiom.of([], 1)))
+    assert w.staged_axioms == ((3, Axiom.of([2], 0)), (3, Axiom.of([], 1)), (7, Axiom.of([], 1)))
+    g = CofiniteOnes.of(set())
+    assert [evaluate(w, g, s) for s in (2, 3, 7)] == [frozenset(), {0, 1}, {0, 1}]
+    with pytest.raises(ValueError):
+        op_of((4, Axiom.of([], 1)), (-1, Axiom.of([], 2)))
 
 
 def test_axiom_validation():

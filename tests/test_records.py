@@ -28,8 +28,8 @@ from minpair.operators import Axiom, EnumOperator
         ),
         (Axiom.of([7, 3, 7], 1), Axiom((3, 7), 1)),
         (
-            EnumOperator.from_staged([(4, Axiom.of([], 1)), (2, Axiom.of([], 1))]),
-            EnumOperator(((2, Axiom((), 1)),)),
+            EnumOperator.from_staged([(4, Axiom.of([], 1)), (2, Axiom.of([], 3))]),
+            EnumOperator(((2, Axiom((), 3)), (4, Axiom((), 1)))),
         ),
         (Action(0, 1, 3, 4), Action(e=0, side=1, witness=3, restraint=4)),
         (Removal(6, 1, 1, 1, 35), Removal(6, 1, 1, 1, 35)),
