@@ -103,7 +103,7 @@ class ReplayedRun(NamedTuple):
     horizon: int
     events: list[TraceEvent]  # the kept events with an action or removals, in stage order
     actions: list[tuple[int, Action]]  # (stage, action), in stage order
-    derived: dict  # what the checks derive from this run, each computed once (see `joint`)
+    derived: dict  # computed once each: capture's settle stages, enumerations (`joint`)
 
     def states(self, stages):
         """(s, members, restraints) entering each stage s of the ascending

@@ -2,7 +2,8 @@
 diagonal set and the end-to-end check.
 
 A side's enumeration counts each axiom's premise points that are members,
-so a membership change costs only the axioms that name its point.  The
+so a membership change costs only the axioms that name its point, and
+keeps per output only the stages at which it enters or leaves.  The
 preservation window for a joint output found at stage s opens just after
 the first action (at a stage >= s) of the strongest pair acting at any
 stage >= s, because that action's removals restore the opposite side and
@@ -40,12 +41,14 @@ if TYPE_CHECKING:
 # preservation check (a jointly enumerated output survives on one side)
 
 
-Changes = list[tuple[int, frozenset[int]]]  # (stage, set from it on), ascending
+Flips = dict[int, list[int]]  # output -> the ascending stages at which it enters, leaves, ...
 
 
-def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Changes:
-    """Each stage up to the horizon where the set evaluate(op, CofiniteOnes(the
-    side's live members), stage) changes, stage 0 first, with the set from it on.
+def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Flips:
+    """Each output of evaluate(op, CofiniteOnes(the side's live members), s)
+    at some stage s up to the horizon, with the ascending stages at which it
+    enters that set, leaves it, enters again and so on: it is enumerated at
+    stage s exactly when bisect_right(flips[x], s) is odd.
 
     A premise code pair(n, v) lies on CofiniteOnes(members) exactly when
     v = 1 and n is no member, so an axiom with a bit other than 1 never
@@ -66,16 +69,19 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
             kept.append((stage, axiom.output))
     blocked = [0] * len(kept)  # kept axiom -> how many of its points are members
     live = Counter()  # output -> its visible kept axioms with blocked == 0
-    flipped = False  # whether an output appeared or vanished at this stage
+    flips = defaultdict(list, {x: [0] for x in analysis.evaluate(op, CofiniteOnes(()), 0)})
 
     def fire(a: int, step: int) -> None:
-        """The kept axiom a starts (step 1) or stops (step -1) firing."""
-        nonlocal flipped
-        live[kept[a][1]] += step
-        flipped |= live[kept[a][1]] == (step > 0)  # 0 -> 1 or 1 -> 0
+        """The kept axiom a starts (step 1) or stops (step -1) firing at stage s."""
+        x = kept[a][1]
+        live[x] += step
+        if (live[x] > 0) != len(at := flips[x]) % 2:  # a second flip at s undoes the first
+            if at and at[-1] == s:
+                at.pop()
+            else:
+                at.append(s)
 
     members, restraints, i, shown = ({}, {}), {}, 0, 0  # kept[:shown] are visible
-    changes: Changes = [(0, analysis.evaluate(op, CofiniteOnes(()), 0))]
     after = (ev.stage + 1 for ev in rep.events if ev.stage < horizon)
     for s, _ in groupby(merge((stage for stage, _ in kept), after)):
         while i < len(rep.events) and rep.events[i].stage < s:
@@ -89,44 +95,37 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
             if not blocked[shown]:
                 fire(shown, 1)
             shown += 1
-        if flipped and (now := frozenset(+live)) != changes[-1][1]:
-            changes.append((s, now))
-        flipped = False
-    return changes
+    return {x: at for x, at in flips.items() if at}
 
 
-def _first_without(changes: Changes, x: int, start: int, horizon: int) -> int | None:
-    """First stage in [start, horizon] whose enumerated set lacks x, or None."""
-    i = bisect_right(changes, start, key=lambda change: change[0]) - 1
-    lacking = (max(s, start) for s, outputs in changes[i:] if x not in outputs)
-    return next(lacking, None) if start <= horizon else None
+def _next(at: list[int], start: int, enumerated: int) -> int | None:
+    """First stage >= start at which an output with flips at is enumerated
+    (enumerated = 1) or not (0), or None if it never is from start on."""
+    i = bisect_right(at, start)
+    return start if i % 2 == enumerated else at[i] if i < len(at) else None
 
 
-def _joint_changes(
+def _joint_flips(
     rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
-) -> tuple[tuple[Changes, Changes], dict[int, int]]:
-    """Both sides' enumerations, and the first stage at which each output is
-    enumerated by both sides at once.
-
-    Each is kept in rep.derived, keyed by operator contents: a side's
-    enumeration by (operator, side, horizon), the first joint stages by
-    (operator of side 0, operator of side 1, horizon).  So the checks of one
-    replay enumerate an operator once per side, whichever pairs name it.
-    """
-    memo = rep.derived
-    ops = operators.get(e0), operators.get(e1)
-    for side, op in enumerate(ops):
-        if (op, side, horizon) not in memo:
-            memo[op, side, horizon] = enumeration(rep, op, side, horizon)
-    sides = memo[ops[0], 0, horizon], memo[ops[1], 1, horizon]
-    if (*ops, horizon) not in memo:
-        by_stage = [dict(changes) for changes in sides]
-        now, first = [frozenset(), frozenset()], {}
-        for s in sorted(by_stage[0].keys() | by_stage[1].keys()):
-            now = [changes.get(s, outputs) for changes, outputs in zip(by_stage, now)]
-            first |= dict.fromkeys((now[0] & now[1]) - first.keys(), s)
-        memo[(*ops, horizon)] = first
-    return sides, memo[(*ops, horizon)]
+) -> tuple[tuple[Flips, Flips], dict[int, int]]:
+    """Both sides' enumerations, each kept in rep.derived by (operator
+    contents, side, horizon), so one replay enumerates an operator once per
+    side whichever pairs name it; and the first stage at which each output is
+    enumerated on both sides, found by moving to side 0's next such stage,
+    then to side 1's, until the two agree."""
+    keys = [(operators.get(e), side, horizon) for side, e in enumerate((e0, e1))]
+    for key in keys:
+        if key not in rep.derived:
+            rep.derived[key] = enumeration(rep, *key)
+    sides = rep.derived[keys[0]], rep.derived[keys[1]]
+    first = {}
+    for x in sides[0].keys() & sides[1].keys():
+        at, s = (sides[0][x], sides[1][x]), 0
+        while (s0 := _next(at[0], s, 1)) is not None and (s := _next(at[1], s0, 1)) is not None:
+            if s == s0:
+                first[x] = s
+                break
+    return sides, first
 
 
 def check_preservation(
@@ -145,15 +144,15 @@ def check_preservation(
     pair acts again the window opens at s itself.
     """
     rep = replay_to(trace, horizon, rep)
-    sides, found = _joint_changes(rep, operators, e0, e1, horizon)
+    sides, found = _joint_flips(rep, operators, e0, e1, horizon)
     actions = [(s, act.position) for s, act in rep.actions]
     # protector[i]: the least (position, stage) among the actions from the i-th on
     protector = [*accumulate(((q, u) for u, q in reversed(actions)), min)][::-1] + [None]
     for x, s in sorted(found.items()):
         protect = protector[bisect_left(actions, s, key=lambda action: action[0])]
         start = s if protect is None else protect[1] + 1
-        first_bad = [_first_without(changes, x, start, horizon) for changes in sides]
-        if None not in first_bad:
+        first_bad = [_next(flips[x], start, 0) for flips in sides]
+        if start <= horizon and None not in first_bad:
             detail = dict(output=x, found_at=s, violated_at=max(first_bad), window_start=start)
             return _report([CheckResult.of("preservation", "fail", **detail)])
     return _report([CheckResult.of("preservation", "pass", outputs=len(found))])
@@ -179,7 +178,7 @@ def synthesize_joint(
     preservation makes every jointly enumerated bit correct).
     """
     rep = replay_to(trace, horizon, rep)
-    _, first = _joint_changes(rep, operators, e0, e1, horizon)
+    _, first = _joint_flips(rep, operators, e0, e1, horizon)
     entries: dict[int, tuple[int, int]] = {}
     for code, s in sorted(first.items(), key=lambda item: (item[1], item[0])):
         n, k = unpair(code)

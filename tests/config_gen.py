@@ -84,6 +84,14 @@ def random_config(seed: int, horizon: int = 200) -> dict:
     }
 
 
+def with_captures(config: dict) -> dict:
+    """The config with a capture record for every (e, side), e up to and
+    including the number of functionals."""
+    functionals = range(len(config["suite"]["functionals"]) + 1)
+    captures = [{"e": e, "side": side} for e in functionals for side in (0, 1)]
+    return {**config, "checks": {**config.get("checks", {}), "capture": captures}}
+
+
 MACHINE_OPERATORS = (  # each accepts (halts with output bit 1 on) about every odd code
     [["halt"]],
     [["decjz", 0, 3], ["decjz", 0, 3], ["halt"]],

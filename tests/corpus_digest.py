@@ -31,7 +31,7 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from config_gen import random_config
+from config_gen import random_config, with_captures
 from minpair import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -63,14 +63,8 @@ def digest(config: dict) -> str:
         root = Path(tmp)
         trace, report = root / "trace.jsonl", root / "report.json"
         paths = {name: root / f"{name}.json" for name in ("config", "capture")}
-        captures = [
-            {"e": e, "side": side}
-            for e in range(len(config["suite"]["functionals"]) + 1)
-            for side in (0, 1)
-        ]
-        checks = {**config.get("checks", {}), "capture": captures}
         paths["config"].write_text(json.dumps(config), encoding="utf-8")
-        paths["capture"].write_text(json.dumps({**config, "checks": checks}), encoding="utf-8")
+        paths["capture"].write_text(json.dumps(with_captures(config)), encoding="utf-8")
 
         def main(*argv: str) -> str:
             """The exit code of the command, then what it printed, with `tmp` left out."""

@@ -1,24 +1,28 @@
-"""Time `minpair run` and `verify` on the scale corpus under two source trees.
+"""Time `minpair run`, `verify` and `psi` on the scale corpus under two source trees.
 
 Usage: python tests/scale.py --parent DIR --out BENCH_<pr>.json
            [--rounds N] [--horizon H] [--only NAME,...] [--parent-horizon-cap H]
 
 The scale corpus is `random_config` seeds 0-9, 32 and 56 at horizon
-320000, `configs/parity_demo.json` at 80000, two register machines (one
-loops forever, at 320000, and one halts on n after about 2n steps, at
-3200), and two operator workloads at 320000: `axioms-2000`, 4 tables of
-2000 random axioms with preservation of every ordered pair, and
-`machine-ops`, two machine operators with preservation of (0, 1) and
-(1, 0) (`config_gen.axioms_config` and `machine_ops_config`).  `--horizon`
-puts every config at one horizon and `--only` keeps the named configs, for
-a quick check.  `--parent-horizon-cap H` runs the parent on each config
-above H at H instead, for a parent too slow to finish the corpus; the
-change then runs such a config at its own horizon and once more at H, and
-its outputs at H are the ones compared with the parent's.
+320000, each with a capture check of every (e, side)
+(`config_gen.with_captures`), `configs/parity_demo.json` at 80000, two
+register machines (one loops forever, at 320000, and one halts on n after
+about 2n steps, at 3200), and two operator workloads at 320000:
+`axioms-2000`, 4 tables of 2000 random axioms with preservation of every
+ordered pair, and `machine-ops`, two machine operators with preservation
+of (0, 1) and (1, 0) (`config_gen.axioms_config` and
+`machine_ops_config`).  `--horizon` puts every config at one horizon and
+`--only` keeps the named configs, for a quick check.
+`--parent-horizon-cap H` runs the parent on each config above H at H
+instead, for a parent too slow to finish the corpus; the change then runs
+such a config at its own horizon and once more at H, and its outputs at H
+are the ones compared with the parent's.
 
 Each command runs in a fresh process, `python -m minpair.cli` with
 PYTHONPATH set to a copy of a tree's `src`: `run`, then the default
-`verify` of the trace it wrote, which runs every check the config names.
+`verify` of the trace it wrote, which runs every check the config names,
+and `psi` at bound 1000 of the first operator pair that the config's
+`preservation` or else its `end_to_end` records name, if any.
 Both trees compile from source, as the benchmark's children do: each copy
 is made under this run's temporary directory without `__pycache__`, and
 every child gets PYTHONDONTWRITEBYTECODE=1, so no child reads a warm or
@@ -31,12 +35,13 @@ figure, so this script imports no minpair, and builds each config file and
 hashes in a child.  In every round each config runs under both trees, and
 the tree that goes first alternates.
 
-The output records every sample and the median; the sha256 of each trace
-and report, with the report's `meta` paths reduced to file names; whether
-both trees, at the parent's horizon, and every round gave identical
-outputs; and `meets_100x`: this tree's `run` and `verify` each take under
-10 s and 100 MB at the config's own horizon, and its verdicts equal those
-it gives at horizon 3200.  Uses only the stdlib.
+The output records every sample and the median; the sha256 of each trace,
+report and `psi` output, with the report's `meta` paths reduced to file
+names; whether both trees, at the parent's horizon, and every round gave
+identical outputs; and `meets_100x`: each of this tree's commands takes
+under 10 s and 100 MB at the config's own horizon, and its verdicts equal
+those it gives at horizon 3200 (where it runs no `psi`).  Uses only the
+stdlib.
 """
 
 from __future__ import annotations
@@ -55,11 +60,13 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from config_gen import axioms_config, machine_ops_config, random_config
+from config_gen import axioms_config, machine_ops_config, random_config, with_captures
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_HORIZON = 3200
 LIMIT_S, LIMIT_MB = 10, 100
+COMMANDS = ("run", "verify", "psi")
+DIGESTS = ("trace_sha256", "report_sha256", "psi_sha256")
 MACHINES = {  # name -> (program, horizon)
     "machine-loop": ([["inc", 1], ["decjz", 2, 0]], 320000),
     "machine-slow-halt": ([["decjz", 0, 2], ["decjz", 1, 0], ["halt"]], 3200),
@@ -71,7 +78,9 @@ config = corpus()[sys.argv[1]]()
 config["horizon"] = int(sys.argv[2] or config["horizon"])
 with open(sys.argv[3], "w", encoding="utf-8") as file:
     json.dump(config, file)
-print(config["horizon"])
+checks = config.get("checks", {})
+pairs = [(r["e0"], r["e1"]) for r in checks.get("preservation", []) + checks.get("end_to_end", [])]
+print(json.dumps([config["horizon"], pairs[0] if pairs else None]))
 """
 SHA256 = """
 import hashlib, sys
@@ -89,7 +98,8 @@ METHOD = (
     " temporary directory and every child gets PYTHONDONTWRITEBYTECODE=1; wall time from spawn to os.wait4, CPU time = the"
     " child's ru_utime + ru_stime and peak RSS = its ru_maxrss from that os.wait4; every"
     " round runs each config under both trees, the first tree alternating; verify is the"
-    " default verify of the trace the same tree wrote; with a parent horizon cap, the parent"
+    " default verify of the trace the same tree wrote, and psi (for a config whose checks name"
+    " an operator pair) reads that trace at bound 1000 and is hashed with it; with a parent horizon cap, the parent"
     " runs a config above the cap at the cap, and the change runs it at its own horizon"
     " and at the cap, where the two are compared"
 )
@@ -100,7 +110,9 @@ def corpus() -> dict[str, Callable[[], dict]]:
     scale corpus."""
     parity = json.loads((ROOT / "configs" / "parity_demo.json").read_text(encoding="utf-8"))
     seeds = (*range(10), 32, 56)
-    configs = {f"random-{seed}": partial(random_config, seed, 320000) for seed in seeds}
+    configs = {
+        f"random-{seed}": partial(with_captures, random_config(seed, 320000)) for seed in seeds
+    }
     configs["parity_demo"] = partial(dict, parity, horizon=80000)
     for name, (program, horizon) in MACHINES.items():
         suite = {"functionals": [{"kind": "machine", "program": program}], "operators": []}
@@ -110,25 +122,26 @@ def corpus() -> dict[str, Callable[[], dict]]:
     return configs
 
 
-def write_config(name: str, horizon: int | None, path: Path) -> int:
+def write_config(name: str, horizon: int | None, path: Path) -> tuple[int, list[int] | None]:
     """Write the named config to path, at horizon if given, and give its
-    horizon.  A child builds it: the thousands of axioms of an operator
-    workload would raise the spawner's RSS, and with it every later child's
-    floor."""
+    horizon and the (e0, e1) that `psi` reads, or None if it names none.  A
+    child builds it: the thousands of axioms of an operator workload would
+    raise the spawner's RSS, and with it every later child's floor."""
     argv = [sys.executable, "-c", CONFIG, name, str(horizon or ""), str(path)]
     here = Path(__file__).parent
-    return int(subprocess.run(argv, cwd=here, capture_output=True, text=True, check=True).stdout)
+    done = subprocess.run(argv, cwd=here, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
-def spawn(tree: Path, *argv) -> tuple[float, float, float, int]:
+def spawn(tree: Path, *argv, out: Path | str = os.devnull) -> tuple[float, float, float, int]:
     """Wall seconds, CPU seconds, peak RSS in MB and exit code of `minpair
-    argv` under tree/src."""
+    argv` under tree/src, which prints to out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [sys.executable, "-m", "minpair.cli", *map(str, argv)]
-    with open(os.devnull, "wb") as null:
+    with open(out, "wb") as stdout:
         start = time.perf_counter()
         pid = os.posix_spawn(
-            sys.executable, args, env, file_actions=[(os.POSIX_SPAWN_DUP2, null.fileno(), 1)]
+            sys.executable, args, env, file_actions=[(os.POSIX_SPAWN_DUP2, stdout.fileno(), 1)]
         )
         _, status, usage = os.wait4(pid, 0)
         wall = time.perf_counter() - start
@@ -149,26 +162,25 @@ def sha256s(*paths: Path) -> list[str]:
     return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
 
 
-def measure(tree: Path, config: Path, work: Path) -> dict:
-    """One `run` and one default `verify` of a config file under a tree."""
+def measure(tree: Path, config: Path, work: Path, psi: list[int] | None = None) -> dict:
+    """One `run` and one default `verify` of a config file under a tree, and
+    one `psi` of the pair (e0, e1) if given."""
     work.mkdir(parents=True, exist_ok=True)
-    paths = {name: work / name for name in ("trace.jsonl", "report.json")}
-    run = spawn(tree, "run", "--config", config, "--out", paths["trace.jsonl"])
-    verify = spawn(
-        tree,
-        *("verify", "--trace", paths["trace.jsonl"], "--config", config),
-        *("--report", paths["report.json"]),
-    )
+    paths = {name: work / name for name in ("trace.jsonl", "report.json", "psi.txt")}
+    trace = ("--trace", paths["trace.jsonl"], "--config", config)
+    samples = {"run": spawn(tree, "run", "--config", config, "--out", paths["trace.jsonl"])}
+    samples["verify"] = spawn(tree, "verify", *trace, "--report", paths["report.json"])
+    if psi:
+        bound = ("--e0", psi[0], "--e1", psi[1], "--bound", 1000)
+        samples["psi"] = spawn(tree, "psi", *trace, *bound, out=paths["psi.txt"])
     report = json.loads(paths["report.json"].read_text(encoding="utf-8"))
     meta = report["meta"]
     report["meta"] = {k: Path(v).name if isinstance(v, str) else v for k, v in meta.items()}
     paths["report.json"].write_text(json.dumps(report), encoding="utf-8")
-    trace_sha256, report_sha256 = sha256s(paths["trace.jsonl"], paths["report.json"])
+    hashed = [paths["trace.jsonl"], paths["report.json"]] + ([paths["psi.txt"]] if psi else [])
     return {
-        "run": run,
-        "verify": verify,
-        "trace_sha256": trace_sha256,
-        "report_sha256": report_sha256,
+        **samples,
+        **dict(zip(DIGESTS, sha256s(*hashed))),
         "verdicts": [(check["name"], check["verdict"]) for check in report["checks"]],
     }
 
@@ -176,7 +188,7 @@ def measure(tree: Path, config: Path, work: Path) -> dict:
 def summarize(samples: list[dict]) -> dict:
     """Every sample of one tree's commands on one config, with medians."""
     out = {}
-    for command in ("run", "verify"):
+    for command in [name for name in COMMANDS if name in samples[0]]:
         walls, cpus, rss, codes = zip(*(sample[command] for sample in samples))
         out[command] = {
             "s": [round(wall, 3) for wall in walls],
@@ -187,8 +199,7 @@ def summarize(samples: list[dict]) -> dict:
             "max_peak_rss_mb": round(max(rss), 1),
             "exit_codes": list(codes),
         }
-    for digest in ("trace_sha256", "report_sha256"):
-        out[digest] = samples[0][digest]
+    out.update((digest, samples[0][digest]) for digest in DIGESTS if digest in samples[0])
     return out
 
 
@@ -213,14 +224,14 @@ def compare(
         return path
 
     config = work / f"{name}.json"
-    horizon = write_config(name, horizon, config)
+    horizon, psi = write_config(name, horizon, config)
     capped = at(cap) if cap is not None and horizon > cap else None
     runs = {"parent": [capped or config], "change": [config, capped] if capped else [config]}
     samples = {tree: [] for tree in trees}
     at_cap = []  # the change's samples at the cap
     for r in range(rounds):
         for tree in list(trees)[:: 1 if (first + r) % 2 == 0 else -1]:
-            own, *lower = [measure(trees[tree], run, work / tree) for run in runs[tree]]
+            own, *lower = [measure(trees[tree], run, work / tree, psi) for run in runs[tree]]
             samples[tree].append(own)
             at_cap += lower
     verdicts = reference = samples["change"][0]["verdicts"]
@@ -230,13 +241,14 @@ def compare(
     if capped:
         result["change_at_parent_horizon"] = summarize(at_cap)
     digests = [
-        {(s["trace_sha256"], s["report_sha256"]) for s in runs}
+        {tuple(s.get(digest) for digest in DIGESTS) for s in runs}
         for runs in (samples["parent"] + (at_cap or samples["change"]), samples["change"])
     ]
     fast_and_small = all(
         result["change"][command]["median_s"] < LIMIT_S
         and result["change"][command]["max_peak_rss_mb"] < LIMIT_MB
-        for command in ("run", "verify")
+        for command in COMMANDS
+        if command in result["change"]
     )
     return {
         "horizon": horizon,

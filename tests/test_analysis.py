@@ -3,7 +3,8 @@ from __future__ import annotations
 import importlib
 import json
 import re
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_checks
-from config_gen import forged_trace, machine_ops_config, random_config
+from config_gen import axioms_config, forged_trace, machine_ops_config, random_config
 from conftest import guarded_operators, make_suites, operators
 from minpair import analysis, engine, joint
 from minpair.analysis import (
@@ -31,7 +32,7 @@ from minpair.operators import Axiom, EnumOperator, evaluate
 from minpair.engine import Action, Removal, Trace, TraceEvent, TraceSummary
 from minpair.records import Snapshot
 from minpair.graphs import CofiniteOnes, check_description
-from minpair.joint import _first_without, enumeration
+from minpair.joint import _next, enumeration
 from minpair.suites import OperatorSuite
 
 
@@ -952,18 +953,17 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
     trace = engine.run(fsuite, horizon, mutation=mutation)
     rep = replay(trace)
     for side, w in ((0, w0), (1, w1)):
-        changes = enumeration(rep, w, side, horizon)
+        flips = enumeration(rep, w, side, horizon)
         sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
-        at_change = dict(changes)
-        assert [s for s, _ in changes] == sorted(at_change) and changes[0][0] == 0
-        rebuilt = []
-        for s in range(horizon + 1):
-            rebuilt.append(at_change.get(s, rebuilt[-1] if rebuilt else None))
+        rebuilt = [
+            {x for x, at in flips.items() if bisect_right(at, s) % 2} for s in range(horizon + 1)
+        ]
         assert rebuilt == sets
         for x in set().union(*sets):
-            for start in range(horizon + 2):
-                lacking = (u for u in range(start, horizon + 1) if x not in sets[u])
-                assert _first_without(changes, x, start, horizon) == next(lacking, None)
+            for start in range(horizon + 1):
+                for enumerated in (0, 1):
+                    found = (u for u in range(start, horizon + 1) if (x in sets[u]) == enumerated)
+                    assert _next(flips.get(x, []), start, enumerated) == next(found, None)
     osuite = OperatorSuite([w0, w1])
     for h in (horizon, min(cut, horizon)):
         check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
@@ -1029,9 +1029,10 @@ point_events = st.tuples(
     st.integers(0, 1),
 )
 def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w, side):
-    """The change list is evaluate's set at stage 0 and wherever it differs
-    from the stage before, on engine traces and on forged events that insert
-    a member again or insert and remove a witness at once."""
+    """The flips are the stages at which an output enters or leaves
+    evaluate's set, stage 0 for the outputs of its set at stage 0, each list
+    strictly ascending and non-empty, on engine traces and on forged events
+    that insert a member again or insert and remove a witness at once."""
     raw = random_config(seed, horizon)
     trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
     events = []
@@ -1040,8 +1041,13 @@ def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w, side):
         events.append((stage, act, [Removal(n, k, 0, 0, 0) for n, k in gone]))
     rep = replay(with_forgeries(trace, events))
     sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
-    expected = [(s, outputs) for s, outputs in enumerate(sets) if s == 0 or outputs != sets[s - 1]]
-    assert enumeration(rep, w, side, horizon) == expected
+    expected = defaultdict(list)
+    for s, (before, now) in enumerate(zip([frozenset(), *sets], sets)):
+        for x in before ^ now:
+            expected[x].append(s)
+    flips = enumeration(rep, w, side, horizon)
+    assert flips == expected
+    assert all(at and all(u < v for u, v in zip(at, at[1:])) for at in flips.values())
 
 
 def test_enumeration_counts_an_entry_once():
@@ -1057,8 +1063,8 @@ def test_enumeration_counts_an_entry_once():
         TraceEvent(5, Action(0, 0, 3, 5), (Removal(3, 0, 0, 0, 5),)),
     ]
     rep = replay(Trace(kept, TraceSummary.of(7, (), (5,), {0: 5, 1: 3})))
-    assert enumeration(rep, op, 0, 7) == [(0, {7}), (2, frozenset()), (4, {7})]
-    assert enumeration(rep, op, 1, 7) == [(0, {7})]
+    assert enumeration(rep, op, 0, 7) == {7: [0, 2, 4]}
+    assert enumeration(rep, op, 1, 7) == {7: [0]}
 
 
 def test_enumeration_work_follows_premises_and_membership_changes(monkeypatch):
@@ -1099,8 +1105,30 @@ def test_enumeration_work_follows_premises_and_membership_changes(monkeypatch):
             bound = sum(map(len, visible))
             bound += sum(count * naming[n] for (k, n), count in flips.items() if k == side)
             decodes[0], evaluations[:] = 0, []
-            changes = enumeration(rep, w, side, horizon)
-            assert len(evaluations) == 1 and len(changes) > 1
+            entered = [at[0] for at in enumeration(rep, w, side, horizon).values()]
+            assert len(evaluations) == 1 and max(entered) > 0
+
+
+def test_enumeration_memory_follows_the_flips():
+    """Memory budget: with `config_gen.axioms_config` at H = 20 000 (2
+    operators of 2000 axioms) compiled and replayed first, check_preservation
+    of (0, 1) retains under 0.5 MiB under tracemalloc, both enumerations
+    included; a whole enumerated set at every change point retained 1.9 MiB."""
+    import tracemalloc
+
+    horizon = 20000
+    fsuite, osuite = make_suites(axioms_config(horizon, operators=2, axioms=2000))
+    trace = engine.run(fsuite, horizon)
+    rep = replay(trace)
+    assert osuite.get(0) != osuite.get(1)  # both compiled before tracing starts
+    tracemalloc.start()
+    try:
+        check = check_preservation(trace, osuite, 0, 1, horizon, rep).find("preservation")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**19
+    assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 18})
 
 
 def test_preservation_window_opens_after_strongest_later_action():
@@ -1221,6 +1249,27 @@ def test_joint_waits_for_both_sides():
     )
     trace = engine.run(fsuite, 12)
     assert synthesize_joint(trace, osuite, 0, 1, 12) == {5: (0, 10)}
+
+
+def test_joint_stage_can_be_a_later_entry():
+    # side 0 enumerates 7 while 3 is no member of it: 3 enters at stage 1
+    # and is removed at stage 5, so 7 leaves at 2 and enters again at 6;
+    # side 1 enumerates 7 from stage 4, so both do first at 6, not at 0 or 4
+    osuite = OperatorSuite(
+        [
+            EnumOperator.from_staged([(0, Axiom.of([pair(3, 1)], 7))]),
+            EnumOperator.from_staged([(4, Axiom.of([], 7))]),
+        ]
+    )
+    kept = [
+        TraceEvent(1, Action(0, 0, 3, 1), ()),
+        TraceEvent(5, Action(0, 1, 5, 5), (Removal(3, 0, 0, 1, 1),)),
+    ]
+    trace = Trace(kept, TraceSummary.of(8, (), (5,), {0: 1, 1: 5}))
+    assert enumeration(replay(trace), osuite.get(0), 0, 8) == {7: [0, 2, 6]}
+    assert synthesize_joint(trace, osuite, 0, 1, 8) == {2: (1, 6)}  # 7 = pair(2, 1)
+    check = check_preservation(trace, osuite, 0, 1, 8).find("preservation")
+    assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})
 
 
 def test_joint_tie_breaks_to_least_bit():

@@ -1467,62 +1467,76 @@ def test_corpus_digest_repeats_its_digests():
 def test_scale_script_compares_a_tree_with_itself(tmp_path, monkeypatch):
     """`tests/scale.py` with this tree as its own parent, at horizon 200 on
     two configs: every field is there, and the outputs are identical.  It
-    spawns 20 commands: per config, run and verify for each tree in each of
-    two rounds, and once more at the reference horizon 3200."""
+    spawns 24 commands: per config, run and verify for each tree in each of
+    two rounds, and once more at the reference horizon 3200; and psi on
+    parity_demo, which has operators, for each tree in each round."""
     import scale
 
     commands, real = Counter(), scale.spawn
 
-    def spawn(tree, command, *argv):
+    def spawn(tree, command, *argv, **kwargs):
         commands[command] += 1
-        return real(tree, command, *argv)
+        return real(tree, command, *argv, **kwargs)
 
     monkeypatch.setattr(scale, "spawn", spawn)
     out = tmp_path / "bench.json"
     argv = ["--parent", str(scale.ROOT), "--out", str(out), "--horizon", "200", "--rounds", "2"]
     assert scale.main([*argv, "--only", "random-0,parity_demo"]) == 0
-    assert commands == {"run": 10, "verify": 10}
+    assert commands == {"run": 10, "verify": 10, "psi": 4}
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert {"machine", "python", "nproc", "git_sha", "method"} <= set(bench["meta"])
     assert list(bench["configs"]) == ["random-0", "parity_demo"]
-    for result in bench["configs"].values():
+    random0 = scale.corpus()["random-0"]()  # captures every (e, side)
+    assert len(random0["checks"]["capture"]) == 2 * len(random0["suite"]["functionals"]) + 2
+    for name, result in bench["configs"].items():
         assert result["horizon"] == result["parent_horizon"] == 200
         assert result["identical"] is True and "change_at_parent_horizon" not in result
         assert result["parent"]["trace_sha256"] == result["change"]["trace_sha256"]
         assert result["parent"]["report_sha256"] == result["change"]["report_sha256"]
         assert isinstance(result["meets_100x"], bool)
+        assert result["parent"].get("psi_sha256") == result["change"].get("psi_sha256")
         for tree in ("parent", "change"):
-            for command in ("run", "verify"):
+            ran = [command for command in ("run", "verify", "psi") if command in result[tree]]
+            assert ran == ["run", "verify", "psi"][: 3 if name == "parity_demo" else 2]
+            assert ("psi_sha256" in result[tree]) == ("psi" in ran)
+            for command in ran:
                 timing = result[tree][command]
                 assert len(timing["s"]) == len(timing["cpu_s"]) == len(timing["peak_rss_mb"]) == 2
                 assert timing["exit_codes"] == [0, 0] and timing["median_s"] > 0
 
 
 def test_scale_script_caps_the_parent_horizon(tmp_path, monkeypatch):
-    """`tests/scale.py --parent-horizon-cap 200` on a config at horizon 400:
-    in one round the parent runs it at 200, and the change at 400, at 200
-    and at the reference horizon 3200, each by one run and one verify; the
-    outputs at 200 are compared, and the record gives both horizons."""
+    """`tests/scale.py --parent-horizon-cap 200` on parity_demo at horizon
+    400: in one round the parent runs it at 200, and the change at 400, at
+    200 and at the reference horizon 3200, each by one run, one verify and,
+    but at 3200, one psi; the outputs at 200 are compared, and the record
+    gives both horizons."""
     import scale
 
     commands, real = Counter(), scale.spawn
 
-    def spawn(tree, command, *argv):
+    def spawn(tree, command, *argv, **kwargs):
         config = json.loads(Path(argv[argv.index("--config") + 1]).read_text(encoding="utf-8"))
         commands[tree.name, command, config["horizon"]] += 1
-        return real(tree, command, *argv)
+        return real(tree, command, *argv, **kwargs)
 
     monkeypatch.setattr(scale, "spawn", spawn)
     out = tmp_path / "bench.json"
     argv = ["--parent", str(scale.ROOT), "--out", str(out), "--horizon", "400", "--rounds", "1"]
-    assert scale.main([*argv, "--only", "random-0", "--parent-horizon-cap", "200"]) == 0
+    assert scale.main([*argv, "--only", "parity_demo", "--parent-horizon-cap", "200"]) == 0
     runs = [("parent", 200), ("change", 400), ("change", 200), ("change", 3200)]
-    assert commands == {(tree, command, h): 1 for tree, h in runs for command in ("run", "verify")}
+    assert commands == {
+        (tree, command, h): 1
+        for tree, h in runs
+        for command in ("run", "verify", "psi")
+        if (command, h) != ("psi", 3200)
+    }
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert bench["meta"]["parent_horizon_cap"] == 200
-    result = bench["configs"]["random-0"]
+    result = bench["configs"]["parity_demo"]
     assert (result["horizon"], result["parent_horizon"], result["identical"]) == (400, 200, True)
-    assert result["parent"]["report_sha256"] == result["change_at_parent_horizon"]["report_sha256"]
+    for digest in ("report_sha256", "psi_sha256"):
+        assert result["parent"][digest] == result["change_at_parent_horizon"][digest]
     assert result["change"]["trace_sha256"] != result["parent"]["trace_sha256"]
     assert result["change_at_parent_horizon"]["verify"]["exit_codes"] == [0]
 
