@@ -1,13 +1,13 @@
 """The operator layer: enumerations, preservation, the joint table, the
 diagonal set and the end-to-end check.
 
-A side's enumeration counts each axiom's premise points that are members,
-so a membership change costs only the axioms that name its point, and
-keeps per output only the stages at which it enters or leaves.  The
-preservation window for a joint output found at stage s opens just after
-the first action (at a stage >= s) of the strongest pair acting at any
-stage >= s, because that action's removals restore the opposite side and
-its restraint then shields the restored premise.
+An operator's enumeration counts, per side, each axiom's premise points
+that are members, so a membership change costs only the axioms that name
+its point, and keeps per output only the stages at which it enters or
+leaves.  The preservation window for a joint output found at stage s
+opens just after the first action (at a stage >= s) of the strongest
+pair acting at any stage >= s, because that action's removals restore
+the opposite side and its restraint then shields the restored premise.
 
 `replay` (by way of `analysis.replay_to`), `evaluate` and
 `synthesize_joint` are called through the `analysis` module, whose
@@ -44,18 +44,18 @@ if TYPE_CHECKING:
 Flips = dict[int, list[int]]  # output -> the ascending stages at which it enters, leaves, ...
 
 
-def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> Flips:
-    """Each output of evaluate(op, CofiniteOnes(the side's live members), s)
-    at some stage s up to the horizon, with the ascending stages at which it
-    enters that set, leaves it, enters again and so on: it is enumerated at
-    stage s exactly when bisect_right(flips[x], s) is odd.
+def enumeration(rep: ReplayedRun, op: EnumOperator, horizon: int) -> tuple[Flips, Flips]:
+    """Per side, each output of evaluate(op, CofiniteOnes(the side's live
+    members), s) at some stage s up to the horizon, with the ascending stages
+    at which it enters that set, leaves it, enters again and so on: it is
+    enumerated at stage s exactly when bisect_right(flips[x], s) is odd.
 
-    A premise code pair(n, v) lies on CofiniteOnes(members) exactly when
-    v = 1 and n is no member, so an axiom with a bit other than 1 never
-    fires, and any other, once visible, fires exactly while none of its
-    points is a member.  Counters as in Dowling and Gallier's linear-time
-    Horn propagation, run both ways since members also leave, keep that per
-    axiom and per output; evaluate runs once, at stage 0, before any member.
+    A premise code pair(n, v) lies on CofiniteOnes(members) exactly when v = 1
+    and n is no member, so an axiom with a bit other than 1 never fires, and
+    any other, once visible, fires on a side exactly while none of its points
+    is a member there.  Counters as in Dowling and Gallier's linear-time Horn
+    propagation, run both ways since members also leave, keep that per side,
+    axiom and output; the sides share one walk and one evaluate, at stage 0.
     """
     kept = []  # (stage, output) of each axiom by the horizon whose premise bits are all 1
     naming = defaultdict(list)  # point -> the kept axioms that name it
@@ -67,15 +67,16 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
             for n, _ in points:
                 naming[n].append(len(kept))
             kept.append((stage, axiom.output))
-    blocked = [0] * len(kept)  # kept axiom -> how many of its points are members
-    live = Counter()  # output -> its visible kept axioms with blocked == 0
-    flips = defaultdict(list, {x: [0] for x in analysis.evaluate(op, CofiniteOnes(()), 0)})
+    blocked = [0] * len(kept), [0] * len(kept)  # side, kept axiom -> its points that are members
+    live = Counter(), Counter()  # side, output -> its visible kept axioms with blocked == 0
+    seed = analysis.evaluate(op, CofiniteOnes(()), 0)
+    flips = tuple(defaultdict(list, {x: [0] for x in seed}) for _ in (0, 1))
 
-    def fire(a: int, step: int) -> None:
-        """The kept axiom a starts (step 1) or stops (step -1) firing at stage s."""
+    def fire(side: int, a: int, step: int) -> None:
+        """The kept axiom a starts (step 1) or stops (step -1) firing on the side at stage s."""
         x = kept[a][1]
-        live[x] += step
-        if (live[x] > 0) != len(at := flips[x]) % 2:  # a second flip at s undoes the first
+        live[side][x] += step
+        if (live[side][x] > 0) != len(at := flips[side][x]) % 2:  # a 2nd flip at s undoes the 1st
             if at and at[-1] == s:
                 at.pop()
             else:
@@ -85,17 +86,17 @@ def enumeration(rep: ReplayedRun, op: EnumOperator, side: int, horizon: int) -> 
     after = (ev.stage + 1 for ev in rep.events if ev.stage < horizon)
     for s, _ in groupby(merge((stage for stage, _ in kept), after)):
         while i < len(rep.events) and rep.events[i].stage < s:
-            for changed, n, step in _apply(rep.events[i], members, restraints):
-                for a in naming.get(n, ()) if changed == side else ():
-                    blocked[a] += step
-                    if a < shown and blocked[a] == (step > 0):  # 0 -> 1 or 1 -> 0
-                        fire(a, -step)
+            for side, n, step in _apply(rep.events[i], members, restraints):
+                for a in naming.get(n, ()):
+                    blocked[side][a] += step
+                    if a < shown and blocked[side][a] == (step > 0):  # 0 -> 1 or 1 -> 0
+                        fire(side, a, -step)
             i += 1
         while shown < len(kept) and kept[shown][0] <= s:
-            if not blocked[shown]:
-                fire(shown, 1)
+            for side in (side for side in (0, 1) if not blocked[side][shown]):
+                fire(side, shown, 1)
             shown += 1
-    return {x: at for x, at in flips.items() if at}
+    return tuple({x: at for x, at in side.items() if at} for side in flips)
 
 
 def _next(at: list[int], start: int, enumerated: int) -> int | None:
@@ -108,16 +109,14 @@ def _next(at: list[int], start: int, enumerated: int) -> int | None:
 def _joint_flips(
     rep: ReplayedRun, operators: OperatorSuite, e0: int, e1: int, horizon: int
 ) -> tuple[tuple[Flips, Flips], dict[int, int]]:
-    """Both sides' enumerations, each kept in rep.derived by (operator
-    contents, side, horizon), so one replay enumerates an operator once per
-    side whichever pairs name it; and the first stage at which each output is
-    enumerated on both sides, found by moving to side 0's next such stage,
-    then to side 1's, until the two agree."""
-    keys = [(operators.get(e), side, horizon) for side, e in enumerate((e0, e1))]
-    for key in keys:
-        if key not in rep.derived:
-            rep.derived[key] = enumeration(rep, *key)
-    sides = rep.derived[keys[0]], rep.derived[keys[1]]
+    """Side 0's enumeration of operator e0 and side 1's of e1, from the pair
+    that rep.derived keeps once per (suite, entry, horizon); and the first
+    stage at which each output is enumerated on both sides, found by moving to
+    side 0's next such stage, then to side 1's, until the two agree."""
+    for e in (e0, e1):  # the suite hashes by identity, never by its operators
+        if (operators, e, horizon) not in rep.derived:
+            rep.derived[operators, e, horizon] = enumeration(rep, operators.get(e), horizon)
+    sides = rep.derived[operators, e0, horizon][0], rep.derived[operators, e1, horizon][1]
     first = {}
     for x in sides[0].keys() & sides[1].keys():
         at, s = (sides[0][x], sides[1][x]), 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .arith import class_index, class_members, pair, unpair
@@ -407,12 +407,13 @@ def _machine_operator(program: tuple[Instruction, ...], stage_bound: int) -> Enu
     premise use within s.  Codes and steps stop at stage_bound, so all enter by it."""
     from .operators import Axiom, EnumOperator
 
+    premise = cache(lambda mask: tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
     staged = []
     for code in range(stage_bound):
         halted, steps, out = run_machine(program, code, stage_bound)
         if halted and out == 1:
             mask, output = unpair(code)
-            axiom = Axiom.of([i for i in range(mask.bit_length()) if mask >> i & 1], output)
+            axiom = Axiom(premise(mask), output)  # the axioms with one mask share its tuple
             staged.append((max(steps, code + 1, axiom.use), axiom))
     return EnumOperator.from_staged(staged)
 

@@ -952,18 +952,22 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
     fsuite, _ = make_suites(random_config(seed, horizon))
     trace = engine.run(fsuite, horizon, mutation=mutation)
     rep = replay(trace)
-    for side, w in ((0, w0), (1, w1)):
-        flips = enumeration(rep, w, side, horizon)
-        sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
-        rebuilt = [
-            {x for x, at in flips.items() if bisect_right(at, s) % 2} for s in range(horizon + 1)
-        ]
-        assert rebuilt == sets
-        for x in set().union(*sets):
-            for start in range(horizon + 1):
-                for enumerated in (0, 1):
-                    found = (u for u in range(start, horizon + 1) if (x in sets[u]) == enumerated)
-                    assert _next(flips.get(x, []), start, enumerated) == next(found, None)
+    for w in (w0, w1):
+        for side, flips in enumerate(enumeration(rep, w, horizon)):
+            sets = [
+                evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)
+            ]
+            rebuilt = [
+                {x for x, at in flips.items() if bisect_right(at, s) % 2} for s in range(horizon + 1)
+            ]
+            assert rebuilt == sets
+            for x in set().union(*sets):
+                for start in range(horizon + 1):
+                    for enumerated in (0, 1):
+                        found = (
+                            u for u in range(start, horizon + 1) if (x in sets[u]) == enumerated
+                        )
+                        assert _next(flips.get(x, []), start, enumerated) == next(found, None)
     osuite = OperatorSuite([w0, w1])
     for h in (horizon, min(cut, horizon)):
         check = check_preservation(trace, osuite, 0, 1, h).find("preservation")
@@ -982,8 +986,8 @@ def test_change_point_evaluation_matches_every_stage(seed, horizon, mutation, w0
 )
 def test_one_replay_serves_every_suite_pair_and_horizon(seed, horizon, mutation, w0, w1, cut):
     """A replay keeps what the operator checks derive from it, keyed by
-    operator contents, side and horizon: checks that share one replay across
-    two suites, their pairs and two horizons each match the definition."""
+    suite, entry and horizon: checks that share one replay across two
+    suites, their pairs and two horizons each match the definition."""
     fsuite, _ = make_suites(random_config(seed, horizon))
     trace = engine.run(fsuite, horizon, mutation=mutation)
     rep = replay(trace)
@@ -1026,13 +1030,13 @@ point_events = st.tuples(
     st.integers(0, 40),
     st.lists(point_events, max_size=10),
     bit_operators,
-    st.integers(0, 1),
 )
-def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w, side):
-    """The flips are the stages at which an output enters or leaves
-    evaluate's set, stage 0 for the outputs of its set at stage 0, each list
-    strictly ascending and non-empty, on engine traces and on forged events
-    that insert a member again or insert and remove a witness at once."""
+def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w):
+    """Each side's flips are the stages at which an output enters or leaves
+    evaluate's set on that side, stage 0 for the outputs of its set at stage
+    0, each list strictly ascending and non-empty, on engine traces and on
+    forged events that insert a member again or insert and remove a witness
+    at once."""
     raw = random_config(seed, horizon)
     trace = engine.run(make_suites(raw)[0], horizon, raw["snapshot_every"])
     events = []
@@ -1040,14 +1044,15 @@ def test_enumeration_counts_blocked_premises(seed, horizon, forgeries, w, side):
         gone = [*gone, (act.witness, act.side)] if own else gone
         events.append((stage, act, [Removal(n, k, 0, 0, 0) for n, k in gone]))
     rep = replay(with_forgeries(trace, events))
-    sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
-    expected = defaultdict(list)
-    for s, (before, now) in enumerate(zip([frozenset(), *sets], sets)):
-        for x in before ^ now:
-            expected[x].append(s)
-    flips = enumeration(rep, w, side, horizon)
-    assert flips == expected
-    assert all(at and all(u < v for u, v in zip(at, at[1:])) for at in flips.values())
+    expected = (defaultdict(list), defaultdict(list))
+    for side in (0, 1):
+        sets = [evaluate(w, CofiniteOnes.of(rep.entering[s][side]), s) for s in range(horizon + 1)]
+        for s, (before, now) in enumerate(zip([frozenset(), *sets], sets)):
+            for x in before ^ now:
+                expected[side][x].append(s)
+    sides = enumeration(rep, w, horizon)
+    assert sides == expected
+    assert all(at and all(u < v for u, v in zip(at, at[1:])) for f in sides for at in f.values())
 
 
 def test_enumeration_counts_an_entry_once():
@@ -1063,18 +1068,18 @@ def test_enumeration_counts_an_entry_once():
         TraceEvent(5, Action(0, 0, 3, 5), (Removal(3, 0, 0, 0, 5),)),
     ]
     rep = replay(Trace(kept, TraceSummary.of(7, (), (5,), {0: 5, 1: 3})))
-    assert enumeration(rep, op, 0, 7) == {7: [0, 2, 4]}
-    assert enumeration(rep, op, 1, 7) == {7: [0]}
+    assert enumeration(rep, op, 7) == ({7: [0, 2, 4]}, {7: [0]})
 
 
 def test_enumeration_work_follows_premises_and_membership_changes(monkeypatch):
     """Work budget: on the two machine operators of `config_gen` at
-    H = 20 000, each side's enumeration decodes premise codes (`unpair` as
-    `joint` and `graphs` call it) at most as often as the sum of premise
-    sizes plus the sum, over the side's membership changes, of the axioms
-    with bits all 1 that name the point, and evaluates once.  The count
-    raises as soon as it passes the bound, so a scan of every visible axiom
-    at every change point fails within seconds."""
+    H = 20 000, each operator's enumeration, which gives both sides,
+    decodes premise codes (`unpair` as `joint` and `graphs` call it) at most
+    as often as the sum of premise sizes plus the sum, over both sides'
+    membership changes, of the axioms with bits all 1 that name the point,
+    and evaluates once.  The count raises as soon as it passes the bound, so
+    a scan of every visible axiom at every change point, or a decode per
+    side, fails within seconds."""
     from minpair import graphs
 
     horizon = 20000
@@ -1101,12 +1106,11 @@ def test_enumeration_work_follows_premises_and_membership_changes(monkeypatch):
         decoded = [[unpair(code) for code in premise] for premise in visible]
         kept = [points for points in decoded if all(v == 1 for _, v in points)]
         naming = Counter(n for points in kept for n, _ in points)
-        for side in (0, 1):
-            bound = sum(map(len, visible))
-            bound += sum(count * naming[n] for (k, n), count in flips.items() if k == side)
-            decodes[0], evaluations[:] = 0, []
-            entered = [at[0] for at in enumeration(rep, w, side, horizon).values()]
-            assert len(evaluations) == 1 and max(entered) > 0
+        bound = sum(map(len, visible)) + sum(count * naming[n] for (_, n), count in flips.items())
+        decodes[0], evaluations[:] = 0, []
+        sides = enumeration(rep, w, horizon)
+        assert len(evaluations) == 1
+        assert all(max(at[0] for at in side.values()) > 0 for side in sides)
 
 
 def test_enumeration_memory_follows_the_flips():
@@ -1210,14 +1214,15 @@ def test_preservation_evaluates_only_at_change_points(tmp_path, monkeypatch):
     assert check.verdict == "pass"
     assert all(1 <= calls[side] <= bounds[side] for side in (0, 1))
 
-    # one verify enumerates each side once, for preservation and end_to_end
-    # alike, and each enumeration evaluates once, at stage 0
+    # one verify enumerates each operator once, both sides at once, for
+    # preservation and end_to_end alike, and each enumeration evaluates once,
+    # at stage 0
     calls.update({0: 0, 1: 0})
     enumerations, real_enumeration = Counter(), joint.enumeration
 
-    def enumerating(rep, op, side, horizon):
-        enumerations[side] += 1
-        return real_enumeration(rep, op, side, horizon)
+    def enumerating(rep, op, horizon):
+        enumerations[0 if op == w0 else 1] += 1
+        return real_enumeration(rep, op, horizon)
 
     monkeypatch.setattr(joint, "enumeration", enumerating)
     config = tmp_path / "parity.json"
@@ -1227,6 +1232,31 @@ def test_preservation_evaluates_only_at_change_points(tmp_path, monkeypatch):
     argv += ["--checks", "preservation,end_to_end", "--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert enumerations == {0: 1, 1: 1} and calls == {0: 1, 1: 1}
+
+
+def test_no_operator_check_hashes_an_operator(tmp_path, monkeypatch, capsys):
+    """The enumerations are kept by suite entry, never by operator contents:
+    with EnumOperator's hash raising, verify of preservation and end_to_end
+    and psi on `configs/parity_demo.json` exit 0 with the usual output."""
+    with open("configs/parity_demo.json", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["checks"]["preservation"] = [{"e0": 0, "e1": 1}]
+    config, trace = tmp_path / "parity.json", tmp_path / "parity.trace"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(trace)]) == 0
+    verify = ["verify", "--trace", str(trace), "--config", str(config)]
+    verify += ["--checks", "preservation,end_to_end", "--report"]
+    psi = ["psi", "--trace", str(trace), "--config", str(config), "--e0", "0", "--e1", "1"]
+    psi += ["--bound", "100"]
+    outputs = []
+    for name in ("usual", "unhashed"):
+        if name == "unhashed":
+            monkeypatch.setattr(EnumOperator, "__hash__", lambda op: pytest.fail("hashed"))
+        capsys.readouterr()
+        report = tmp_path / f"{name}.json"
+        assert main([*verify, str(report)]) == 0 and main(psi) == 0
+        outputs.append((report.read_text(encoding="utf-8"), capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][1].count("\n") == 95
 
 
 # -- joint table ---------------------------------------------------------------
@@ -1266,7 +1296,7 @@ def test_joint_stage_can_be_a_later_entry():
         TraceEvent(5, Action(0, 1, 5, 5), (Removal(3, 0, 0, 1, 1),)),
     ]
     trace = Trace(kept, TraceSummary.of(8, (), (5,), {0: 1, 1: 5}))
-    assert enumeration(replay(trace), osuite.get(0), 0, 8) == {7: [0, 2, 6]}
+    assert enumeration(replay(trace), osuite.get(0), 8) == ({7: [0, 2, 6]}, {7: [0]})
     assert synthesize_joint(trace, osuite, 0, 1, 8) == {2: (1, 6)}  # 7 = pair(2, 1)
     check = check_preservation(trace, osuite, 0, 1, 8).find("preservation")
     assert (check.verdict, dict(check.detail)) == ("pass", {"outputs": 1})

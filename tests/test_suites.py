@@ -154,6 +154,26 @@ def test_machine_operator_enumeration():
     assert op.staged_axioms == ((5, Axiom.of([], 1)),)
 
 
+def test_machine_operator_memory_follows_its_masks():
+    """Memory budget: `[["halt"]]` compiled at H = 20 000 (10 000 axioms)
+    retains under 200 B per axiom under tracemalloc, since the axioms with
+    one premise mask share one premise tuple; a tuple per axiom took 240."""
+    import tracemalloc
+
+    halt = {"kind": "machine", "program": [["halt"]]}
+    compile_operator(halt, 10)  # loads the operator module before tracing starts
+    tracemalloc.start()
+    try:
+        op = compile_operator(halt, 20000)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(op.staged_axioms) == 10000
+    assert retained < 200 * len(op.staged_axioms)
+    premises = {axiom.premise for _, axiom in op.staged_axioms}
+    assert len({id(axiom.premise) for _, axiom in op.staged_axioms}) == len(premises)
+
+
 def test_operator_axioms_compile_and_respect_use_bound():
     op = compile_operator(
         {"kind": "axioms", "axioms": [{"stage": 8, "premise": [[1, 1]], "output": [5, 1]}]},
